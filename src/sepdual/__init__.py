@@ -62,13 +62,10 @@ from .separations import (
     sup,
 )
 from .shifts import (
-    SepFamily,
     edges_to_side,
     move_edge_over,
     move_edge_to_middle,
     normalize_edge_sep,
-    pull_back,
-    push_forward,
     sep_to_edges,
     shift_partition,
     shift_side,

@@ -1,24 +1,12 @@
-"""Kernel backend selection.
+"""Bit kernels: order evaluation, majority shifts and the exhaustive scan.
 
-Prefers the compiled extension, falling back to the pure-Python kernels.
-Set ``SEPDUAL_PURE=1`` in the environment to force the fallback (useful for
-benchmarking and for exercising both code paths in tests).
+The implementation lives in :mod:`._pure` and is re-exported here, where the
+rest of the package looks it up.  It stays a separate module so that calls
+the kernels make to each other (``scan_members`` scores every separation with
+``order2``) bind inside ``_pure``: replacing the names exported here, as a
+tracer or profiler does, then sees only the package's own calls.
 """
 
-import os
+from ._pure import order2, scan_members, shift2
 
-from . import _pure
-
-if os.environ.get("SEPDUAL_PURE"):
-    _impl = _pure
-else:
-    try:
-        from . import _fast as _impl  # type: ignore[no-redef]
-    except ImportError:
-        _impl = _pure
-
-BACKEND = "pure" if _impl is _pure else "compiled"
-
-order2 = _impl.order2
-shift2 = _impl.shift2
-scan_members = _impl.scan_members
+BACKEND = "pure"

@@ -1,4 +1,4 @@
-"""Pure-Python bit kernels; fallback when the compiled extension is absent.
+"""Pure-Python bit kernels.
 
 The three functions below are the hot loops of the whole package: order
 evaluation, majority shifts, and the exhaustive scan over all separations

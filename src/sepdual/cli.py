@@ -13,23 +13,27 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 from . import __version__
 from .bigraph import (check_duality_wellformedness, from_dict, gen_planted,
                       gen_random, read_transactions_csv)
-from .errors import CapExceeded, SepdualError
+from .errors import ParseError, SepdualError
 from .homology import (BoundaryMatrix, find_decider, kernel_basis,
                        orientation_to_chain, tangle_kernel_check,
                        validate_decider)
-from .orders import HalfInt, order_of, order_side_edge_form, universe_context
+from .orders import (UNIVERSES, HalfInt, order_of, order_side_edge_form,
+                     universe_context)
 from .separations import make_sep
-from .shifts import edges_to_side, sep_to_edges, shift_partition, shift_side
+from .shifts import _OTHER, universe_map
 from .tangles import DEFAULT_MEMBER_CAP, build_system, enumerate_tangles
-from .verify import K2_GRID, report_json, run_corpus
+from .verify import ALL_THEOREMS, K2_GRID, report_json, run_corpus
 
-_UNIVERSES = ("x", "y", "e", "bx", "by")
+#: Inclusive ranges of the numeric options; anything outside is a parse error.
+_RANGES = {"nx": (0, math.inf), "ny": (0, math.inf), "p": (0, 1),
+           "in_p": (0, 1), "cross_p": (0, 1), "k2": (0, math.inf)}
 
 
 def _graph_options(p: argparse.ArgumentParser) -> None:
@@ -50,25 +54,49 @@ def _output_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "csv-summary"), default="json")
 
 
+def _check_ranges(args) -> None:
+    for name, (lo, hi) in _RANGES.items():
+        values = getattr(args, name, None)
+        for v in values if isinstance(values, list) else [values]:
+            if v is not None and not lo <= v <= hi:
+                flag = "--" + name.replace("_", "-")
+                raise ParseError(f"{flag} {v} is outside [{lo}, {hi}]")
+
+
+def _parse_blocks(text: str) -> list[tuple[int, int]]:
+    blocks = []
+    for part in text.split(","):
+        sizes = [v.strip() for v in part.lower().split("x")]
+        if len(sizes) != 2 or not all(v.isdigit() for v in sizes):
+            raise ParseError(f"bad block {part!r} in --blocks; expected e.g. 3x3")
+        blocks.append((int(sizes[0]), int(sizes[1])))
+    return blocks
+
+
+def _read_input(path: Path):
+    try:
+        if path.suffix == ".json":
+            return from_dict(json.loads(path.read_text(encoding="utf-8")))
+        with open(path, newline="", encoding="utf-8") as fh:
+            return read_transactions_csv(fh)
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror}") from None
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ParseError(f"malformed input {path}: {exc!r}") from None
+
+
 def _load_graph(args):
     if args.input:
         path = Path(args.input)
-        if path.suffix == ".json":
-            g = from_dict(json.loads(path.read_text()))
-        else:
-            with open(path, newline="", encoding="utf-8") as fh:
-                g = read_transactions_csv(fh)
+        g = _read_input(path)
         source = {"input": str(path)}
     elif args.generator == "random":
         g = gen_random(args.nx, args.ny, args.p, args.seed)
         source = {"generator": "random", "nx": args.nx, "ny": args.ny,
                   "p": args.p, "seed": args.seed}
     elif args.generator == "planted":
-        blocks = []
-        for part in args.blocks.split(","):
-            bx, by = part.lower().split("x")
-            blocks.append((int(bx), int(by)))
-        g = gen_planted(blocks, args.in_p, args.cross_p, args.seed)
+        g = gen_planted(_parse_blocks(args.blocks), args.in_p, args.cross_p,
+                        args.seed)
         source = {"generator": "planted", "blocks": args.blocks,
                   "in_p": args.in_p, "cross_p": args.cross_p, "seed": args.seed}
     else:
@@ -124,23 +152,13 @@ def cmd_ingest(args) -> int:
 def cmd_enumerate(args) -> int:
     g, source = _load_graph(args)
     system = build_system(g, args.universe, HalfInt(args.k2),
-                          cap=args.cap_edges if args.universe == "e" else args.cap_seps)
-    members = []
-    for i, m in enumerate(system.members):
-        ground = system.ground
-        members.append({
-            "a": [str(l) for l in _labels(ground, m.a)],
-            "b": [str(l) for l in _labels(ground, m.b)],
-            "order2": system.orders2[i],
-        })
+                          cap=_ground_cap(args))
+    ground = system.ground
+    members = [{"a": ground.names(m.a), "b": ground.names(m.b), "order2": o}
+               for m, o in zip(system.members, system.orders2)]
     config = {"source": source, "universe": args.universe, "k2": args.k2}
     _emit(args, _json_report({"members": members, "count": len(members)}, config))
     return 0
-
-
-def _labels(ground, mask):
-    return [f"{l[0]}--{l[1]}" if isinstance(l, tuple) else str(l)
-            for l in ground.members(mask)]
 
 
 def cmd_order(args) -> int:
@@ -164,21 +182,15 @@ def cmd_shift(args) -> int:
     _, ground, _ = universe_context(g, args.universe)
     s = make_sep(ground, _parse_side(g, args.universe, args.a),
                  _parse_side(g, args.universe, args.b))
-    if args.universe in ("bx", "by"):
-        out = shift_partition(g, s, args.universe[1])
-        dest = "b" + ("y" if args.universe == "bx" else "x")
-    elif args.universe == "e":
-        target = args.to or "x"
-        out = edges_to_side(g, s, target)
-        dest = target
-    elif args.to == "e":
-        out = sep_to_edges(g, s, args.universe)
+    if args.universe == "e":
+        dest = args.to or "x"
+    elif args.to == "e" and args.universe in ("x", "y"):
         dest = "e"
     else:
-        out = shift_side(g, s, args.universe)
-        dest = "y" if args.universe == "x" else "x"
+        dest = _OTHER[args.universe]
+    out = universe_map(g, args.universe, dest)(s)
     _, dest_ground, _ = universe_context(g, dest)
-    payload = {"a": _labels(dest_ground, out.a), "b": _labels(dest_ground, out.b),
+    payload = {"a": dest_ground.names(out.a), "b": dest_ground.names(out.b),
                "universe": dest}
     config = {"source": source, "universe": args.universe, "a": args.a,
               "b": args.b, "to": args.to}
@@ -187,9 +199,7 @@ def cmd_shift(args) -> int:
 
 
 def _ground_cap(args):
-    if getattr(args, "cap_edges", None) is not None and args.universe == "e":
-        return args.cap_edges
-    return getattr(args, "cap_seps", None) if args.universe != "e" else None
+    return args.cap_edges if args.universe == "e" else args.cap_seps
 
 
 def cmd_tangles(args) -> int:
@@ -281,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="list the members of a low-order system")
     _graph_options(p)
     _output_options(p)
-    p.add_argument("--universe", choices=_UNIVERSES, default="x")
+    p.add_argument("--universe", choices=UNIVERSES, default="x")
     p.add_argument("--k2", type=int, required=True, help="doubled threshold")
     p.add_argument("--cap-seps", type=int, default=None, dest="cap_seps")
     p.add_argument("--cap-edges", type=int, default=None, dest="cap_edges")
@@ -290,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("order", help="evaluate the order of one separation")
     _graph_options(p)
     _output_options(p)
-    p.add_argument("--universe", choices=_UNIVERSES, default="x")
+    p.add_argument("--universe", choices=UNIVERSES, default="x")
     p.add_argument("--a", required=True, help="comma-separated labels")
     p.add_argument("--b", required=True)
     p.set_defaults(fn=cmd_order)
@@ -298,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("shift", help="shift one separation across the duality")
     _graph_options(p)
     _output_options(p)
-    p.add_argument("--universe", choices=_UNIVERSES, default="x")
+    p.add_argument("--universe", choices=UNIVERSES, default="x")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--to", choices=("x", "y", "e"),
@@ -308,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tangles", help="enumerate tangles or regular profiles")
     _graph_options(p)
     _output_options(p)
-    p.add_argument("--universe", choices=_UNIVERSES, default="x")
+    p.add_argument("--universe", choices=UNIVERSES, default="x")
     p.add_argument("--k2", type=int, required=True)
     p.add_argument("--kind", choices=("tangle", "profile"), default="tangle")
     p.add_argument("--member-cap", type=int, default=DEFAULT_MEMBER_CAP,
@@ -325,8 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", default="graph", help="graph name in the report")
     p.add_argument("--k2", type=int, action="append",
                    help="doubled threshold; repeatable (default grid 1 2 3 4)")
-    p.add_argument("--theorem", action="append",
-                   help="theorem id; repeatable (default: all)")
+    p.add_argument("--theorem", action="append", choices=list(ALL_THEOREMS),
+                   metavar="ID", help="theorem id; repeatable (default: all)")
     p.add_argument("--member-cap", type=int, default=DEFAULT_MEMBER_CAP,
                    dest="member_cap")
     p.set_defaults(fn=cmd_verify)
@@ -334,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("homology", help="boundary matrix, kernel, deciders")
     _graph_options(p)
     _output_options(p)
-    p.add_argument("--universe", choices=_UNIVERSES, default="x")
+    p.add_argument("--universe", choices=UNIVERSES, default="x")
     p.add_argument("--k2", type=int, required=True)
     p.add_argument("--kind", choices=("tangle", "profile"), default="tangle")
     p.add_argument("--member-cap", type=int, default=DEFAULT_MEMBER_CAP,
@@ -356,10 +366,8 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        _check_ranges(args)
         return args.fn(args)
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except SepdualError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -47,6 +47,12 @@ class GroundSet:
         self.check(mask)
         return [self.labels[i] for i in range(self.n) if mask >> i & 1]
 
+    def names(self, mask: int) -> list[str]:
+        """Printable labels of a mask; an edge ``(x, y)`` prints as ``x--y``."""
+        return [f"{lab[0]}--{lab[1]}"
+                if isinstance(lab, tuple) and len(lab) == 2 else str(lab)
+                for lab in self.members(mask)]
+
     def check(self, mask: int) -> None:
         """Validate that a mask fits this ground set."""
         if mask < 0 or mask > self.full:

@@ -8,24 +8,22 @@ Three kinds of map connect the universes:
   why it generally does not commute with inversion),
 * side-to-edge (``(A,B) -> (E(A), E(B))``) and edge-to-side majority shifts.
 
-Families of separations move along these maps by pull-back (preimage,
-realized lazily as a membership predicate) or push-forward (image).  The
-local single-edge moves at the bottom rewrite an edge separation without
-changing (or while only enlarging) its side shift and without increasing
-its order; iterating them normalizes an edge separation towards the shape
+:func:`universe_map` picks the map for a pair of universes.  The local
+single-edge moves at the bottom rewrite an edge separation without changing
+(or while only enlarging) its side shift and without increasing its order;
+iterating them normalizes an edge separation towards the shape
 ``(E(A), E(B))``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, FrozenSet
+from typing import Callable
 
 from . import _kernels
 from .bigraph import BipartiteGraph
 from .errors import NotAPartition, PreconditionViolated, SideMismatch
 from .orders import universe_context
-from .separations import Sep, enumerate_seps
+from .separations import Sep
 
 _OTHER = {"x": "y", "y": "x", "bx": "by", "by": "bx"}
 
@@ -99,7 +97,10 @@ def edges_to_side(g: BipartiteGraph, s: Sep, target: str) -> Sep:
 
 
 def universe_map(g: BipartiteGraph, source: str, dest: str) -> Callable[[Sep], Sep]:
-    """The canonical single-separation map from ``source`` to ``dest``."""
+    """The canonical single-separation map from ``source`` to ``dest``.
+
+    This is the one place where a pair of universes picks its shift.
+    """
     if (source, dest) in (("x", "y"), ("y", "x")):
         return lambda s: shift_side(g, s, source)
     if (source, dest) in (("bx", "by"), ("by", "bx")):
@@ -108,60 +109,7 @@ def universe_map(g: BipartiteGraph, source: str, dest: str) -> Callable[[Sep], S
         return lambda s: sep_to_edges(g, s, source)
     if source == "e" and dest in ("x", "y"):
         return lambda s: edges_to_side(g, s, dest)
-    raise ValueError(f"no canonical map from {source!r} to {dest!r}")
-
-
-@dataclass(frozen=True)
-class SepFamily:
-    """An explicit family of oriented separations over one universe."""
-
-    universe: str
-    members: FrozenSet[Sep]
-
-    def __contains__(self, s: Sep) -> bool:
-        return s in self.members
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
-@dataclass(frozen=True)
-class PullbackFamily:
-    """Lazy preimage of a family under a universe map.
-
-    Membership of ``s`` is decided by mapping ``s`` into the base family's
-    universe; the family is materializable below an order threshold but is
-    never fully expanded (it is exponentially large in general).
-    """
-
-    universe: str
-    base: object
-    fn: Callable[[Sep], Sep]
-
-    def __contains__(self, s: Sep) -> bool:
-        return self.fn(s) in self.base
-
-
-def pull_back(g: BipartiteGraph, fam, target: str) -> PullbackFamily:
-    """Preimage family over ``target`` of ``fam`` under the canonical map."""
-    return PullbackFamily(target, fam, universe_map(g, target, fam.universe))
-
-
-def push_forward(g: BipartiteGraph, fam: SepFamily, dest: str) -> SepFamily:
-    """Image family; in general not even a partial orientation."""
-    fn = universe_map(g, fam.universe, dest)
-    return SepFamily(dest, frozenset(fn(s) for s in fam.members))
-
-
-def materialize(g: BipartiteGraph, fam, k2: int, cap: int | None = None) -> set[Sep]:
-    """All members of ``fam`` whose order is below the doubled threshold."""
-    masks, ground, partitions_only = universe_context(g, fam.universe)
-    mode = "partitions_only" if partitions_only else "all_separations"
-    out = set()
-    for s in enumerate_seps(ground, mode, cap=cap):
-        if _kernels.order2(masks, s.a, s.b) < k2 and s in fam:
-            out.add(s)
-    return out
+    raise SideMismatch(f"no canonical map from {source!r} to {dest!r}")
 
 
 # -- local edge moves ------------------------------------------------------

@@ -175,8 +175,8 @@ class Orientation:
         out = []
         for i, m in enumerate(self.system.members):
             out.append({
-                "a": [_fmt_label(l) for l in ground.members(m.a)],
-                "b": [_fmt_label(l) for l in ground.members(m.b)],
+                "a": ground.names(m.a),
+                "b": ground.names(m.b),
                 "order2": self.system.orders2[i],
                 "forward": self.forward[i],
             })
@@ -188,12 +188,6 @@ class Orientation:
 
     def dump_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-
-
-def _fmt_label(label) -> str:
-    if isinstance(label, tuple) and len(label) == 2:
-        return f"{label[0]}--{label[1]}"
-    return str(label)
 
 
 def restrict(o: Orientation, k) -> Orientation:

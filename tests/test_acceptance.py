@@ -4,6 +4,7 @@ Every numeric comparison here is exact (doubled-integer order arithmetic);
 the stated runtime budgets are asserted as hard ceilings.
 """
 
+import hashlib
 import itertools
 import random
 import time
@@ -41,6 +42,10 @@ from sepdual.homology import disc_lines_perpendicular, validate_decider
 from sepdual.orders import order2_of
 from sepdual.verify import corpus, report_json, run_corpus
 from sepdual.bigraph import block_masks
+
+#: sha256 of ``report_json(run_corpus())``, the shipped corpus report.
+CORPUS_REPORT_SHA256 = (
+    "1ad7840c783024aec41520599a4955048027debb99d2ce70ad89e64b8308d111")
 
 
 def _stamp(name, t0, budget):
@@ -292,4 +297,6 @@ def test_criterion_8_determinism():
     first = report_json(run_corpus())
     second = report_json(run_corpus())
     assert first.encode() == second.encode()
+    # pinned report: a change to it must update this digest and explain why
+    assert hashlib.sha256(first.encode()).hexdigest() == CORPUS_REPORT_SHA256
     _stamp("criterion-8 determinism", t0, 600)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from sepdual.cli import main
 
 
@@ -251,3 +253,26 @@ def test_cap_exceeded_exit(capsys):
                            "--seed", "1", "--universe", "e", "--k2", "2")
     assert code == 2
     assert "cap" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("tangles", "--generator", "planted", "--blocks", "3y3", "--k2", "1"),
+    ("tangles", "--generator", "random", "--k2", "-1"),
+    ("order", "--input", "{missing}", "--a", "x1", "--b", "x2"),
+    ("order", "--input", "{bad_json}", "--a", "x1", "--b", "x2"),
+    ("verify", "--generator", "random", "--theorem", "nope"),
+    ("tangles", "--generator", "random", "--p", "1.5", "--k2", "1"),
+    ("tangles", "--generator", "random", "--nx", "-2", "--k2", "1"),
+], ids=["blocks", "k2", "missing-input", "bad-json", "theorem", "p", "nx"])
+def test_input_fault_is_usage_error(argv, tmp_path, capsys):
+    bad_json = tmp_path / "g.json"
+    bad_json.write_text('{"x": ["x1"], ')
+    argv = [a.format(missing=tmp_path / "absent.csv", bad_json=bad_json)
+            for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects an unknown --theorem
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("error:") == 1 and "Traceback" not in err

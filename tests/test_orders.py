@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import order_edge_oracle, order_side_oracle, sep_sets
+from sepdual import _kernels
 from sepdual import (
     HalfInt,
     NotAPartition,
@@ -171,3 +172,7 @@ def test_mask_validation(k22):
 
     with pytest.raises(SideMismatch):
         order_side(k22, Sep(1 << 9, k22.x.full), "x")
+
+
+def test_order2_empty_masks():
+    assert _kernels.order2([], 5, 3) == 0

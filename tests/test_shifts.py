@@ -9,7 +9,7 @@ from sepdual import (
     NotAPartition,
     PreconditionViolated,
     Sep,
-    SepFamily,
+    SideMismatch,
     edges_to_side,
     enumerate_seps,
     from_edges,
@@ -20,12 +20,11 @@ from sepdual import (
     normalize_edge_sep,
     order_edge,
     order_side,
-    pull_back,
-    push_forward,
     sep_to_edges,
     shift_partition,
     shift_side,
 )
+from sepdual.shifts import universe_map
 
 
 def test_shift_side_examples(m2, k22):
@@ -167,36 +166,46 @@ def test_edge_shift_monotone(m2, path3):
                 assert leq(edges_to_side(g, r, "x"), edges_to_side(g, s, "x"))
 
 
+def test_universe_map_kinds(m2, k22, path3):
+    s = Sep(0b01, 0b10)
+    for g in (m2, k22):
+        assert universe_map(g, "x", "y")(s) == shift_side(g, s, "x")
+        assert universe_map(g, "by", "bx")(s) == shift_partition(g, s, "y")
+        assert universe_map(g, "x", "e")(s) == sep_to_edges(g, s, "x")
+    for t in enumerate_seps(path3.edges):
+        assert universe_map(path3, "e", "y")(t) == edges_to_side(path3, t, "y")
+    # ties go to both sides on K22, to the first side only for partitions
+    assert universe_map(k22, "x", "y")(s) == Sep(0b11, 0b11)
+    assert universe_map(k22, "bx", "by")(s) == Sep(0b11, 0)
+    for source, dest in (("x", "x"), ("e", "e"), ("bx", "y"), ("e", "bx")):
+        with pytest.raises(SideMismatch):
+            universe_map(m2, source, dest)
+
+
 def test_pull_back_families(m2):
-    everything = SepFamily("y", frozenset(enumerate_seps(m2.y)))
-    pb = pull_back(m2, everything, "x")
-    assert Sep(0b01, 0b10) in pb
-    empty = pull_back(m2, SepFamily("y", frozenset()), "x")
-    assert Sep(0b01, 0b10) not in empty
-    one = SepFamily("y", frozenset([Sep(0b01, 0b10)]))
-    pb = pull_back(m2, one, "x")
-    hits = [s for s in enumerate_seps(m2.x, "partitions_only") if s in pb]
+    to_y = universe_map(m2, "x", "y")
+    everything = set(enumerate_seps(m2.y))
+    assert to_y(Sep(0b01, 0b10)) in everything
+    assert to_y(Sep(0b01, 0b10)) not in set()
+    one = {Sep(0b01, 0b10)}
+    hits = [s for s in enumerate_seps(m2.x, "partitions_only") if to_y(s) in one]
     assert hits == [Sep(0b01, 0b10)]
 
 
 def test_pull_back_materialize(m2):
-    from sepdual.shifts import materialize
+    # the preimage of one y-separation, cut below doubled order 1
+    to_y = universe_map(m2, "x", "y")
+    one = {Sep(0b01, 0b10)}
+    low = {s for s in enumerate_seps(m2.x)
+           if order_side(m2, s, "x").doubled < 1 and to_y(s) in one}
+    assert low == {Sep(0b01, 0b10)}
 
-    one = SepFamily("y", frozenset([Sep(0b01, 0b10)]))
-    pb = pull_back(m2, one, "x")
-    got = materialize(m2, pb, k2=1)
-    assert got == {Sep(0b01, 0b10)}
 
-
-def test_push_forward(m2, k22):
-    fam = SepFamily("x", frozenset())
-    assert len(push_forward(m2, fam, "y")) == 0
+def test_universe_map_push_forward(m2, k22):
     s = Sep(0b01, 0b10)
-    fam = SepFamily("x", frozenset([s, inverse(s)]))
-    out = push_forward(m2, fam, "y")
-    assert out.members == frozenset([Sep(0b01, 0b10), Sep(0b10, 0b01)])
-    fam = SepFamily("x", frozenset([s]))
-    assert push_forward(k22, fam, "y").members == frozenset([Sep(0b11, 0b11)])
+    image = {universe_map(m2, "x", "y")(t) for t in (s, inverse(s))}
+    assert image == {Sep(0b01, 0b10), Sep(0b10, 0b01)}
+    assert universe_map(k22, "x", "y")(s) == Sep(0b11, 0b11)
 
 
 def test_move_edge_over_tie_precondition(m2):

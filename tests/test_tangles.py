@@ -2,6 +2,7 @@
 
 import pytest
 
+from sepdual import _kernels
 from sepdual import (
     CapExceeded,
     HalfInt,
@@ -208,3 +209,12 @@ def test_dump_deterministic(k33):
     b = enumerate_tangles(k33, "x", HalfInt(2))[0].dump_json()
     assert a == b
     assert '"universe": "x"' in a
+
+
+def test_scan_sorted_and_complete():
+    masks = [0b011, 0b110, 0b101]
+    got = _kernels.scan_members(masks, 3)
+    assert got == sorted(got)
+    assert len(got) == (3**3 - 1) // 2
+    parts = _kernels.scan_members(masks, 3, True)
+    assert len(parts) == 2**3 // 2

@@ -9,15 +9,11 @@ from sepdual.verify import (
     report_json,
     run_corpus,
     run_theorem,
-    verify_cor_double_shift,
-    verify_partition_theorems,
-    verify_profile_theorems,
-    verify_shift_tangle,
 )
 
 
 def test_shift_tangle_m2_verified(m2):
-    case = verify_shift_tangle(m2, 1, name="m2")
+    case = run_theorem("shift_tangle", m2, 1, "m2")
     assert case.outcome == "verified"
     # at k=1/2 the 4k hypothesis system self-destructs: vacuous but verified
     assert case.hypothesis_count == 0 and case.vacuous
@@ -27,7 +23,7 @@ def test_shift_tangle_nonvacuous_on_cycle():
     from sepdual.verify import even_cycle
 
     g = even_cycle(4)
-    case = verify_shift_tangle(g, 1, name="cycle8")
+    case = run_theorem("shift_tangle", g, 1, "cycle8")
     assert case.outcome == "verified"
     assert case.hypothesis_count > 0 and not case.vacuous
 
@@ -77,16 +73,6 @@ def test_witness_revalidation_runs():
     assert case.witness is not None
     member = case.witness["member"]
     assert set(member) == {"a", "b"}
-
-
-def test_grouped_entry_points(m2):
-    cases = verify_cor_double_shift(m2, 1, name="m2")
-    assert [c.theorem for c in cases] == ["cor_double_shift_edges",
-                                          "cor_double_shift_sides"]
-    cases = verify_profile_theorems(m2, 1, name="m2")
-    assert len(cases) == 4
-    cases = verify_partition_theorems(m2, 1, name="m2")
-    assert all(c.outcome in ("verified", "degenerate", "capped") for c in cases)
 
 
 def test_corpus_shape():
