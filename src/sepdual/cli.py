@@ -33,7 +33,9 @@ from .verify import ALL_THEOREMS, K2_GRID, report_json, run_corpus
 
 #: Inclusive ranges of the numeric options; anything outside is a parse error.
 _RANGES = {"nx": (0, math.inf), "ny": (0, math.inf), "p": (0, 1),
-           "in_p": (0, 1), "cross_p": (0, 1), "k2": (0, math.inf)}
+           "in_p": (0, 1), "cross_p": (0, 1), "k2": (0, math.inf),
+           "member_cap": (0, math.inf), "cap_seps": (0, math.inf),
+           "cap_edges": (0, math.inf)}
 
 
 def _graph_options(p: argparse.ArgumentParser) -> None:

@@ -17,6 +17,20 @@ A consequence worth knowing: every tangle is a regular profile.
 Enumeration is exhaustive backtracking over members sorted by order, with
 incremental violation pruning; violations are monotone under extension, so
 pruned subtrees can contain no result.
+
+Prefix invariant: all systems of one (graph, universe) are slices of one
+sorted scan.  ``_scan`` keeps it as a tuple of doubled orders and a tuple of
+``Sep``, built once per (graph, universe); S_k is the prefix of order below
+k, found by bisection, so every S_k of a universe shares the same ``Sep``
+objects and a system is fixed by its member count.
+
+Empty-prefix shortcut: once the search over the first n members of a
+universe finds nothing, ``enumerate_tangles`` returns no result for any
+system of that universe with n or more members.  This is exact because
+both conditions only ever relate chosen members to each other, so
+restricting a tangle (or regular profile) of a system to a prefix of its
+members gives a tangle (or regular profile) of that prefix; the search's
+own pruning rests on the same fact.
 """
 
 from __future__ import annotations
@@ -43,13 +57,18 @@ DEFAULT_EDGE_CAP = 10
 DEFAULT_MEMBER_CAP = 24
 
 
-def _scan(g: BipartiteGraph, universe: str):
-    """Cached sorted scan of all canonical separations of a universe."""
+def _scan(g: BipartiteGraph, universe: str) -> tuple[tuple[int, ...], tuple[Sep, ...]]:
+    """Cached sorted scan of a universe: doubled orders and canonical members.
+
+    Built once per (graph, universe); every S_k of the universe is a slice of
+    these two tuples.
+    """
     key = ("scan", universe)
     hit = g._cache.get(key)
     if hit is None:
         masks, ground, partitions_only = universe_context(g, universe)
-        hit = _kernels.scan_members(masks, ground.n, partitions_only)
+        scan = _kernels.scan_members(masks, ground.n, partitions_only)
+        hit = (tuple(o for o, _, _ in scan), tuple(Sep(a, b) for _, a, b in scan))
         g._cache[key] = hit
     return hit
 
@@ -63,8 +82,8 @@ def max_order2(g: BipartiteGraph, universe: str) -> int:
     masks, ground, partitions_only = universe_context(g, universe)
     if not partitions_only:
         return _kernels.order2(masks, ground.full, ground.full)
-    scan = _scan(g, universe)
-    return scan[-1][0] if scan else 0
+    orders2 = _scan(g, universe)[0]
+    return orders2[-1] if orders2 else 0
 
 
 class LowOrderSystem:
@@ -75,7 +94,7 @@ class LowOrderSystem:
     separation (full, full) is never a member.
     """
 
-    __slots__ = ("graph", "universe", "k2", "ground", "members", "orders2", "index")
+    __slots__ = ("graph", "universe", "k2", "ground", "members", "orders2", "_index")
 
     def __init__(self, graph, universe, k2, ground, members, orders2):
         self.graph = graph
@@ -84,7 +103,14 @@ class LowOrderSystem:
         self.ground = ground
         self.members = members
         self.orders2 = orders2
-        self.index = {s: i for i, s in enumerate(members)}
+        self._index = None
+
+    @property
+    def index(self) -> dict[Sep, int]:
+        """Position of each member, built on first use."""
+        if self._index is None:
+            self._index = {s: i for i, s in enumerate(self.members)}
+        return self._index
 
     @property
     def k(self) -> HalfInt:
@@ -122,11 +148,9 @@ def build_system(g: BipartiteGraph, universe: str, k,
     if ground.n > cap:
         raise CapExceeded(
             f"universe {universe!r} has {ground.n} elements, over cap {cap}")
-    scan = _scan(g, universe)
-    cut = bisect_left(scan, (k2,))
-    members = tuple(Sep(a, b) for _, a, b in scan[:cut])
-    orders2 = tuple(o for o, _, _ in scan[:cut])
-    return LowOrderSystem(g, universe, k2, ground, members, orders2)
+    orders2, members = _scan(g, universe)
+    cut = bisect_left(orders2, k2)
+    return LowOrderSystem(g, universe, k2, ground, members[:cut], orders2[:cut])
 
 
 class Orientation:
@@ -289,7 +313,9 @@ def enumerate_tangles(g: BipartiteGraph, universe: str, k,
     search tree covers all 2^n orientations, and pruned branches are exactly
     those whose partial choice already violates the (monotone) conditions,
     so the result list is complete.  Deterministic order: forward choice
-    explored first at every member.
+    explored first at every member.  A system at least as large as a prefix
+    whose search came back empty has no result either (see the module
+    docstring) and is not searched again.
     """
     if kind not in ("tangle", "regular_profile"):
         raise ValueError(f"kind must be 'tangle' or 'regular_profile', got {kind!r}")
@@ -298,6 +324,11 @@ def enumerate_tangles(g: BipartiteGraph, universe: str, k,
     n = len(system.members)
     if n > member_cap:
         raise CapExceeded(f"system has {n} members, over member cap {member_cap}")
+    # smallest member count of this universe whose search found nothing
+    empty_key = ("empty_from", system.universe, kind)
+    cache = system.graph._cache
+    if n >= cache.get(empty_key, n + 1):
+        return []
 
     full = system.ground.full
     results: list[Orientation] = []
@@ -371,4 +402,6 @@ def enumerate_tangles(g: BipartiteGraph, universe: str, k,
                 pop(token)
 
     rec(0)
+    if not results:
+        cache[empty_key] = n
     return results

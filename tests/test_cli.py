@@ -255,16 +255,22 @@ def test_cap_exceeded_exit(capsys):
     assert "cap" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ("tangles", "--generator", "planted", "--blocks", "3y3", "--k2", "1"),
-    ("tangles", "--generator", "random", "--k2", "-1"),
-    ("order", "--input", "{missing}", "--a", "x1", "--b", "x2"),
-    ("order", "--input", "{bad_json}", "--a", "x1", "--b", "x2"),
-    ("verify", "--generator", "random", "--theorem", "nope"),
-    ("tangles", "--generator", "random", "--p", "1.5", "--k2", "1"),
-    ("tangles", "--generator", "random", "--nx", "-2", "--k2", "1"),
-], ids=["blocks", "k2", "missing-input", "bad-json", "theorem", "p", "nx"])
-def test_input_fault_is_usage_error(argv, tmp_path, capsys):
+@pytest.mark.parametrize("argv, named", [
+    (("tangles", "--generator", "planted", "--blocks", "3y3", "--k2", "1"), "--blocks"),
+    (("tangles", "--generator", "random", "--k2", "-1"), "--k2"),
+    (("order", "--input", "{missing}", "--a", "x1", "--b", "x2"), "absent.csv"),
+    (("order", "--input", "{bad_json}", "--a", "x1", "--b", "x2"), "g.json"),
+    (("verify", "--generator", "random", "--theorem", "nope"), "--theorem"),
+    (("tangles", "--generator", "random", "--p", "1.5", "--k2", "1"), "--p"),
+    (("tangles", "--generator", "random", "--nx", "-2", "--k2", "1"), "--nx"),
+    (("verify", "--generator", "random", "--member-cap", "-1"), "--member-cap"),
+    (("tangles", "--generator", "random", "--k2", "2", "--member-cap", "-1"),
+     "--member-cap"),
+    (("enumerate", "--generator", "random", "--universe", "e", "--k2", "2",
+      "--cap-edges", "-3"), "--cap-edges"),
+], ids=["blocks", "k2", "missing-input", "bad-json", "theorem", "p", "nx",
+        "verify-member-cap", "tangles-member-cap", "cap-edges"])
+def test_input_fault_is_usage_error(argv, named, tmp_path, capsys):
     bad_json = tmp_path / "g.json"
     bad_json.write_text('{"x": ["x1"], ')
     argv = [a.format(missing=tmp_path / "absent.csv", bad_json=bad_json)
@@ -276,3 +282,4 @@ def test_input_fault_is_usage_error(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.count("error:") == 1 and "Traceback" not in err
+    assert named in err

@@ -13,11 +13,15 @@ from sepdual import (
     check_regular,
     check_tangle,
     enumerate_orientations,
+    enumerate_seps,
     enumerate_tangles,
+    from_dict,
     gen_planted,
     is_regular_profile,
     restrict,
 )
+from sepdual.orders import UNIVERSES, order2_of
+from sepdual.tangles import DEFAULT_MEMBER_CAP, max_order2
 
 
 def test_build_system_k33(k33):
@@ -218,3 +222,92 @@ def test_scan_sorted_and_complete():
     assert len(got) == (3**3 - 1) // 2
     parts = _kernels.scan_members(masks, 3, True)
     assert len(parts) == 2**3 // 2
+
+
+def _copy(g):
+    return from_dict(g.to_dict())
+
+
+def test_systems_are_slices_of_one_scan(m2, k22, k33, path3):
+    for g in (m2, k22, k33, path3):
+        for universe in UNIVERSES:
+            top = max_order2(g, universe)
+            largest = build_system(g, universe, HalfInt(top + 2))
+            for k2 in range(1, top + 3):
+                sys = build_system(g, universe, HalfInt(k2))
+                n = len(sys)
+                assert n <= len(largest)
+                assert all(a is b for a, b in zip(sys.members, largest.members))
+                assert sys.orders2 == largest.orders2[:n]
+                assert all(o < k2 for o in sys.orders2)
+                assert n == len(largest) or largest.orders2[n] >= k2
+                sub = largest.restricted(HalfInt(k2))
+                assert sub.members == sys.members
+                assert sub.orders2 == sys.orders2
+
+
+def test_max_order2_of_partition_universes(m2, k22, k33, path3, two_blocks):
+    for g in (m2, k22, k33, path3, two_blocks):
+        for universe, ground in (("bx", g.x), ("by", g.y)):
+            assert max_order2(g, universe) == max(
+                order2_of(g, universe, s.a, s.b)
+                for s in enumerate_seps(ground, "partitions_only"))
+
+
+def test_search_results_independent_of_call_order(m2, k22, k33, path3):
+    """Ascending calls meet levels above an empty prefix, descending calls
+    search large systems first; both must match the naive filter."""
+    above_empty = 0
+    for g in (m2, k22, k33, path3):
+        for universe in UNIVERSES:
+            for kind in ("tangle", "regular_profile"):
+                ok = ((lambda o: check_tangle(o).ok) if kind == "tangle"
+                      else is_regular_profile)
+                seen = {}
+                for k2s in (range(1, 9), range(8, 0, -1)):
+                    fresh = _copy(g)
+                    empty_below = None
+                    for k2 in k2s:
+                        sys = build_system(fresh, universe, HalfInt(k2))
+                        if len(sys) > DEFAULT_MEMBER_CAP:
+                            with pytest.raises(CapExceeded):
+                                enumerate_tangles(fresh, universe, HalfInt(k2),
+                                                  kind=kind, system=sys)
+                            continue
+                        got = [o.forward for o in enumerate_tangles(
+                            fresh, universe, HalfInt(k2), kind=kind, system=sys)]
+                        assert seen.setdefault(k2, got) == got, (universe, kind, k2)
+                        if len(sys) <= 12:
+                            slow = [o.forward for o in enumerate_orientations(sys)
+                                    if ok(o)]
+                            assert got == slow, (universe, kind, k2)
+                            if empty_below is not None and len(sys) > empty_below:
+                                above_empty += 1
+                        if not got and empty_below is None:
+                            empty_below = len(sys)
+    assert above_empty >= 10
+
+
+def test_member_cap_checked_before_empty_prefix(k33):
+    fresh = _copy(k33)
+    message = "system has 10 members, over member cap 5"
+    with pytest.raises(CapExceeded, match=message):
+        enumerate_tangles(fresh, "x", HalfInt(7), member_cap=5)
+    assert enumerate_tangles(k33, "x", HalfInt(4)) == []
+    with pytest.raises(CapExceeded, match=message):
+        enumerate_tangles(k33, "x", HalfInt(7), member_cap=5)
+
+
+def test_empty_prefix_recorded_on_system_graph(m2, k22):
+    k = HalfInt(3)
+    expected = [o.forward for o in enumerate_tangles(_copy(k22), "e", k)]
+    assert len(expected) == 1
+    # m2's e-system at this threshold (4 members) has no tangle ...
+    assert enumerate_tangles(m2, "e", k) == []
+    # ... which says nothing about k22's larger system passed with g=m2
+    got = enumerate_tangles(m2, "e", k, system=build_system(k22, "e", k))
+    assert [o.forward for o in got] == expected
+    # an empty search of m2's system is recorded on m2, not on the g argument
+    other = _copy(k22)
+    assert enumerate_tangles(other, "e", k, system=build_system(_copy(m2), "e", k)) == []
+    assert [o.forward for o in enumerate_tangles(other, "e", k)] == expected
