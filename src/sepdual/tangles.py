@@ -16,7 +16,14 @@ A consequence worth knowing: every tangle is a regular profile.
 
 Enumeration is exhaustive backtracking over members sorted by order, with
 incremental violation pruning; violations are monotone under extension, so
-pruned subtrees can contain no result.
+pruned subtrees can contain no result.  The search keeps, beside the chosen
+orientations, exactly what the next member is tested against: the unions
+of first sides of chosen pairs for tangles; for regular profiles the set
+``picked`` of chosen orientations and a counted map ``closes`` of the
+inverted suprema of chosen pairs (pairs taken with repetition).  Adding an
+orientation pushes its entries, backtracking pops exactly those, so a test
+costs O(|chosen|) on masks; ``check_tangle`` and ``check_profile`` stay the
+reference the search is tested against.
 
 Prefix invariant: all systems of one (graph, universe) are slices of one
 sorted scan.  ``_scan`` keeps it as a tuple of doubled orders and a tuple of
@@ -48,6 +55,7 @@ from .separations import (
     DEFAULT_PARTITION_CAP,
     DEFAULT_SEP_CAP,
     Sep,
+    canonical,
     inverse,
     leq,
     sup,
@@ -175,7 +183,7 @@ class Orientation:
         return frozenset(self.choices())
 
     def __contains__(self, s: Sep) -> bool:
-        canon = s if (s.a, s.b) <= (s.b, s.a) else Sep(s.b, s.a)
+        canon = canonical(s)
         i = self.system.index.get(canon)
         if i is None:
             return False
@@ -316,6 +324,20 @@ def enumerate_tangles(g: BipartiteGraph, universe: str, k,
     explored first at every member.  A system at least as large as a prefix
     whose search came back empty has no result either (see the module
     docstring) and is not searched again.
+
+    Search state.  ``chosen`` lists the orientations picked so far.  For
+    tangles, ``pair_unions`` holds ``t.a | u.a`` over chosen multisets
+    {t, u} of size at most 2.  For regular profiles, ``picked`` is the set
+    of chosen orientations and ``closes`` counts the pairs
+    ``inverse(sup(t, u)) = (t.b & u.b, t.a | u.a)`` over chosen multisets
+    {t, u}.  Invariant: ``push(s)`` adds s and exactly the |chosen| + 1
+    entries that pair s with a chosen member or with itself, and returns
+    them as a token; ``pop(token)`` removes exactly those, so after each
+    ``pop`` the state equals the one before the matching ``push``.  Every
+    test of ``ok_to_add(s)`` then touches only pairs involving s, O(|chosen|)
+    work on plain masks.  One order test per chosen t suffices for
+    condition (i) of ``check_profile``: inversion reverses the order, so
+    ``inverse(t) <= s`` and ``inverse(s) <= t`` are the same condition.
     """
     if kind not in ("tangle", "regular_profile"):
         raise ValueError(f"kind must be 'tangle' or 'regular_profile', got {kind!r}")
@@ -359,35 +381,43 @@ def enumerate_tangles(g: BipartiteGraph, universe: str, k,
             chosen.pop()
 
     else:
+        picked: set[Sep] = set()
+        closes: dict[tuple[int, int], int] = {}
 
         def ok_to_add(s: Sep) -> bool:
-            if s.a == full:
+            sa, sb = s
+            # s is irregular; the pair {s, s} closes on a chosen
+            # separation; a chosen pair closes on s
+            if sa == full or (sb, sa) in picked or s in closes:
                 return False
-            inv_s = inverse(s)
-            for t in chosen:
-                if leq(inverse(t), s) or leq(inv_s, t):
+            for ta, tb in chosen:
+                # leq(inverse(t), s), the same test as leq(inverse(s), t)
+                if tb & ~sa == 0 and sb & ~ta == 0:
                     return False
-            # corner triples touching s: either s closes a pair, or a pair
-            # from the partial choice closes on s
-            picked = set(chosen)
-            picked.add(s)
-            for t in chosen:
-                if inverse(sup(t, s)) in picked:
+                # the pair {t, s} closes on a chosen separation or on s
+                third = (tb & sb, ta | sa)
+                if third in picked or third == s:
                     return False
-            if inv_s in picked:  # sup(s, s) degenerate case
-                return False
-            for i, t in enumerate(chosen):
-                for u in chosen[i:]:
-                    if inverse(sup(t, u)) == s:
-                        return False
             return True
 
-        def push(s: Sep) -> int:
+        def push(s: Sep) -> list[tuple[int, int]]:
+            sa, sb = s
+            added = [(tb & sb, ta | sa) for ta, tb in chosen]
+            added.append((sb, sa))
+            for key in added:
+                closes[key] = closes.get(key, 0) + 1
+            picked.add(s)
             chosen.append(s)
-            return 0
+            return added
 
-        def pop(count: int) -> None:
-            chosen.pop()
+        def pop(added: list[tuple[int, int]]) -> None:
+            for key in added:
+                count = closes[key] - 1
+                if count:
+                    closes[key] = count
+                else:
+                    del closes[key]
+            picked.remove(chosen.pop())
 
     def rec(i: int) -> None:
         if i == n:

@@ -1,11 +1,15 @@
 """Low-order systems, tangle and profile predicates, exhaustive enumeration."""
 
+import random
+
 import pytest
 
 from sepdual import _kernels
 from sepdual import (
+    BipartiteGraph,
     CapExceeded,
     HalfInt,
+    LowOrderSystem,
     Orientation,
     Sep,
     build_system,
@@ -130,7 +134,7 @@ def test_profile_engine_matches_naive_across_corpus():
 
     compared = 0
     for name, g in corpus():
-        for universe in ("x", "e"):
+        for universe in UNIVERSES:
             if universe == "e" and g.n_edges > 10:
                 continue
             for k2 in (1, 2, 3):
@@ -145,6 +149,37 @@ def test_profile_engine_matches_naive_across_corpus():
                 assert ([o.forward for o in fast]
                         == [o.forward for o in slow]), (name, universe, k2)
     assert compared >= 30
+
+
+def _hand_built_system(rng):
+    """A system of 2-6 random distinct canonical members over 2-4 elements,
+    top separation excluded, in random order; a fresh graph each time so no
+    empty-prefix record carries over between systems."""
+    n = rng.randint(2, 4)
+    full = (1 << n) - 1
+    g = BipartiteGraph(range(n), [], [])
+    seps = set()
+    for a in range(full + 1):
+        for b in range(full + 1):
+            if a | b == full and (a, b) <= (b, a) and (a, b) != (full, full):
+                seps.add(Sep(a, b))
+    members = tuple(rng.sample(sorted(seps), min(len(seps), rng.randint(2, 6))))
+    return LowOrderSystem(g, "x", 1, g.x, members, (0,) * len(members))
+
+
+def test_search_matches_naive_on_hand_built_systems():
+    """Random member lists (any subset, any order) reach a pruning clause
+    that the scanned systems of the other tests never need: a chosen pair
+    closing on the next member."""
+    rng = random.Random(20260418)
+    for _ in range(3000):
+        sys = _hand_built_system(rng)
+        for kind, ok in (("tangle", lambda o: check_tangle(o).ok),
+                         ("regular_profile", is_regular_profile)):
+            fast = enumerate_tangles(sys.graph, "x", 0, kind=kind, system=sys)
+            slow = [o for o in enumerate_orientations(sys) if ok(o)]
+            assert ([o.forward for o in fast]
+                    == [o.forward for o in slow]), (sys.members, kind)
 
 
 def test_tangles_are_regular_profiles(k33, path3, two_blocks):
