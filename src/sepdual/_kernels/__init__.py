@@ -1,12 +1,113 @@
 """Bit kernels: order evaluation, majority shifts and the exhaustive scan.
 
-The implementation lives in :mod:`._pure` and is re-exported here, where the
-rest of the package looks it up.  It stays a separate module so that calls
-the kernels make to each other (``scan_members`` scores every separation with
-``order2``) bind inside ``_pure``: replacing the names exported here, as a
-tracer or profiler does, then sees only the package's own calls.
+The three functions below are the hot loops of the whole package: order
+evaluation, majority shifts, and the exhaustive separation scan over a small
+ground set.  ``masks`` is always a sequence of bitmasks over the same ground
+as the separation sides ``a`` and ``b`` (neighbourhoods for side orders,
+incident-edge sets for edge orders).  They are pure Python; the rest of the
+package looks them up here.
 """
 
-from ._pure import order2, scan_members, shift2
+from __future__ import annotations
 
 BACKEND = "pure"
+
+
+def order2(masks, a: int, b: int) -> int:
+    """Doubled order: sum over masks of 2*min(|m∩a|,|m∩b|) - |m∩a∩b|."""
+    total = 0
+    ab = a & b
+    for m in masks:
+        ca = (m & a).bit_count()
+        cb = (m & b).bit_count()
+        total += 2 * (ca if ca < cb else cb) - (m & ab).bit_count()
+    return total
+
+
+def shift2(masks, a: int, b: int, partition_ties: bool = False):
+    """Majority shift of (a, b) to the ground set indexing ``masks``.
+
+    Position i lands in the first side when |masks[i] ∩ a| >= |masks[i] ∩ b|
+    and in the second when <=; ties therefore land in both sides, unless
+    ``partition_ties`` is set, in which case the second side takes only the
+    strict minority (ties stay with the first side only).
+    """
+    c = 0
+    d = 0
+    bit = 1
+    for m in masks:
+        ca = (m & a).bit_count()
+        cb = (m & b).bit_count()
+        if ca >= cb:
+            c |= bit
+        if (ca < cb) if partition_ties else (ca <= cb):
+            d |= bit
+        bit <<= 1
+    return c, d
+
+
+def scan_members(masks, n: int, partitions_only: bool = False):
+    """All canonical separations of an n-set with their doubled orders.
+
+    Returns a list of ``(order2, a, b)`` with ``a < b`` (one entry per
+    unoriented separation; the self-inverse (full, full) is excluded),
+    sorted by (order2, a, b).  With ``partitions_only`` only the
+    separations with disjoint sides covering the ground set are listed.
+
+    The scan assigns the ground elements from the highest bit down, one
+    level per element, and every partial separation carries the doubled
+    order of its assigned part, so no separation is scored from scratch.
+    Assigning element i changes only the terms of the masks through i,
+    counted before i is added:
+
+    * i in both sides: +1 per such mask;
+    * i in the first side only: +2 per such mask that meets the first side
+      in strictly fewer elements than the second;
+    * i in the second side only: the same with the sides swapped.
+
+    ``a < b`` holds exactly when the highest element that is not in both
+    sides is in the second side only, so the canonical separations are the
+    extensions of the chains "every element above t in both sides, t in the
+    second side only", one chain per top element t (for partitions only
+    t = n - 1, with nothing above it); none needs an ``a < b`` filter, and
+    (full, full), which has no such t, never arises.
+
+    No step is negative, so a partial score is a lower bound on the order
+    of every separation that extends it: a search that cuts a branch once
+    its score reaches a threshold still yields every member below it.
+    """
+    through = [[m for m in masks if m >> i & 1] for i in range(n)]
+    full = (1 << n) - 1
+    # a level lists order, first side, second side of each partial separation
+    # in one flat list, so it holds no tuples; the last level is the output
+    level = []
+    chain = 0  # doubled order of (high, high), high = the elements above i
+    for i in range(n - 1, -1, -1):
+        bit = 1 << i
+        ms = through[i]
+        both = len(ms)
+        nxt = []
+        push = nxt.extend if i else nxt.append
+        it = iter(level)
+        for o, a, b in zip(it, it, it):
+            da = db = 0
+            for m in ms:
+                ca = (m & a).bit_count()
+                cb = (m & b).bit_count()
+                if ca < cb:
+                    da += 2
+                elif cb < ca:
+                    db += 2
+            ai = a | bit
+            bi = b | bit
+            if not partitions_only:
+                push((o + both, ai, bi))
+            push((o + da, ai, b))
+            push((o + db, a, bi))
+        if not partitions_only or i == n - 1:
+            high = full ^ ((bit << 1) - 1)
+            push((chain, high, high | bit))
+            chain += both
+        level = nxt
+    level.sort()
+    return level

@@ -81,15 +81,27 @@ def _scan(g: BipartiteGraph, universe: str) -> tuple[tuple[int, ...], tuple[Sep,
     return hit
 
 
+def _check_ground_cap(universe: str, n: int, partitions_only: bool,
+                      cap: int | None) -> None:
+    """Refuse to scan a universe whose ground set is over its cap."""
+    if cap is None:
+        cap = (DEFAULT_PARTITION_CAP if partitions_only
+               else DEFAULT_EDGE_CAP if universe == "e" else DEFAULT_SEP_CAP)
+    if n > cap:
+        raise CapExceeded(f"universe {universe!r} has {n} elements, over cap {cap}")
+
+
 def max_order2(g: BipartiteGraph, universe: str) -> int:
     """Doubled order of the largest separation of the universe.
 
     For separation universes this is the top element (full, full); for
-    partition universes it is the maximum over all partitions.
+    partition universes it is the maximum over all partitions, read off the
+    scan, so the ground set is held to the default cap of ``build_system``.
     """
     masks, ground, partitions_only = universe_context(g, universe)
     if not partitions_only:
         return _kernels.order2(masks, ground.full, ground.full)
+    _check_ground_cap(universe, ground.n, partitions_only, None)
     orders2 = _scan(g, universe)[0]
     return orders2[-1] if orders2 else 0
 
@@ -150,12 +162,7 @@ def build_system(g: BipartiteGraph, universe: str, k,
     """Construct S_k for a universe of ``g``; k is a HalfInt or whole int."""
     k2 = as_halfint(k).doubled
     masks, ground, partitions_only = universe_context(g, universe)
-    if cap is None:
-        cap = (DEFAULT_PARTITION_CAP if partitions_only
-               else DEFAULT_EDGE_CAP if universe == "e" else DEFAULT_SEP_CAP)
-    if ground.n > cap:
-        raise CapExceeded(
-            f"universe {universe!r} has {ground.n} elements, over cap {cap}")
+    _check_ground_cap(universe, ground.n, partitions_only, cap)
     orders2, members = _scan(g, universe)
     cut = bisect_left(orders2, k2)
     return LowOrderSystem(g, universe, k2, ground, members[:cut], orders2[:cut])

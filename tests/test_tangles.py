@@ -4,10 +4,17 @@ import random
 
 import pytest
 
+from oracles import (
+    all_seps_of,
+    order_edge_oracle,
+    order_partition_oracle,
+    order_side_oracle,
+)
 from sepdual import _kernels
 from sepdual import (
     BipartiteGraph,
     CapExceeded,
+    GroundSet,
     HalfInt,
     LowOrderSystem,
     Orientation,
@@ -24,7 +31,7 @@ from sepdual import (
     is_regular_profile,
     restrict,
 )
-from sepdual.orders import UNIVERSES, order2_of
+from sepdual.orders import UNIVERSES, order2_of, universe_context
 from sepdual.tangles import DEFAULT_MEMBER_CAP, max_order2
 
 
@@ -259,6 +266,57 @@ def test_scan_sorted_and_complete():
     assert len(parts) == 2**3 // 2
 
 
+def _scan_by_definition(masks, n, partitions_only):
+    mode = "partitions_only" if partitions_only else "all_separations"
+    ground = GroundSet(range(n))
+    return sorted((_kernels.order2(masks, s.a, s.b), s.a, s.b)
+                  for s in enumerate_seps(ground, mode) if s.a < s.b)
+
+
+def test_scan_matches_definition_on_random_masks():
+    """Seeded mask lists over n = 0..8: empty lists, elements in no mask,
+    repeated masks, and both modes."""
+    rng = random.Random(20211)
+    for n in range(9):
+        for trial in range(12 if n < 7 else 3):
+            full = (1 << n) - 1
+            masks = [rng.randrange(full + 1) for _ in range(rng.randrange(6))]
+            if trial % 3 == 1 and n:
+                unused = 1 << rng.randrange(n)  # an element in no mask
+                masks = [m & ~unused for m in masks]
+            if trial % 3 == 2 and masks:
+                masks += masks[: rng.randrange(1, len(masks) + 1)]
+            for partitions_only in (False, True):
+                assert (_kernels.scan_members(masks, n, partitions_only)
+                        == _scan_by_definition(masks, n, partitions_only)), (
+                    n, masks, partitions_only)
+
+
+def test_scan_matches_label_set_oracles():
+    """One graph with a tie-rich cycle and an isolated vertex, every universe,
+    scored by the label-set oracles instead of the mask kernels."""
+    g = BipartiteGraph(["x1", "x2", "x3"], ["y1", "y2", "y3", "y4"],
+                       [("x1", "y1"), ("x1", "y2"), ("x2", "y2"), ("x2", "y3"),
+                        ("x3", "y3"), ("x3", "y1")])
+    for universe in UNIVERSES:
+        masks, ground, partitions_only = universe_context(g, universe)
+        expected = []
+        for A, B in all_seps_of(ground.labels):
+            if partitions_only:
+                if A & B:
+                    continue
+                o = 2 * order_partition_oracle(g, A, B, universe[1])
+            elif universe == "e":
+                o = 2 * order_edge_oracle(g, A, B)
+            else:
+                o = 2 * order_side_oracle(g, A, B, universe)
+            a, b = ground.mask(A), ground.mask(B)
+            if a < b:
+                expected.append((int(o), a, b))
+        expected.sort()
+        assert _kernels.scan_members(masks, ground.n, partitions_only) == expected
+
+
 def _copy(g):
     return from_dict(g.to_dict())
 
@@ -287,6 +345,19 @@ def test_max_order2_of_partition_universes(m2, k22, k33, path3, two_blocks):
             assert max_order2(g, universe) == max(
                 order2_of(g, universe, s.a, s.b)
                 for s in enumerate_seps(ground, "partitions_only"))
+
+
+def test_max_order2_holds_partition_universes_to_the_ground_cap():
+    xs = [f"x{i}" for i in range(30)]
+    g = BipartiteGraph(xs, ["y"], [(x, "y") for x in xs])
+    with pytest.raises(CapExceeded) as built:
+        build_system(g, "bx", 1)
+    with pytest.raises(CapExceeded) as top:
+        max_order2(g, "bx")
+    assert str(top.value) == str(built.value)
+    assert ("scan", "bx") not in g._cache
+    assert max_order2(g, "x") == 30  # the top separation needs no scan
+    assert max_order2(g, "by") == 0
 
 
 def test_search_results_independent_of_call_order(m2, k22, k33, path3):
