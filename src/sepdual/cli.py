@@ -156,8 +156,8 @@ def cmd_enumerate(args) -> int:
     system = build_system(g, args.universe, HalfInt(args.k2),
                           cap=_ground_cap(args))
     ground = system.ground
-    members = [{"a": ground.names(m.a), "b": ground.names(m.b), "order2": o}
-               for m, o in zip(system.members, system.orders2)]
+    members = [{"a": ground.names(a), "b": ground.names(b), "order2": o}
+               for (a, b), o in zip(system.members, system.orders2)]
     config = {"source": source, "universe": args.universe, "k2": args.k2}
     _emit(args, _json_report({"members": members, "count": len(members)}, config))
     return 0
@@ -190,9 +190,9 @@ def cmd_shift(args) -> int:
         dest = "e"
     else:
         dest = _OTHER[args.universe]
-    out = universe_map(g, args.universe, dest)(s)
+    c, d = universe_map(g, args.universe, dest)(s)
     _, dest_ground, _ = universe_context(g, dest)
-    payload = {"a": dest_ground.names(out.a), "b": dest_ground.names(out.b),
+    payload = {"a": dest_ground.names(c), "b": dest_ground.names(d),
                "universe": dest}
     config = {"source": source, "universe": args.universe, "a": args.a,
               "b": args.b, "to": args.to}

@@ -61,11 +61,11 @@ class BoundaryMatrix:
 
     def entry(self, i: int, j: int) -> int:
         """Coefficient of ground element i in the boundary of separation j."""
-        s = self.seps[j]
+        a, b = self.seps[j]
         bit = 1 << i
-        if s.a & ~s.b & bit:
+        if a & ~b & bit:
             return -1
-        if s.b & ~s.a & bit:
+        if b & ~a & bit:
             return 1
         return 0
 
@@ -80,9 +80,9 @@ class BoundaryMatrix:
         for j, coeff in enumerate(x):
             if coeff == 0:
                 continue
-            s = self.seps[j]
-            neg = s.a & ~s.b
-            pos = s.b & ~s.a
+            a, b = self.seps[j]
+            neg = a & ~b
+            pos = b & ~a
             for i in range(self.n):
                 bit = 1 << i
                 if pos & bit:
@@ -97,9 +97,9 @@ class BoundaryMatrix:
             raise ValueError("cochain length does not match the ground set")
         out = []
         for j in range(self.m):
-            s = self.seps[j]
-            neg = s.a & ~s.b
-            pos = s.b & ~s.a
+            a, b = self.seps[j]
+            neg = a & ~b
+            pos = b & ~a
             acc = 0
             for i in range(self.n):
                 bit = 1 << i
@@ -141,7 +141,8 @@ class BoundaryMatrix:
 
 def norm_squared(n: int, s: Sep) -> int:
     """Squared norm of a single separation: n - |middle|."""
-    return n - (s.a & s.b).bit_count()
+    a, b = s
+    return n - (a & b).bit_count()
 
 
 def kernel_basis(B: BoundaryMatrix) -> list[list[int]]:

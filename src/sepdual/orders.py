@@ -108,11 +108,14 @@ def universe_context(g: BipartiteGraph, universe: str):
     raise ValueError(f"unknown universe {universe!r}; expected one of {UNIVERSES}")
 
 
-def _validate(ground, s: Sep):
-    ground.check(s.a)
-    ground.check(s.b)
-    if s.a | s.b != ground.full:
+def _validate(ground, s: Sep) -> tuple[int, int]:
+    """The sides of ``s``, checked against ``ground``."""
+    a, b = s
+    ground.check(a)
+    ground.check(b)
+    if a | b != ground.full:
         raise CoverViolation("separation sides do not cover the ground set")
+    return a, b
 
 
 def order2_of(g: BipartiteGraph, universe: str, a: int, b: int) -> int:
@@ -126,15 +129,15 @@ def order_side(g: BipartiteGraph, s: Sep, side: str) -> HalfInt:
     if side not in ("x", "y"):
         raise SideMismatch(f"side must be 'x' or 'y', got {side!r}")
     masks, ground, _ = universe_context(g, side)
-    _validate(ground, s)
-    return HalfInt(_kernels.order2(masks, s.a, s.b))
+    a, b = _validate(ground, s)
+    return HalfInt(_kernels.order2(masks, a, b))
 
 
 def order_edge(g: BipartiteGraph, s: Sep) -> HalfInt:
     """Order of a separation of the edge set."""
     masks, ground, _ = universe_context(g, "e")
-    _validate(ground, s)
-    return HalfInt(_kernels.order2(masks, s.a, s.b))
+    a, b = _validate(ground, s)
+    return HalfInt(_kernels.order2(masks, a, b))
 
 
 def order_partition(g: BipartiteGraph, s: Sep, side: str) -> HalfInt:
@@ -142,10 +145,10 @@ def order_partition(g: BipartiteGraph, s: Sep, side: str) -> HalfInt:
     if side not in ("x", "y"):
         raise SideMismatch(f"side must be 'x' or 'y', got {side!r}")
     masks, ground, _ = universe_context(g, side)
-    _validate(ground, s)
-    if s.a & s.b:
+    a, b = _validate(ground, s)
+    if a & b:
         raise NotAPartition("partition order requires disjoint sides")
-    return HalfInt(_kernels.order2(masks, s.a, s.b))
+    return HalfInt(_kernels.order2(masks, a, b))
 
 
 def order_side_edge_form(g: BipartiteGraph, s: Sep, side: str) -> HalfInt:
@@ -161,16 +164,16 @@ def order_side_edge_form(g: BipartiteGraph, s: Sep, side: str) -> HalfInt:
     if side not in ("x", "y"):
         raise SideMismatch(f"side must be 'x' or 'y', got {side!r}")
     masks, ground, _ = universe_context(g, side)
-    _validate(ground, s)
-    c, d = _kernels.shift2(masks, s.a, s.b)
-    ab = s.a & s.b
+    a, b = _validate(ground, s)
+    c, d = _kernels.shift2(masks, a, b)
+    ab = a & b
     e_c_b = e_d_a = e_mid = e_ab = e_tied_mid = 0
     bit = 1
     for m in masks:
         if c & bit:
-            e_c_b += (m & s.b).bit_count()
+            e_c_b += (m & b).bit_count()
         if d & bit:
-            e_d_a += (m & s.a).bit_count()
+            e_d_a += (m & a).bit_count()
         if c & d & bit:
             e_mid += m.bit_count()
             e_tied_mid += (m & ab).bit_count()

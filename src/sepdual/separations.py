@@ -10,6 +10,12 @@ The partial order is ``r <= s  iff  r.a ⊆ s.a and r.b ⊇ s.b``.  Under it the
 inversion map is order-reversing, and any two separations have a supremum
 ``(r.a ∪ s.a, r.b ∩ s.b)`` and infimum ``(r.a ∩ s.a, r.b ∪ s.b)``.
 Partitions are closed under both, so they form a universe of their own.
+
+:class:`Sep` names the two sides, but every helper here reads its argument
+as a plain pair (``a, b = s``), so any ``(a, b)`` tuple of masks works
+wherever a ``Sep`` does; the helpers that return a separation return a
+``Sep``.  Bulk storage such as the members of a low-order system keeps plain
+pairs.
 """
 
 from __future__ import annotations
@@ -49,26 +55,33 @@ def make_sep(ground: GroundSet, a: int, b: int) -> Sep:
 
 
 def inverse(s: Sep) -> Sep:
-    return Sep(s.b, s.a)
+    a, b = s
+    return Sep(b, a)
 
 
 def leq(r: Sep, s: Sep) -> bool:
     """r <= s in the separation order: r.a ⊆ s.a and r.b ⊇ s.b."""
-    return r.a & ~s.a == 0 and s.b & ~r.b == 0
+    ra, rb = r
+    sa, sb = s
+    return ra & ~sa == 0 and sb & ~rb == 0
 
 
 def sup(r: Sep, s: Sep) -> Sep:
-    return Sep(r.a | s.a, r.b & s.b)
+    ra, rb = r
+    sa, sb = s
+    return Sep(ra | sa, rb & sb)
 
 
 def inf(r: Sep, s: Sep) -> Sep:
-    return Sep(r.a & s.a, r.b | s.b)
+    ra, rb = r
+    sa, sb = s
+    return Sep(ra & sa, rb | sb)
 
 
 def canonical(s: Sep) -> Sep:
     """The smaller of the two orientations; idempotent, fixes unoriented identity."""
-    t = (s.b, s.a)
-    return s if tuple(s) <= t else Sep(*t)
+    a, b = s
+    return Sep(a, b) if a <= b else Sep(b, a)
 
 
 def enumerate_seps(
@@ -106,5 +119,6 @@ def enumerate_seps(
 
 def render(ground: GroundSet, s: Sep) -> str:
     """Human-readable form of a separation using ground-set labels."""
+    a, b = s
     fmt = lambda m: "{" + ",".join(map(str, ground.members(m))) + "}"
-    return f"({fmt(s.a)},{fmt(s.b)})"
+    return f"({fmt(a)},{fmt(b)})"

@@ -39,9 +39,10 @@ def shift_side(g: BipartiteGraph, s: Sep, side: str) -> Sep:
     if side not in ("x", "y"):
         raise SideMismatch(f"side must be 'x' or 'y', got {side!r}")
     masks, ground, _ = universe_context(g, side)
-    ground.check(s.a)
-    ground.check(s.b)
-    c, d = _kernels.shift2(masks, s.a, s.b)
+    a, b = s
+    ground.check(a)
+    ground.check(b)
+    c, d = _kernels.shift2(masks, a, b)
     return Sep(c, d)
 
 
@@ -55,11 +56,12 @@ def shift_partition(g: BipartiteGraph, s: Sep, side: str) -> Sep:
     if side not in ("x", "y"):
         raise SideMismatch(f"side must be 'x' or 'y', got {side!r}")
     masks, ground, _ = universe_context(g, side)
-    ground.check(s.a)
-    ground.check(s.b)
-    if s.a & s.b:
+    a, b = s
+    ground.check(a)
+    ground.check(b)
+    if a & b:
         raise NotAPartition("partition shift requires disjoint sides")
-    c, d = _kernels.shift2(masks, s.a, s.b, partition_ties=True)
+    c, d = _kernels.shift2(masks, a, b, partition_ties=True)
     return Sep(c, d)
 
 
@@ -69,13 +71,14 @@ def sep_to_edges(g: BipartiteGraph, s: Sep, side: str) -> Sep:
         raise SideMismatch(f"side must be 'x' or 'y', got {side!r}")
     ground = g.x if side == "x" else g.y
     inc = g.inc_x if side == "x" else g.inc_y
-    ground.check(s.a)
-    ground.check(s.b)
+    a, b = s
+    ground.check(a)
+    ground.check(b)
     ea = eb = 0
     for i in range(ground.n):
-        if s.a >> i & 1:
+        if a >> i & 1:
             ea |= inc[i]
-        if s.b >> i & 1:
+        if b >> i & 1:
             eb |= inc[i]
     return Sep(ea, eb)
 
@@ -89,10 +92,11 @@ def edges_to_side(g: BipartiteGraph, s: Sep, target: str) -> Sep:
     """
     if target not in ("x", "y"):
         raise SideMismatch(f"target must be 'x' or 'y', got {target!r}")
-    g.edges.check(s.a)
-    g.edges.check(s.b)
+    a, b = s
+    g.edges.check(a)
+    g.edges.check(b)
     inc = g.inc_x if target == "x" else g.inc_y
-    c, d = _kernels.shift2(inc, s.a, s.b)
+    c, d = _kernels.shift2(inc, a, b)
     return Sep(c, d)
 
 
@@ -133,14 +137,15 @@ def move_edge_over(g: BipartiteGraph, s: Sep, e) -> Sep:
     (strictly more incident edges in ``s.a`` than in ``s.b``); then the move
     does not increase the edge order and leaves the side shift unchanged.
     """
+    a, b = s
     ei = _edge_index(g, e)
     xi, _ = g.endpoints[ei]
     inc = g.inc_x[xi]
-    if (inc & s.a).bit_count() <= (inc & s.b).bit_count():
+    if (inc & a).bit_count() <= (inc & b).bit_count():
         raise PreconditionViolated(
             "X-endpoint does not strictly prefer the first side"
         )
-    return Sep(s.a | (1 << ei), s.b & ~(1 << ei))
+    return Sep(a | (1 << ei), b & ~(1 << ei))
 
 
 def move_edge_to_middle(g: BipartiteGraph, s: Sep, e) -> Sep:
@@ -150,12 +155,13 @@ def move_edge_to_middle(g: BipartiteGraph, s: Sep, e) -> Sep:
     move does not increase the edge order, and the side shift can only grow
     in the separation order.
     """
+    a, b = s
     ei = _edge_index(g, e)
     xi, _ = g.endpoints[ei]
     inc = g.inc_x[xi]
-    if (inc & s.a).bit_count() < (inc & s.b).bit_count():
+    if (inc & a).bit_count() < (inc & b).bit_count():
         raise PreconditionViolated("X-endpoint does not weakly prefer the first side")
-    return Sep(s.a | (1 << ei), s.b)
+    return Sep(a | (1 << ei), b)
 
 
 def normalize_edge_sep(g: BipartiteGraph, s: Sep) -> Sep:
@@ -171,17 +177,17 @@ def normalize_edge_sep(g: BipartiteGraph, s: Sep) -> Sep:
     c_side, d_side = edges_to_side(g, s, "x")
     strict_c = c_side & ~d_side
     strict_d = d_side & ~c_side
-    cur = s
+    a, b = s
     changed = True
     while changed:
         changed = False
         for ei, (xi, _) in enumerate(g.endpoints):
             bit = 1 << ei
             x_bit = 1 << xi
-            if strict_c & x_bit and cur.b & bit:
-                cur = Sep(cur.a | bit, cur.b & ~bit)
+            if strict_c & x_bit and b & bit:
+                a, b = a | bit, b & ~bit
                 changed = True
-            elif strict_d & x_bit and cur.a & bit:
-                cur = Sep(cur.a & ~bit, cur.b | bit)
+            elif strict_d & x_bit and a & bit:
+                a, b = a & ~bit, b | bit
                 changed = True
-    return cur
+    return Sep(a, b)

@@ -27,9 +27,13 @@ reference the search is tested against.
 
 Prefix invariant: all systems of one (graph, universe) are slices of one
 sorted scan.  ``_scan`` keeps it as a tuple of doubled orders and a tuple of
-``Sep``, built once per (graph, universe); S_k is the prefix of order below
-k, found by bisection, so every S_k of a universe shares the same ``Sep``
-objects and a system is fixed by its member count.
+plain ``(a, b)`` int pairs, built once per (graph, universe); S_k is the
+prefix of order below k, found by bisection, so every S_k of a universe
+shares the same pair objects and a system is fixed by its member count.
+The pairs are exact tuples of ints, which the garbage collector stops
+tracking, so a large cached scan costs no collection time; ``Sep`` is built
+only where a separation leaves the module (``Orientation.chosen`` and the
+witnesses of the checks).
 
 Empty-prefix shortcut: once the search over the first n members of a
 universe finds nothing, ``enumerate_tangles`` returns no result for any
@@ -55,7 +59,6 @@ from .separations import (
     DEFAULT_PARTITION_CAP,
     DEFAULT_SEP_CAP,
     Sep,
-    canonical,
     inverse,
     leq,
     sup,
@@ -65,7 +68,8 @@ DEFAULT_EDGE_CAP = 10
 DEFAULT_MEMBER_CAP = 24
 
 
-def _scan(g: BipartiteGraph, universe: str) -> tuple[tuple[int, ...], tuple[Sep, ...]]:
+def _scan(g: BipartiteGraph, universe: str
+          ) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
     """Cached sorted scan of a universe: doubled orders and canonical members.
 
     Built once per (graph, universe); every S_k of the universe is a slice of
@@ -76,7 +80,14 @@ def _scan(g: BipartiteGraph, universe: str) -> tuple[tuple[int, ...], tuple[Sep,
     if hit is None:
         masks, ground, partitions_only = universe_context(g, universe)
         scan = _kernels.scan_members(masks, ground.n, partitions_only)
-        hit = (tuple(o for o, _, _ in scan), tuple(Sep(a, b) for _, a, b in scan))
+        if partitions_only:
+            members = tuple((a, b) for _, a, b in scan)
+        else:
+            # (3^n - 1)/2 separations over only 2^n masks: hold one int object
+            # per mask (a partition's masks occur once each, nothing to share)
+            pool = list(range(ground.full + 1))
+            members = tuple((pool[a], pool[b]) for _, a, b in scan)
+        hit = (tuple(o for o, _, _ in scan), members)
         g._cache[key] = hit
     return hit
 
@@ -97,21 +108,30 @@ def max_order2(g: BipartiteGraph, universe: str) -> int:
     For separation universes this is the top element (full, full); for
     partition universes it is the maximum over all partitions, read off the
     scan, so the ground set is held to the default cap of ``build_system``.
+    Cached per (graph, universe) beside the scan; a separation universe is
+    never scanned for it.
     """
-    masks, ground, partitions_only = universe_context(g, universe)
-    if not partitions_only:
-        return _kernels.order2(masks, ground.full, ground.full)
-    _check_ground_cap(universe, ground.n, partitions_only, None)
-    orders2 = _scan(g, universe)[0]
-    return orders2[-1] if orders2 else 0
+    key = ("max_order2", universe)
+    hit = g._cache.get(key)
+    if hit is None:
+        masks, ground, partitions_only = universe_context(g, universe)
+        if partitions_only:
+            _check_ground_cap(universe, ground.n, partitions_only, None)
+            orders2 = _scan(g, universe)[0]
+            hit = orders2[-1] if orders2 else 0
+        else:
+            hit = _kernels.order2(masks, ground.full, ground.full)
+        g._cache[key] = hit
+    return hit
 
 
 class LowOrderSystem:
     """All separations of one universe with order strictly below a threshold.
 
-    Members are canonical (lexicographically smaller orientation first),
-    deduplicated, and sorted by (order, first mask, second mask).  The top
-    separation (full, full) is never a member.
+    Members are plain ``(a, b)`` int pairs (not ``Sep``), canonical
+    (lexicographically smaller orientation first), deduplicated, and sorted
+    by (order, first mask, second mask).  The top separation (full, full) is
+    never a member.
     """
 
     __slots__ = ("graph", "universe", "k2", "ground", "members", "orders2", "_index")
@@ -126,7 +146,7 @@ class LowOrderSystem:
         self._index = None
 
     @property
-    def index(self) -> dict[Sep, int]:
+    def index(self) -> dict[tuple[int, int], int]:
         """Position of each member, built on first use."""
         if self._index is None:
             self._index = {s: i for i, s in enumerate(self.members)}
@@ -138,10 +158,6 @@ class LowOrderSystem:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def orientations_of(self, i: int) -> tuple[Sep, Sep]:
-        m = self.members[i]
-        return m, inverse(m)
 
     def restricted(self, k) -> "LowOrderSystem":
         """The subsystem of order below k (a prefix, since members are sorted)."""
@@ -180,8 +196,8 @@ class Orientation:
         self.forward = tuple(forward)
 
     def chosen(self, i: int) -> Sep:
-        m = self.system.members[i]
-        return m if self.forward[i] else inverse(m)
+        a, b = self.system.members[i]
+        return Sep(a, b) if self.forward[i] else Sep(b, a)
 
     def choices(self) -> tuple[Sep, ...]:
         return tuple(self.chosen(i) for i in range(len(self.forward)))
@@ -190,11 +206,12 @@ class Orientation:
         return frozenset(self.choices())
 
     def __contains__(self, s: Sep) -> bool:
-        canon = canonical(s)
-        i = self.system.index.get(canon)
+        a, b = s
+        forward = a <= b
+        i = self.system.index.get((a, b) if forward else (b, a))
         if i is None:
             return False
-        return self.forward[i] == (s == canon)
+        return self.forward[i] == forward
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Orientation)
@@ -212,12 +229,13 @@ class Orientation:
     def to_dict(self) -> dict:
         ground = self.system.ground
         out = []
-        for i, m in enumerate(self.system.members):
+        for (a, b), o2, fwd in zip(self.system.members, self.system.orders2,
+                                   self.forward):
             out.append({
-                "a": ground.names(m.a),
-                "b": ground.names(m.b),
-                "order2": self.system.orders2[i],
-                "forward": self.forward[i],
+                "a": ground.names(a),
+                "b": ground.names(b),
+                "order2": o2,
+                "forward": fwd,
             })
         return {
             "universe": self.system.universe,
@@ -254,14 +272,15 @@ def check_tangle(o: Orientation) -> TangleReport:
     when the condition fails.
     """
     chosen = o.choices()
+    firsts = [a for a, _ in chosen]
     full = o.system.ground.full
     n = len(chosen)
     for i in range(n):
-        ai = chosen[i].a
+        ai = firsts[i]
         for j in range(i, n):
-            aij = ai | chosen[j].a
+            aij = ai | firsts[j]
             for l in range(j, n):
-                if aij | chosen[l].a == full:
+                if aij | firsts[l] == full:
                     return TangleReport(True, "none",
                                         (chosen[i], chosen[j], chosen[l]),
                                         "cover_triple")
@@ -295,7 +314,7 @@ def check_profile(o: Orientation) -> TangleReport:
 def check_regular(o: Orientation) -> bool:
     """No chosen separation points away from the whole ground set."""
     full = o.system.ground.full
-    return all(c.a != full for c in o.choices())
+    return all(a != full for a, _ in o.choices())
 
 
 def is_regular_profile(o: Orientation) -> bool:
@@ -332,10 +351,12 @@ def enumerate_tangles(g: BipartiteGraph, universe: str, k,
     whose search came back empty has no result either (see the module
     docstring) and is not searched again.
 
-    Search state.  ``chosen`` lists the orientations picked so far.  For
-    tangles, ``pair_unions`` holds ``t.a | u.a`` over chosen multisets
-    {t, u} of size at most 2.  For regular profiles, ``picked`` is the set
-    of chosen orientations and ``closes`` counts the pairs
+    Search state.  ``chosen`` lists the orientations picked so far as plain
+    ``(a, b)`` pairs: each member is tried as itself and as its inverse
+    ``(b, a)``, built inline, so the search makes no ``Sep``.  For tangles,
+    ``pair_unions`` holds ``t.a | u.a`` over chosen multisets {t, u} of size
+    at most 2.  For regular profiles, ``picked`` is the set of chosen
+    orientations and ``closes`` counts the pairs
     ``inverse(sup(t, u)) = (t.b & u.b, t.a | u.a)`` over chosen multisets
     {t, u}.  Invariant: ``push(s)`` adds s and exactly the |chosen| + 1
     entries that pair s with a chosen member or with itself, and returns
@@ -362,23 +383,25 @@ def enumerate_tangles(g: BipartiteGraph, universe: str, k,
     full = system.ground.full
     results: list[Orientation] = []
     forward = [True] * n
-    chosen: list[Sep] = []
+    chosen: list[tuple[int, int]] = []
 
     if kind == "tangle":
         # pair_unions holds a|b over all chosen multisets of size <= 2
         pair_unions: list[int] = []
 
-        def ok_to_add(s: Sep) -> bool:
-            if s.a == full:
+        def ok_to_add(s: tuple[int, int]) -> bool:
+            sa = s[0]
+            if sa == full:
                 return False
             for u in pair_unions:
-                if u | s.a == full:
+                if u | sa == full:
                     return False
             return True
 
-        def push(s: Sep) -> int:
-            added = [p.a | s.a for p in chosen]
-            added.append(s.a)
+        def push(s: tuple[int, int]) -> int:
+            sa = s[0]
+            added = [ta | sa for ta, _ in chosen]
+            added.append(sa)
             pair_unions.extend(added)
             chosen.append(s)
             return len(added)
@@ -388,10 +411,10 @@ def enumerate_tangles(g: BipartiteGraph, universe: str, k,
             chosen.pop()
 
     else:
-        picked: set[Sep] = set()
+        picked: set[tuple[int, int]] = set()
         closes: dict[tuple[int, int], int] = {}
 
-        def ok_to_add(s: Sep) -> bool:
+        def ok_to_add(s: tuple[int, int]) -> bool:
             sa, sb = s
             # s is irregular; the pair {s, s} closes on a chosen
             # separation; a chosen pair closes on s
@@ -407,7 +430,7 @@ def enumerate_tangles(g: BipartiteGraph, universe: str, k,
                     return False
             return True
 
-        def push(s: Sep) -> list[tuple[int, int]]:
+        def push(s: tuple[int, int]) -> list[tuple[int, int]]:
             sa, sb = s
             added = [(tb & sb, ta | sa) for ta, tb in chosen]
             added.append((sb, sa))
@@ -426,12 +449,15 @@ def enumerate_tangles(g: BipartiteGraph, universe: str, k,
                     del closes[key]
             picked.remove(chosen.pop())
 
+    members = system.members
+
     def rec(i: int) -> None:
         if i == n:
             results.append(Orientation(system, tuple(forward)))
             return
-        fwd, bwd = system.orientations_of(i)
-        for val, s in ((True, fwd), (False, bwd)):
+        m = members[i]
+        a, b = m
+        for val, s in ((True, m), (False, (b, a))):
             if ok_to_add(s):
                 forward[i] = val
                 token = push(s)

@@ -30,7 +30,7 @@ from . import __version__ as _pkg_version
 from .bigraph import BipartiteGraph, from_edges, gen_planted, gen_random
 from .errors import CapExceeded
 from .orders import HalfInt
-from .separations import Sep, inverse
+from .separations import Sep
 from .shifts import _OTHER, edges_to_side, shift_side, universe_map
 from .tangles import (
     DEFAULT_MEMBER_CAP,
@@ -112,42 +112,41 @@ class _Ctx:
 
 
 def _sep_dict(ground, s: Sep) -> dict:
-    return {"a": ground.names(s.a), "b": ground.names(s.b)}
+    a, b = s
+    return {"a": ground.names(a), "b": ground.names(b)}
 
 
 def _revalidate_cover_triple(ground, triple) -> bool:
     union = set()
-    for s in triple:
-        union |= set(ground.members(s.a))
+    for a, _ in triple:
+        union |= set(ground.members(a))
     return union == set(ground.labels)
 
 
 def _revalidate_consistency(ground, pair) -> bool:
     # pair = ((B1,A1), (A2,B2)); violated clause needs (A1,B1) <= (A2,B2)
-    r, s = pair
-    a1 = set(ground.members(r.b))
-    b1 = set(ground.members(r.a))
-    a2 = set(ground.members(s.a))
-    b2 = set(ground.members(s.b))
-    return a1 <= a2 and b2 <= b1
+    (b1, a1), (a2, b2) = pair
+    return (set(ground.members(a1)) <= set(ground.members(a2))
+            and set(ground.members(b2)) <= set(ground.members(b1)))
 
 
 def _revalidate_corner(ground, triple) -> bool:
-    r, s, third = triple
-    sup_a = set(ground.members(r.a)) | set(ground.members(s.a))
-    sup_b = set(ground.members(r.b)) & set(ground.members(s.b))
-    return (set(ground.members(third.a)) == sup_b
-            and set(ground.members(third.b)) == sup_a)
+    (ra, rb), (sa, sb), (ta, tb) = triple
+    sup_a = set(ground.members(ra)) | set(ground.members(sa))
+    sup_b = set(ground.members(rb)) & set(ground.members(sb))
+    return (set(ground.members(ta)) == sup_b
+            and set(ground.members(tb)) == sup_a)
 
 
 def _set_map(g: BipartiteGraph, source: str, dest: str, s: Sep) -> Sep:
     """Recompute a universe map by explicit label counting."""
+    a, b = s
     if _OTHER.get(source) == dest:
         partition = source[0] == "b"
         src = g.x if source[-1] == "x" else g.y
         dst = g.y if source[-1] == "x" else g.x
-        a_labels = {src.labels[i] for i in range(src.n) if s.a >> i & 1}
-        b_labels = {src.labels[i] for i in range(src.n) if s.b >> i & 1}
+        a_labels = {src.labels[i] for i in range(src.n) if a >> i & 1}
+        b_labels = {src.labels[i] for i in range(src.n) if b >> i & 1}
         c = d = 0
         for j, v in enumerate(dst.labels):
             nbrs = {src.labels[i] for i in range(src.n)
@@ -168,9 +167,9 @@ def _set_map(g: BipartiteGraph, source: str, dest: str, s: Sep) -> Sep:
                 vid = xi if dest == "x" else yi
                 if vid != j:
                     continue
-                if s.a >> ei & 1:
+                if a >> ei & 1:
                     ca += 1
-                if s.b >> ei & 1:
+                if b >> ei & 1:
                     cb += 1
             if ca >= cb:
                 c |= 1 << j
@@ -182,7 +181,8 @@ def _set_map(g: BipartiteGraph, source: str, dest: str, s: Sep) -> Sep:
 
 def _revalidate_totality(g, source, dest, member: Sep, tau_set, status) -> bool:
     """Re-check a totality failure with the set-based map recomputation."""
-    hits = sum(1 for s in (member, inverse(member))
+    a, b = member
+    hits = sum(1 for s in (member, (b, a))
                if _set_map(g, source, dest, s) in tau_set)
     return hits == 0 if status == "none" else hits == 2
 
@@ -194,8 +194,9 @@ def _orient_from(system: LowOrderSystem, member_in: Callable[[Sep], bool]):
     """Build the induced orientation, or report the first totality failure."""
     forward = []
     for m in system.members:
+        a, b = m
         fi = member_in(m)
-        bi = member_in(inverse(m))
+        bi = member_in((b, a))
         if fi and bi:
             return ("both", m, None)
         if not (fi or bi):
@@ -213,7 +214,7 @@ def _conclusion_failure(system, status, member, orientation, want):
         return {"kind": "both_orientations", "member": _sep_dict(ground, member)}
     if want == "regular_profile":
         if not check_regular(orientation):
-            bad = next(s for s in orientation.choices() if s.a == ground.full)
+            bad = next(s for s in orientation.choices() if s[0] == ground.full)
             return {"kind": "not_regular", "member": _sep_dict(ground, bad)}
         rep = check_profile(orientation)
         if rep.violation:
@@ -261,25 +262,25 @@ def _subset_violation(tau, elements, ground):
     return None
 
 
-def _pullback_members(g, sys: LowOrderSystem, dest, tau_set) -> set[Sep]:
+def _pullback_members(g, sys: LowOrderSystem, dest,
+                      tau_set) -> set[tuple[int, int]]:
     """Orientations of sys members whose image over ``dest`` lies in tau."""
     fn = universe_map(g, sys.universe, dest)
     out = set()
     for m in sys.members:
-        for s in (m, inverse(m)):
+        a, b = m
+        for s in (m, (b, a)):
             if fn(s) in tau_set:
                 out.add(s)
     return out
 
 
-def _orients(system: LowOrderSystem) -> set[Sep]:
+def _orients(system: LowOrderSystem) -> set[tuple[int, int]]:
     key = ("orients", system.universe, system.k2)
     hit = system.graph._cache.get(key)
     if hit is None:
-        hit = set()
-        for m in system.members:
-            hit.add(m)
-            hit.add(inverse(m))
+        hit = set(system.members)
+        hit.update((b, a) for a, b in system.members)
         system.graph._cache[key] = hit
     return hit
 

@@ -235,7 +235,8 @@ def test_criterion_6_homology_suite():
         assert B.check_vs_duality(), name
         for j, s in enumerate(seps):
             chain = [1 if t == j else 0 for t in range(len(seps))]
-            assert B.inner_product(chain, chain) == n - (s.a & s.b).bit_count()
+            a, b = s
+            assert B.inner_product(chain, chain) == n - (a & b).bit_count()
         rng = random.Random(hash(name) & 0xFFFF)
         kb = kernel_basis(B)
         assert len(kb) == len(seps) - (len(seps) - len(kb))

@@ -11,15 +11,21 @@ from sepdual import (
     CoverViolation,
     GroundSet,
     Sep,
+    SepdualError,
     canonical,
     enumerate_seps,
+    from_edges,
     inf,
     inverse,
     leq,
     make_sep,
+    order_of,
     render,
+    shift_partition,
+    shift_side,
     sup,
 )
+from sepdual.shifts import universe_map
 
 V2 = GroundSet(["v1", "v2"])
 V3 = GroundSet(["v1", "v2", "v3"])
@@ -158,3 +164,45 @@ def test_sup_is_least_upper_bound(pair):
 
 def test_render():
     assert render(V2, Sep(0b01, 0b10)) == "({v1},{v2})"
+
+
+def _outcome(fn, *args):
+    """The result of ``fn``, or the type of the library error it raises."""
+    try:
+        return fn(*args)
+    except SepdualError as exc:
+        return type(exc)
+
+
+def test_helpers_accept_plain_pairs():
+    """A plain (a, b) pair works wherever a Sep does; separations come back as Sep."""
+    seps = list(enumerate_seps(V3))
+    for s in seps:
+        pair = (s[0], s[1])
+        assert type(pair) is tuple
+        for fn in (inverse, canonical):
+            out = fn(pair)
+            assert type(out) is Sep and out == fn(s)
+        for r in seps:
+            rpair = (r[0], r[1])
+            assert leq(rpair, pair) == leq(r, s)
+            for fn in (sup, inf):
+                out = fn(rpair, pair)
+                assert type(out) is Sep and out == fn(r, s)
+
+    # three X vertices and three edges, so the same masks serve both grounds
+    g = from_edges([("x1", "y1"), ("x2", "y1"), ("x3", "y2")])
+    assert g.x.n == g.n_edges == 3
+    orders = [lambda s, u=u: order_of(g, u, s) for u in ("x", "bx", "e")]
+    shifts = [lambda s: shift_side(g, s, "x"),
+              lambda s: shift_partition(g, s, "x")]
+    shifts += [universe_map(g, src, dst) for src, dst in (
+        ("x", "y"), ("x", "e"), ("bx", "by"), ("e", "x"), ("e", "y"))]
+    for s in seps:
+        pair = (s[0], s[1])
+        for fn in orders:
+            assert _outcome(fn, pair) == _outcome(fn, s)
+        for fn in shifts:
+            out = _outcome(fn, pair)
+            assert out == _outcome(fn, s)
+            assert type(out) is Sep or issubclass(out, SepdualError)

@@ -1,5 +1,6 @@
 """Low-order systems, tangle and profile predicates, exhaustive enumeration."""
 
+import gc
 import random
 
 import pytest
@@ -33,6 +34,7 @@ from sepdual import (
 )
 from sepdual.orders import UNIVERSES, order2_of, universe_context
 from sepdual.tangles import DEFAULT_MEMBER_CAP, max_order2
+from sepdual.verify import even_cycle
 
 
 def test_build_system_k33(k33):
@@ -51,8 +53,23 @@ def test_build_system_sorted_and_top_excluded(k33, path3):
         assert list(sys.orders2) == sorted(sys.orders2)
         assert Sep(g.x.full, g.x.full) not in sys.members
         for m, o2 in zip(sys.members, sys.orders2):
-            assert (m.a, m.b) <= (m.b, m.a)
+            a, b = m
+            assert (a, b) <= (b, a)
             assert o2 < 200
+
+
+def test_members_are_untracked_int_pairs():
+    g = even_cycle(5)
+    assert g.n_edges == 10  # the default edge cap
+    sys = build_system(g, "e", 10**6)
+    assert len(sys) == (3**10 - 1) // 2
+    gc.collect()
+    for m in sys.members:
+        assert type(m) is tuple and len(m) == 2
+        assert type(m[0]) is int and type(m[1]) is int
+        assert not gc.is_tracked(m)
+    # one int object per mask, shared by all members
+    assert len({id(v) for m in sys.members for v in m}) <= 2**10
 
 
 def test_build_system_k0_empty(k33):
@@ -358,6 +375,18 @@ def test_max_order2_holds_partition_universes_to_the_ground_cap():
     assert ("scan", "bx") not in g._cache
     assert max_order2(g, "x") == 30  # the top separation needs no scan
     assert max_order2(g, "by") == 0
+
+
+def test_max_order2_evaluated_once_per_universe(k33, monkeypatch):
+    calls = []
+    order2 = _kernels.order2
+    monkeypatch.setattr(_kernels, "order2",
+                        lambda *args: calls.append(args) or order2(*args))
+    for universe in UNIVERSES:
+        first = max_order2(k33, universe)
+        assert max_order2(k33, universe) == first
+    assert len(calls) == 3  # one top separation per separation universe
+    assert all(("scan", u) not in k33._cache for u in ("x", "y", "e"))
 
 
 def test_search_results_independent_of_call_order(m2, k22, k33, path3):
