@@ -49,10 +49,10 @@ def shift2(masks, a: int, b: int, partition_ties: bool = False):
 def scan_members(masks, n: int, partitions_only: bool = False):
     """All canonical separations of an n-set with their doubled orders.
 
-    Returns a list of ``(order2, a, b)`` with ``a < b`` (one entry per
-    unoriented separation; the self-inverse (full, full) is excluded),
-    sorted by (order2, a, b).  With ``partitions_only`` only the
-    separations with disjoint sides covering the ground set are listed.
+    Returns the sorted keys ``order2 << 2n | a << n | b``, a < b, one per
+    unoriented separation but the self-inverse (full, full); key order is
+    (order2, a, b) order, and int keys, unlike tuples, sort fast and cost the
+    collector nothing.  With ``partitions_only`` only partitions are listed.
 
     The scan assigns the ground elements from the highest bit down, one
     level per element, and every partial separation carries the doubled
@@ -78,18 +78,21 @@ def scan_members(masks, n: int, partitions_only: bool = False):
     """
     through = [[m for m in masks if m >> i & 1] for i in range(n)]
     full = (1 << n) - 1
-    # a level lists order, first side, second side of each partial separation
-    # in one flat list, so it holds no tuples; the last level is the output
+    s2 = 2 * n
+    # a level holds the keys of its partial separations; i is in neither side
+    # yet, so adding it to a side and its step to the order is one addition
     level = []
     chain = 0  # doubled order of (high, high), high = the elements above i
     for i in range(n - 1, -1, -1):
         bit = 1 << i
+        abit = bit << n
         ms = through[i]
-        both = len(ms)
+        both = len(ms) << s2 | abit | bit  # i in both sides
         nxt = []
-        push = nxt.extend if i else nxt.append
-        it = iter(level)
-        for o, a, b in zip(it, it, it):
+        push = nxt.append
+        for k in level:
+            a = k >> n & full
+            b = k & full
             da = db = 0
             for m in ms:
                 ca = (m & a).bit_count()
@@ -98,16 +101,14 @@ def scan_members(masks, n: int, partitions_only: bool = False):
                     da += 2
                 elif cb < ca:
                     db += 2
-            ai = a | bit
-            bi = b | bit
             if not partitions_only:
-                push((o + both, ai, bi))
-            push((o + da, ai, b))
-            push((o + db, a, bi))
+                push(k + both)
+            push(k + (da << s2 | abit))
+            push(k + (db << s2 | bit))
         if not partitions_only or i == n - 1:
             high = full ^ ((bit << 1) - 1)
-            push((chain, high, high | bit))
-            chain += both
+            push(chain << s2 | high << n | high | bit)
+            chain += len(ms)
         level = nxt
     level.sort()
     return level

@@ -35,7 +35,7 @@ from .verify import ALL_THEOREMS, K2_GRID, report_json, run_corpus
 _RANGES = {"nx": (0, math.inf), "ny": (0, math.inf), "p": (0, 1),
            "in_p": (0, 1), "cross_p": (0, 1), "k2": (0, math.inf),
            "member_cap": (0, math.inf), "cap_seps": (0, math.inf),
-           "cap_edges": (0, math.inf)}
+           "cap_edges": (0, math.inf), "decider_bound": (0, math.inf)}
 
 
 def _graph_options(p: argparse.ArgumentParser) -> None:
@@ -259,14 +259,14 @@ def cmd_homology(args) -> int:
         "kernel_basis": basis,
         "deciders": [],
     }
+    bound = max(bmat.m, 1) if args.decider_bound is None else args.decider_bound
     kind = "tangle" if args.kind == "tangle" else "regular_profile"
     for o in enumerate_tangles(g, args.universe, HalfInt(args.k2), kind=kind,
                                member_cap=args.member_cap, system=system):
         lam = orientation_to_chain(o, bmat.seps)
-        mu = find_decider(bmat, lam, bound=args.decider_bound,
-                          mode=args.decider_mode, constraint=args.mu_constraint)
-        entry = {"lambda": lam, "mu": mu,
-                 "bound": args.decider_bound or max(bmat.m, 1),
+        mu = find_decider(bmat, lam, bound=bound, mode=args.decider_mode,
+                          constraint=args.mu_constraint)
+        entry = {"lambda": lam, "mu": mu, "bound": bound,
                  "in_kernel": tangle_kernel_check(bmat, lam)}
         if mu is not None and args.decider_mode == "componentwise":
             entry["revalidated"] = validate_decider(bmat, lam, mu)

@@ -8,7 +8,7 @@ is the bridge between opaque labels and mask positions.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable
 
 from .errors import SideMismatch
 
@@ -74,10 +74,3 @@ class GroundSet:
 
     def __repr__(self) -> str:
         return f"GroundSet({list(self.labels)!r})"
-
-
-def mask_of_indices(indices: Sequence[int]) -> int:
-    m = 0
-    for i in indices:
-        m |= 1 << i
-    return m

@@ -132,9 +132,6 @@ class BoundaryMatrix:
         by = self.boundary(y)
         return sum(p * q for p, q in zip(bx, by))
 
-    def sep_chain(self, j: int) -> list[int]:
-        return [1 if k == j else 0 for k in range(self.m)]
-
     def to_dict(self) -> dict:
         return {"n": self.n, "m": self.m, "rows": self.rows()}
 

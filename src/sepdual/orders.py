@@ -41,10 +41,6 @@ class HalfInt:
     def whole(cls, n: int) -> "HalfInt":
         return cls(2 * n)
 
-    @classmethod
-    def halves(cls, doubled: int) -> "HalfInt":
-        return cls(doubled)
-
     def __add__(self, other):
         return HalfInt(self.doubled + _coerce(other).doubled)
 
@@ -119,7 +115,7 @@ def _validate(ground, s: Sep) -> tuple[int, int]:
 
 
 def order2_of(g: BipartiteGraph, universe: str, a: int, b: int) -> int:
-    """Doubled order, no validation; the hot path used by system builders."""
+    """Doubled order of (a, b) over a universe, without validating the sides."""
     masks, _, _ = universe_context(g, universe)
     return _kernels.order2(masks, a, b)
 

@@ -25,15 +25,15 @@ orientation pushes its entries, backtracking pops exactly those, so a test
 costs O(|chosen|) on masks; ``check_tangle`` and ``check_profile`` stay the
 reference the search is tested against.
 
-Prefix invariant: all systems of one (graph, universe) are slices of one
-sorted scan.  ``_scan`` keeps it as a tuple of doubled orders and a tuple of
-plain ``(a, b)`` int pairs, built once per (graph, universe); S_k is the
-prefix of order below k, found by bisection, so every S_k of a universe
-shares the same pair objects and a system is fixed by its member count.
-The pairs are exact tuples of ints, which the garbage collector stops
-tracking, so a large cached scan costs no collection time; ``Sep`` is built
-only where a separation leaves the module (``Orientation.chosen`` and the
-witnesses of the checks).
+Memo invariant: all that is kept about one (graph, universe) is one
+``_Memo`` at ``g._cache[universe]``, touched by this module only: the sorted
+scan (doubled orders and plain ``(a, b)`` int pairs, which the garbage
+collector stops tracking), the top order, the empty-prefix point per kind,
+and the systems and searches kept through ``kept_system`` and
+``kept_search``.  S_k is the prefix of the scan of order below k, so all
+systems of a universe share the same pair objects and a system is fixed by
+its member count.  ``Sep`` is built only where a separation leaves the
+module (``Orientation.chosen`` and the witnesses of the checks).
 
 Empty-prefix shortcut: once the search over the first n members of a
 universe finds nothing, ``enumerate_tangles`` returns no result for any
@@ -68,28 +68,41 @@ DEFAULT_EDGE_CAP = 10
 DEFAULT_MEMBER_CAP = 24
 
 
+class _Memo:
+    """What is kept per (graph, universe); see the module docstring."""
+
+    __slots__ = ("scan", "max2", "empty_from", "systems", "found")
+
+    def __init__(self):
+        self.scan = self.max2 = None
+        self.empty_from = {}  # kind -> smallest member count searched empty
+        self.systems = {}  # k2 -> kept S_k
+        self.found = {}  # (k2, kind, member_cap) -> kept search result
+
+
+def _memo(g: BipartiteGraph, universe: str) -> _Memo:
+    memo = g._cache.get(universe)
+    if memo is None:
+        universe_context(g, universe)  # keep no memo for an unknown name
+        memo = g._cache[universe] = _Memo()
+    return memo
+
+
 def _scan(g: BipartiteGraph, universe: str
           ) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-    """Cached sorted scan of a universe: doubled orders and canonical members.
-
-    Built once per (graph, universe); every S_k of the universe is a slice of
-    these two tuples.
-    """
-    key = ("scan", universe)
-    hit = g._cache.get(key)
-    if hit is None:
+    """Sorted scan of a universe, of which every S_k is a prefix: doubled
+    orders and canonical members, built once per (graph, universe)."""
+    memo = _memo(g, universe)
+    if memo.scan is None:
         masks, ground, partitions_only = universe_context(g, universe)
-        scan = _kernels.scan_members(masks, ground.n, partitions_only)
-        if partitions_only:
-            members = tuple((a, b) for _, a, b in scan)
-        else:
-            # (3^n - 1)/2 separations over only 2^n masks: hold one int object
-            # per mask (a partition's masks occur once each, nothing to share)
-            pool = list(range(ground.full + 1))
-            members = tuple((pool[a], pool[b]) for _, a, b in scan)
-        hit = (tuple(o for o, _, _ in scan), members)
-        g._cache[key] = hit
-    return hit
+        keys = _kernels.scan_members(masks, ground.n, partitions_only)
+        n, full = ground.n, ground.full
+        # (3^n - 1)/2 separations over only 2^n masks: hold one int object per
+        # mask (a partition's masks occur once each, so a range will do)
+        pool = range(full + 1) if partitions_only else list(range(full + 1))
+        members = tuple([(pool[k >> n & full], pool[k & full]) for k in keys])
+        memo.scan = (tuple([k >> 2 * n for k in keys]), members)
+    return memo.scan
 
 
 def _check_ground_cap(universe: str, n: int, partitions_only: bool,
@@ -108,21 +121,18 @@ def max_order2(g: BipartiteGraph, universe: str) -> int:
     For separation universes this is the top element (full, full); for
     partition universes it is the maximum over all partitions, read off the
     scan, so the ground set is held to the default cap of ``build_system``.
-    Cached per (graph, universe) beside the scan; a separation universe is
-    never scanned for it.
+    Kept in the memo; a separation universe is never scanned for it.
     """
-    key = ("max_order2", universe)
-    hit = g._cache.get(key)
-    if hit is None:
+    memo = _memo(g, universe)
+    if memo.max2 is None:
         masks, ground, partitions_only = universe_context(g, universe)
         if partitions_only:
             _check_ground_cap(universe, ground.n, partitions_only, None)
             orders2 = _scan(g, universe)[0]
-            hit = orders2[-1] if orders2 else 0
+            memo.max2 = orders2[-1] if orders2 else 0
         else:
-            hit = _kernels.order2(masks, ground.full, ground.full)
-        g._cache[key] = hit
-    return hit
+            memo.max2 = _kernels.order2(masks, ground.full, ground.full)
+    return memo.max2
 
 
 class LowOrderSystem:
@@ -131,13 +141,15 @@ class LowOrderSystem:
     Members are plain ``(a, b)`` int pairs (not ``Sep``), canonical
     (lexicographically smaller orientation first), deduplicated, and sorted
     by (order, first mask, second mask).  The top separation (full, full) is
-    never a member.
+    never a member.  A system holds the empty-prefix record of its (graph,
+    universe), not the graph, so nothing a graph keeps refers back to it.
     """
 
-    __slots__ = ("graph", "universe", "k2", "ground", "members", "orders2", "_index")
+    __slots__ = ("empty_from", "universe", "k2", "ground", "members", "orders2",
+                 "_index")
 
-    def __init__(self, graph, universe, k2, ground, members, orders2):
-        self.graph = graph
+    def __init__(self, empty_from, universe, k2, ground, members, orders2):
+        self.empty_from = empty_from
         self.universe = universe
         self.k2 = k2
         self.ground = ground
@@ -165,7 +177,7 @@ class LowOrderSystem:
         if k2 > self.k2:
             raise ValueError("restriction threshold exceeds the system threshold")
         cut = bisect_left(self.orders2, k2)
-        return LowOrderSystem(self.graph, self.universe, k2, self.ground,
+        return LowOrderSystem(self.empty_from, self.universe, k2, self.ground,
                               self.members[:cut], self.orders2[:cut])
 
     def __repr__(self) -> str:
@@ -181,7 +193,8 @@ def build_system(g: BipartiteGraph, universe: str, k,
     _check_ground_cap(universe, ground.n, partitions_only, cap)
     orders2, members = _scan(g, universe)
     cut = bisect_left(orders2, k2)
-    return LowOrderSystem(g, universe, k2, ground, members[:cut], orders2[:cut])
+    return LowOrderSystem(_memo(g, universe).empty_from, universe, k2, ground,
+                          members[:cut], orders2[:cut])
 
 
 class Orientation:
@@ -375,9 +388,8 @@ def enumerate_tangles(g: BipartiteGraph, universe: str, k,
     if n > member_cap:
         raise CapExceeded(f"system has {n} members, over member cap {member_cap}")
     # smallest member count of this universe whose search found nothing
-    empty_key = ("empty_from", system.universe, kind)
-    cache = system.graph._cache
-    if n >= cache.get(empty_key, n + 1):
+    empty_from = system.empty_from
+    if n >= empty_from.get(kind, n + 1):
         return []
 
     full = system.ground.full
@@ -465,6 +477,28 @@ def enumerate_tangles(g: BipartiteGraph, universe: str, k,
                 pop(token)
 
     rec(0)
+    del rec  # it refers to itself; unbound, the search leaves no cycle behind
     if not results:
-        cache[empty_key] = n
+        empty_from[kind] = n
     return results
+
+
+def kept_system(g: BipartiteGraph, universe: str, k2: int) -> LowOrderSystem:
+    """S_k at doubled threshold k2, built once and kept in the memo."""
+    systems = _memo(g, universe).systems
+    if k2 not in systems:
+        systems[k2] = build_system(g, universe, HalfInt(k2))
+    return systems[k2]
+
+
+def kept_search(g: BipartiteGraph, universe: str, k2: int, kind: str,
+                member_cap: int) -> tuple[Orientation, ...]:
+    """The search of the kept S_k, kept as a tuple; with the cap in the key, a
+    smaller cap still trips, and a search that trips is not kept."""
+    found = _memo(g, universe).found
+    key = (k2, kind, member_cap)
+    if key not in found:
+        found[key] = tuple(enumerate_tangles(
+            g, universe, HalfInt(k2), kind=kind, member_cap=member_cap,
+            system=kept_system(g, universe, k2)))
+    return found[key]

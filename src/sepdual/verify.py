@@ -36,11 +36,11 @@ from .tangles import (
     DEFAULT_MEMBER_CAP,
     LowOrderSystem,
     Orientation,
-    build_system,
     check_profile,
     check_regular,
     check_tangle,
-    enumerate_tangles,
+    kept_search,
+    kept_system,
     max_order2,
 )
 
@@ -74,7 +74,7 @@ class TheoremCase:
 
 
 class _Ctx:
-    """Per-case bookkeeping: cached systems, tangles, and assumption hints."""
+    """Per-case assumption hints; systems and searches are kept by tangles."""
 
     def __init__(self, g: BipartiteGraph, member_cap: int):
         self.g = g
@@ -82,25 +82,15 @@ class _Ctx:
         self.hints: list[str] = []
 
     def system(self, universe: str, j2: int) -> LowOrderSystem:
-        key = ("system", universe, j2)
-        sys = self.g._cache.get(key)
-        if sys is None:
-            sys = build_system(self.g, universe, HalfInt(j2))
-            self.g._cache[key] = sys
+        sys = kept_system(self.g, universe, j2)
         if max_order2(self.g, universe) < j2:
             self.hints.append(
                 f"system over {universe!r} at doubled order {j2} is its whole universe")
         return sys
 
-    def hypotheses(self, universe: str, j2: int, kind: str) -> list[Orientation]:
-        sys = self.system(universe, j2)
-        key = ("oriented", universe, j2, kind, self.member_cap)
-        found = self.g._cache.get(key)
-        if found is None:
-            found = enumerate_tangles(self.g, universe, HalfInt(j2), kind=kind,
-                                      member_cap=self.member_cap, system=sys)
-            self.g._cache[key] = found
-        return found
+    def hypotheses(self, universe: str, j2: int, kind: str) -> tuple[Orientation, ...]:
+        self.system(universe, j2)
+        return kept_search(self.g, universe, j2, kind, self.member_cap)
 
     def isolated_hint(self, side: str) -> None:
         adj = self.g.adj_x if side == "x" else self.g.adj_y
@@ -190,13 +180,13 @@ def _revalidate_totality(g, source, dest, member: Sep, tau_set, status) -> bool:
 # -- shared checking machinery ----------------------------------------------
 
 
-def _orient_from(system: LowOrderSystem, member_in: Callable[[Sep], bool]):
+def _orient_from(system: LowOrderSystem, family: set):
     """Build the induced orientation, or report the first totality failure."""
     forward = []
     for m in system.members:
         a, b = m
-        fi = member_in(m)
-        bi = member_in((b, a))
+        fi = m in family
+        bi = (b, a) in family
         if fi and bi:
             return ("both", m, None)
         if not (fi or bi):
@@ -238,18 +228,11 @@ def _conclusion_failure(system, status, member, orientation, want):
 
 def _check_induced(g, tgt_sys, tau_set, dest, want):
     """Totality + consistency of the family over ``dest`` pulled into ``tgt_sys``."""
-    fn = universe_map(g, tgt_sys.universe, dest)
-    status, member, orient = _orient_from(tgt_sys, lambda s: fn(s) in tau_set)
-    if status in ("none", "both"):
-        if not _revalidate_totality(g, tgt_sys.universe, dest, member, tau_set,
-                                    status):
-            raise AssertionError("witness failed independent re-validation")
-    return _conclusion_failure(tgt_sys, status, member, orient, want)
-
-
-def _image_check(g, tgt_sys, image: set[Sep], want):
-    """Totality + consistency when the family is an explicit image set."""
-    status, member, orient = _orient_from(tgt_sys, lambda s: s in image)
+    pulled = _pullback_members(g, tgt_sys, dest, tau_set)
+    status, member, orient = _orient_from(tgt_sys, pulled)
+    if status != "ok" and not _revalidate_totality(
+            g, tgt_sys.universe, dest, member, tau_set, status):
+        raise AssertionError("witness failed independent re-validation")
     return _conclusion_failure(tgt_sys, status, member, orient, want)
 
 
@@ -275,14 +258,10 @@ def _pullback_members(g, sys: LowOrderSystem, dest,
     return out
 
 
-def _orients(system: LowOrderSystem) -> set[tuple[int, int]]:
-    key = ("orients", system.universe, system.k2)
-    hit = system.graph._cache.get(key)
-    if hit is None:
-        hit = set(system.members)
-        hit.update((b, a) for a, b in system.members)
-        system.graph._cache[key] = hit
-    return hit
+def _oriented_in(system: LowOrderSystem, s) -> bool:
+    """Whether s or its inverse is a member (members are canonical)."""
+    a, b = s
+    return ((a, b) if a <= b else (b, a)) in system.index
 
 
 # -- theorem bodies ----------------------------------------------------------
@@ -347,7 +326,7 @@ def _edges_to_vtx(g, ctx, k2, kind):
         tgt_sys = ctx.system(target, k2)
         for tau in hyps:
             image = {edges_to_side(g, s, target) for s in tau.choices()}
-            fail = _image_check(g, tgt_sys, image, kind)
+            fail = _conclusion_failure(tgt_sys, *_orient_from(tgt_sys, image), kind)
             if fail:
                 fail["target"] = target
                 return len(hyps), [fail]
@@ -376,10 +355,9 @@ def _cor_double_shift_edges(g, ctx, k2):
     for side in ("x", "y"):
         ctx.isolated_hint(side)
         mid_sys = ctx.system(side, 4 * k2)
-        mid_orients = _orients(mid_sys)
         for tau in hyps:
-            sigma = {edges_to_side(g, s, side) for s in tau.choices()}
-            sigma &= mid_orients
+            sigma = {t for s in tau.choices()
+                     if _oriented_in(mid_sys, t := edges_to_side(g, s, side))}
             back = _pullback_members(g, low_sys, side, sigma)
             bad = _subset_violation(tau, sorted(back), low_sys.ground)
             if bad:
@@ -395,12 +373,11 @@ def _cor_double_shift_sides(g, ctx, k2):
     for side in ("x", "y"):
         hyps = ctx.hypotheses(side, 8 * k2, "tangle")
         low_sys = ctx.system(side, k2)
-        low_orients = _orients(low_sys)
         hyp_count += len(hyps)
         for tau in hyps:
             pulled = _pullback_members(g, mid_sys, side, tau.as_set())
-            image = {edges_to_side(g, s, side) for s in pulled}
-            image &= low_orients
+            image = {t for s in pulled
+                     if _oriented_in(low_sys, t := edges_to_side(g, s, side))}
             bad = _subset_violation(tau, sorted(image), low_sys.ground)
             if bad:
                 bad["side"] = side

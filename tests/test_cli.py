@@ -240,6 +240,23 @@ def test_homology_m2_fixture(tmp_path, capsys):
         assert entry["in_kernel"] is False
 
 
+def test_homology_reports_the_decider_bound_searched(capsys):
+    argv = ("homology", "--generator", "planted", "--blocks", "3x3,3x3",
+            "--seed", "7", "--universe", "x", "--k2", "2")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    data = json.loads(out)
+    assert data["m"] == 2 and len(data["deciders"]) == 2
+    assert all(e["bound"] == 2 for e in data["deciders"])
+    # |mu| <= 0 finds nothing and says so; |mu| <= 1 already finds a decider
+    for bound, found in ((0, False), (1, True)):
+        code, out, _ = run_cli(capsys, *argv, "--decider-bound", str(bound))
+        assert code == 0
+        deciders = json.loads(out)["deciders"]
+        assert all(e["bound"] == bound for e in deciders)
+        assert all((e["mu"] is not None) is found for e in deciders)
+
+
 def test_no_graph_source_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "order", "--universe", "x",
                            "--a", "x1", "--b", "x2")
@@ -268,8 +285,10 @@ def test_cap_exceeded_exit(capsys):
      "--member-cap"),
     (("enumerate", "--generator", "random", "--universe", "e", "--k2", "2",
       "--cap-edges", "-3"), "--cap-edges"),
+    (("homology", "--generator", "random", "--k2", "1", "--decider-bound",
+      "-1"), "--decider-bound"),
 ], ids=["blocks", "k2", "missing-input", "bad-json", "theorem", "p", "nx",
-        "verify-member-cap", "tangles-member-cap", "cap-edges"])
+        "verify-member-cap", "tangles-member-cap", "cap-edges", "decider-bound"])
 def test_input_fault_is_usage_error(argv, named, tmp_path, capsys):
     bad_json = tmp_path / "g.json"
     bad_json.write_text('{"x": ["x1"], ')

@@ -33,7 +33,8 @@ from sepdual import (
     restrict,
 )
 from sepdual.orders import UNIVERSES, order2_of, universe_context
-from sepdual.tangles import DEFAULT_MEMBER_CAP, max_order2
+from sepdual.tangles import (DEFAULT_MEMBER_CAP, kept_search, kept_system,
+                             max_order2)
 from sepdual.verify import even_cycle
 
 
@@ -177,8 +178,8 @@ def test_profile_engine_matches_naive_across_corpus():
 
 def _hand_built_system(rng):
     """A system of 2-6 random distinct canonical members over 2-4 elements,
-    top separation excluded, in random order; a fresh graph each time so no
-    empty-prefix record carries over between systems."""
+    top separation excluded, in random order, and its graph; a fresh
+    empty-prefix record each time so none carries over between systems."""
     n = rng.randint(2, 4)
     full = (1 << n) - 1
     g = BipartiteGraph(range(n), [], [])
@@ -188,7 +189,7 @@ def _hand_built_system(rng):
             if a | b == full and (a, b) <= (b, a) and (a, b) != (full, full):
                 seps.add(Sep(a, b))
     members = tuple(rng.sample(sorted(seps), min(len(seps), rng.randint(2, 6))))
-    return LowOrderSystem(g, "x", 1, g.x, members, (0,) * len(members))
+    return g, LowOrderSystem({}, "x", 1, g.x, members, (0,) * len(members))
 
 
 def test_search_matches_naive_on_hand_built_systems():
@@ -197,10 +198,10 @@ def test_search_matches_naive_on_hand_built_systems():
     closing on the next member."""
     rng = random.Random(20260418)
     for _ in range(3000):
-        sys = _hand_built_system(rng)
+        g, sys = _hand_built_system(rng)
         for kind, ok in (("tangle", lambda o: check_tangle(o).ok),
                          ("regular_profile", is_regular_profile)):
-            fast = enumerate_tangles(sys.graph, "x", 0, kind=kind, system=sys)
+            fast = enumerate_tangles(g, "x", 0, kind=kind, system=sys)
             slow = [o for o in enumerate_orientations(sys) if ok(o)]
             assert ([o.forward for o in fast]
                     == [o.forward for o in slow]), (sys.members, kind)
@@ -274,12 +275,21 @@ def test_dump_deterministic(k33):
     assert '"universe": "x"' in a
 
 
+def _scan_triples(masks, n, partitions_only=False):
+    """``scan_members`` decoded into (order2, a, b) triples."""
+    full = (1 << n) - 1
+    return [(k >> 2 * n, k >> n & full, k & full)
+            for k in _kernels.scan_members(masks, n, partitions_only)]
+
+
 def test_scan_sorted_and_complete():
     masks = [0b011, 0b110, 0b101]
-    got = _kernels.scan_members(masks, 3)
+    keys = _kernels.scan_members(masks, 3)
+    assert keys == sorted(keys)
+    got = _scan_triples(masks, 3)
     assert got == sorted(got)
     assert len(got) == (3**3 - 1) // 2
-    parts = _kernels.scan_members(masks, 3, True)
+    parts = _scan_triples(masks, 3, True)
     assert len(parts) == 2**3 // 2
 
 
@@ -304,7 +314,7 @@ def test_scan_matches_definition_on_random_masks():
             if trial % 3 == 2 and masks:
                 masks += masks[: rng.randrange(1, len(masks) + 1)]
             for partitions_only in (False, True):
-                assert (_kernels.scan_members(masks, n, partitions_only)
+                assert (_scan_triples(masks, n, partitions_only)
                         == _scan_by_definition(masks, n, partitions_only)), (
                     n, masks, partitions_only)
 
@@ -331,11 +341,17 @@ def test_scan_matches_label_set_oracles():
             if a < b:
                 expected.append((int(o), a, b))
         expected.sort()
-        assert _kernels.scan_members(masks, ground.n, partitions_only) == expected
+        assert _scan_triples(masks, ground.n, partitions_only) == expected
 
 
 def _copy(g):
     return from_dict(g.to_dict())
+
+
+def _scanned(g, universe):
+    """Whether the universe's memo holds its scan."""
+    memo = g._cache.get(universe)
+    return memo is not None and memo.scan is not None
 
 
 def test_systems_are_slices_of_one_scan(m2, k22, k33, path3):
@@ -372,8 +388,10 @@ def test_max_order2_holds_partition_universes_to_the_ground_cap():
     with pytest.raises(CapExceeded) as top:
         max_order2(g, "bx")
     assert str(top.value) == str(built.value)
-    assert ("scan", "bx") not in g._cache
-    assert max_order2(g, "x") == 30  # the top separation needs no scan
+    assert not _scanned(g, "bx")
+    # the top separation needs no scan, however small the universe
+    assert max_order2(g, "x") == 30 and max_order2(g, "y") == 30
+    assert not _scanned(g, "x") and not _scanned(g, "y")
     assert max_order2(g, "by") == 0
 
 
@@ -386,7 +404,8 @@ def test_max_order2_evaluated_once_per_universe(k33, monkeypatch):
         first = max_order2(k33, universe)
         assert max_order2(k33, universe) == first
     assert len(calls) == 3  # one top separation per separation universe
-    assert all(("scan", u) not in k33._cache for u in ("x", "y", "e"))
+    assert not any(_scanned(k33, u) for u in ("x", "y", "e"))
+    assert all(_scanned(k33, u) for u in ("bx", "by"))
 
 
 def test_search_results_independent_of_call_order(m2, k22, k33, path3):
@@ -446,3 +465,25 @@ def test_empty_prefix_recorded_on_system_graph(m2, k22):
     other = _copy(k22)
     assert enumerate_tangles(other, "e", k, system=build_system(_copy(m2), "e", k)) == []
     assert [o.forward for o in enumerate_tangles(other, "e", k)] == expected
+
+
+def test_memo_keyed_by_universe_and_filled_only_by_kept_helpers(k33):
+    for universe in UNIVERSES:
+        for kind in ("tangle", "regular_profile"):
+            enumerate_tangles(k33, universe, HalfInt(2), kind=kind)
+    assert sorted(k33._cache) == sorted(UNIVERSES)
+    # build_system and enumerate_tangles keep no system or result
+    assert not any(m.systems or m.found for m in k33._cache.values())
+    sys = kept_system(k33, "e", 3)
+    assert kept_system(k33, "e", 3) is sys
+    assert sys.members == build_system(k33, "e", HalfInt(3)).members
+    found = kept_search(k33, "e", 3, "tangle", DEFAULT_MEMBER_CAP)
+    assert kept_search(k33, "e", 3, "tangle", DEFAULT_MEMBER_CAP) is found
+    assert all(o.system is sys for o in found)
+    assert [o.forward for o in found] == [
+        o.forward for o in enumerate_tangles(_copy(k33), "e", HalfInt(3))]
+    with pytest.raises(CapExceeded):
+        kept_search(k33, "e", 3, "tangle", len(sys) - 1)
+    with pytest.raises(ValueError):
+        max_order2(k33, "z")
+    assert "z" not in k33._cache

@@ -1,9 +1,15 @@
 """Theorem verifier: outcomes, vacuity accounting, witnesses, determinism."""
 
+import gc
+
+import pytest
+
 from sepdual import from_edges
+from sepdual.tangles import DEFAULT_MEMBER_CAP, LowOrderSystem
 from sepdual.verify import (
     ALL_THEOREMS,
     TheoremCase,
+    complete,
     corpus,
     corpus_specs,
     report_json,
@@ -142,3 +148,41 @@ def test_all_theorem_ids_runnable(m2):
         assert case.outcome in ("verified", "counterexample", "degenerate",
                                 "capped")
         assert case.outcome != "counterexample"
+
+
+@pytest.mark.parametrize("caps", [(256, DEFAULT_MEMBER_CAP),
+                                  (DEFAULT_MEMBER_CAP, 256)],
+                         ids=["large-first", "default-first"])
+def test_kept_search_never_skips_a_smaller_cap(caps):
+    """Both runs share one graph, so the second meets what the first kept."""
+    g = complete(3, 3)
+    cases = {cap: run_theorem("edges_to_vtx", g, 3, "k33", member_cap=cap)
+             for cap in caps}
+    capped = cases[DEFAULT_MEMBER_CAP]
+    assert capped.outcome == "capped"
+    assert capped.note == "system has 55 members, over member cap 24"
+    assert cases[256].outcome == "verified" and cases[256].hypothesis_count == 1
+    for cap, case in cases.items():
+        fresh = run_theorem("edges_to_vtx", complete(3, 3), 3, "k33",
+                            member_cap=cap)
+        assert case.to_dict() == fresh.to_dict()
+
+
+def test_kept_state_is_freed_with_its_graph():
+    """Nothing a graph keeps refers back to it and a search leaves no cycle,
+    so dropping the graph frees its systems without the cyclic collector."""
+    def systems_alive():
+        return sum(isinstance(o, LowOrderSystem) for o in gc.get_objects())
+
+    gc.collect()
+    before = systems_alive()
+    gc.disable()
+    try:
+        g = complete(3, 3)
+        for theorem in ALL_THEOREMS:
+            run_theorem(theorem, g, 2, "k33")
+        assert systems_alive() > before
+        del g
+        assert systems_alive() == before
+    finally:
+        gc.enable()
