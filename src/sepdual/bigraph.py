@@ -80,7 +80,7 @@ class BipartiteGraph:
         self.edges = GroundSet(
             (self.x.labels[xi], self.y.labels[yi]) for xi, yi in edge_list
         )
-        # memo for separation scans; writes are idempotent, so GIL-safe
+        # one tangles._Memo per universe, written only by sepdual.tangles
         self._cache = {}
 
     # -- queries ----------------------------------------------------------

@@ -2,8 +2,11 @@
 
 Subcommands: ingest, enumerate, order, shift, tangles, verify, homology.
 Thresholds are always passed doubled (``--k2 3`` means k = 3/2) so that no
-float parsing is involved.  Reports are deterministic JSON: same config and
-seed, byte-identical output.
+float parsing is involved.  The universe name alone picks the shift map
+(``shifts.universe_map``; ``shift --to`` defaults to the other side, and to
+``x`` from ``e``) and the default ``--ground-cap`` (set in ``tangles``).
+Reports are deterministic JSON: same config and seed, byte-identical output;
+``tangles`` and ``verify`` can print a CSV summary instead.
 
 Exit codes: 0 success/verified, 1 violated invariant or counterexample,
 2 usage or parse error.
@@ -34,8 +37,8 @@ from .verify import ALL_THEOREMS, K2_GRID, report_json, run_corpus
 #: Inclusive ranges of the numeric options; anything outside is a parse error.
 _RANGES = {"nx": (0, math.inf), "ny": (0, math.inf), "p": (0, 1),
            "in_p": (0, 1), "cross_p": (0, 1), "k2": (0, math.inf),
-           "member_cap": (0, math.inf), "cap_seps": (0, math.inf),
-           "cap_edges": (0, math.inf), "decider_bound": (0, math.inf)}
+           "member_cap": (0, math.inf), "ground_cap": (0, math.inf),
+           "decider_bound": (0, math.inf)}
 
 
 def _graph_options(p: argparse.ArgumentParser) -> None:
@@ -49,11 +52,20 @@ def _graph_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--in-p", type=float, default=1.0, dest="in_p")
     p.add_argument("--cross-p", type=float, default=0.0, dest="cross_p")
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", help="write the report (for ingest, the graph "
+                                 "JSON dump) here instead of stdout")
 
 
-def _output_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", help="write the report here instead of stdout")
-    p.add_argument("--format", choices=("json", "csv-summary"), default="json")
+def _system_options(p: argparse.ArgumentParser, search: bool) -> None:
+    """Options of the commands that build S_k; ``search`` adds the search's."""
+    p.add_argument("--universe", choices=UNIVERSES, default="x")
+    p.add_argument("--k2", type=int, required=True, help="doubled threshold")
+    p.add_argument("--ground-cap", type=int, default=None, dest="ground_cap",
+                   help="largest ground set to scan (default set by universe)")
+    if search:
+        p.add_argument("--kind", choices=("tangle", "profile"), default="tangle")
+        p.add_argument("--member-cap", type=int, default=DEFAULT_MEMBER_CAP,
+                       dest="member_cap")
 
 
 def _check_ranges(args) -> None:
@@ -132,8 +144,21 @@ def _json_report(payload: dict, config: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def cmd_ingest(args) -> int:
+def _system(args):
+    """The graph, its source record and the S_k that the options name."""
     g, source = _load_graph(args)
+    return g, source, build_system(g, args.universe, HalfInt(args.k2),
+                                   cap=args.ground_cap)
+
+
+def _search(args, g, system):
+    kind = "tangle" if args.kind == "tangle" else "regular_profile"
+    return enumerate_tangles(g, args.universe, HalfInt(args.k2), kind=kind,
+                             member_cap=args.member_cap, system=system)
+
+
+def cmd_ingest(args) -> int:
+    g, _ = _load_graph(args)
     report = check_duality_wellformedness(g)
     print(f"|X|={g.x.n} |Y|={g.y.n} |E|={g.n_edges}")
     for side in ("x", "y"):
@@ -152,9 +177,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    g, source = _load_graph(args)
-    system = build_system(g, args.universe, HalfInt(args.k2),
-                          cap=_ground_cap(args))
+    _, source, system = _system(args)
     ground = system.ground
     members = [{"a": ground.names(a), "b": ground.names(b), "order2": o}
                for (a, b), o in zip(system.members, system.orders2)]
@@ -181,16 +204,12 @@ def cmd_order(args) -> int:
 
 def cmd_shift(args) -> int:
     g, source = _load_graph(args)
+    dest = args.to or ("x" if args.universe == "e" else _OTHER[args.universe])
+    shift = universe_map(g, args.universe, dest)
     _, ground, _ = universe_context(g, args.universe)
     s = make_sep(ground, _parse_side(g, args.universe, args.a),
                  _parse_side(g, args.universe, args.b))
-    if args.universe == "e":
-        dest = args.to or "x"
-    elif args.to == "e" and args.universe in ("x", "y"):
-        dest = "e"
-    else:
-        dest = _OTHER[args.universe]
-    c, d = universe_map(g, args.universe, dest)(s)
+    c, d = shift(s)
     _, dest_ground, _ = universe_context(g, dest)
     payload = {"a": dest_ground.names(c), "b": dest_ground.names(d),
                "universe": dest}
@@ -200,17 +219,9 @@ def cmd_shift(args) -> int:
     return 0
 
 
-def _ground_cap(args):
-    return args.cap_edges if args.universe == "e" else args.cap_seps
-
-
 def cmd_tangles(args) -> int:
-    g, source = _load_graph(args)
-    kind = "tangle" if args.kind == "tangle" else "regular_profile"
-    system = build_system(g, args.universe, HalfInt(args.k2),
-                          cap=_ground_cap(args))
-    found = enumerate_tangles(g, args.universe, HalfInt(args.k2), kind=kind,
-                              member_cap=args.member_cap, system=system)
+    g, source, system = _system(args)
+    found = _search(args, g, system)
     config = {"source": source, "universe": args.universe, "k2": args.k2,
               "kind": args.kind, "member_cap": args.member_cap}
     if args.format == "csv-summary":
@@ -228,7 +239,7 @@ def cmd_verify(args) -> int:
     if args.corpus:
         graphs = None
     else:
-        g, source = _load_graph(args)
+        g, _ = _load_graph(args)
         graphs = [(args.name, g)]
     report = run_corpus(k2_grid=k2_grid, graphs=graphs,
                         theorems=args.theorem or None,
@@ -245,9 +256,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_homology(args) -> int:
-    g, source = _load_graph(args)
-    system = build_system(g, args.universe, HalfInt(args.k2),
-                          cap=_ground_cap(args))
+    g, source, system = _system(args)
     bmat = BoundaryMatrix(system.ground.n, list(system.members))
     basis = kernel_basis(bmat)
     payload = {
@@ -260,9 +269,7 @@ def cmd_homology(args) -> int:
         "deciders": [],
     }
     bound = max(bmat.m, 1) if args.decider_bound is None else args.decider_bound
-    kind = "tangle" if args.kind == "tangle" else "regular_profile"
-    for o in enumerate_tangles(g, args.universe, HalfInt(args.k2), kind=kind,
-                               member_cap=args.member_cap, system=system):
+    for o in _search(args, g, system):
         lam = orientation_to_chain(o, bmat.seps)
         mu = find_decider(bmat, lam, bound=bound, mode=args.decider_mode,
                           constraint=args.mu_constraint)
@@ -285,53 +292,33 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="load a graph and report wellformedness")
-    _graph_options(p)
-    p.add_argument("--out", help="write the graph JSON dump here")
-    p.set_defaults(fn=cmd_ingest)
+    def command(name, fn, summary):
+        p = sub.add_parser(name, help=summary)
+        _graph_options(p)
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("enumerate", help="list the members of a low-order system")
-    _graph_options(p)
-    _output_options(p)
-    p.add_argument("--universe", choices=UNIVERSES, default="x")
-    p.add_argument("--k2", type=int, required=True, help="doubled threshold")
-    p.add_argument("--cap-seps", type=int, default=None, dest="cap_seps")
-    p.add_argument("--cap-edges", type=int, default=None, dest="cap_edges")
-    p.set_defaults(fn=cmd_enumerate)
+    command("ingest", cmd_ingest, "load a graph and report wellformedness")
 
-    p = sub.add_parser("order", help="evaluate the order of one separation")
-    _graph_options(p)
-    _output_options(p)
-    p.add_argument("--universe", choices=UNIVERSES, default="x")
-    p.add_argument("--a", required=True, help="comma-separated labels")
-    p.add_argument("--b", required=True)
-    p.set_defaults(fn=cmd_order)
+    p = command("enumerate", cmd_enumerate,
+                "list the members of a low-order system")
+    _system_options(p, search=False)
 
-    p = sub.add_parser("shift", help="shift one separation across the duality")
-    _graph_options(p)
-    _output_options(p)
-    p.add_argument("--universe", choices=UNIVERSES, default="x")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--to", choices=("x", "y", "e"),
-                   help="target universe (edge shifts and side-to-edge)")
-    p.set_defaults(fn=cmd_shift)
+    order = command("order", cmd_order, "evaluate the order of one separation")
+    shift = command("shift", cmd_shift, "shift one separation across the duality")
+    for p in (order, shift):
+        p.add_argument("--universe", choices=UNIVERSES, default="x")
+        p.add_argument("--a", required=True, help="comma-separated labels")
+        p.add_argument("--b", required=True)
+    shift.add_argument("--to", choices=UNIVERSES,
+                       help="target universe (default: the other side; x for e)")
 
-    p = sub.add_parser("tangles", help="enumerate tangles or regular profiles")
-    _graph_options(p)
-    _output_options(p)
-    p.add_argument("--universe", choices=UNIVERSES, default="x")
-    p.add_argument("--k2", type=int, required=True)
-    p.add_argument("--kind", choices=("tangle", "profile"), default="tangle")
-    p.add_argument("--member-cap", type=int, default=DEFAULT_MEMBER_CAP,
-                   dest="member_cap")
-    p.add_argument("--cap-seps", type=int, default=None, dest="cap_seps")
-    p.add_argument("--cap-edges", type=int, default=None, dest="cap_edges")
-    p.set_defaults(fn=cmd_tangles)
+    p = command("tangles", cmd_tangles, "enumerate tangles or regular profiles")
+    _system_options(p, search=True)
+    p.add_argument("--format", choices=("json", "csv-summary"), default="json")
 
-    p = sub.add_parser("verify", help="run the theorem suite")
-    _graph_options(p)
-    _output_options(p)
+    p = command("verify", cmd_verify, "run the theorem suite")
+    p.add_argument("--format", choices=("json", "csv-summary"), default="json")
     p.add_argument("--corpus", action="store_true",
                    help="run on the shipped 50-graph corpus")
     p.add_argument("--name", default="graph", help="graph name in the report")
@@ -341,25 +328,15 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="ID", help="theorem id; repeatable (default: all)")
     p.add_argument("--member-cap", type=int, default=DEFAULT_MEMBER_CAP,
                    dest="member_cap")
-    p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("homology", help="boundary matrix, kernel, deciders")
-    _graph_options(p)
-    _output_options(p)
-    p.add_argument("--universe", choices=UNIVERSES, default="x")
-    p.add_argument("--k2", type=int, required=True)
-    p.add_argument("--kind", choices=("tangle", "profile"), default="tangle")
-    p.add_argument("--member-cap", type=int, default=DEFAULT_MEMBER_CAP,
-                   dest="member_cap")
-    p.add_argument("--cap-seps", type=int, default=None, dest="cap_seps")
-    p.add_argument("--cap-edges", type=int, default=None, dest="cap_edges")
+    p = command("homology", cmd_homology, "boundary matrix, kernel, deciders")
+    _system_options(p, search=True)
     p.add_argument("--decider-mode", choices=("componentwise", "scalar"),
                    default="componentwise", dest="decider_mode")
     p.add_argument("--decider-bound", type=int, default=None,
                    dest="decider_bound")
     p.add_argument("--mu-constraint", choices=("nonneg", "zero_one", "sum_one"),
                    default=None, dest="mu_constraint")
-    p.set_defaults(fn=cmd_homology)
 
     return ap
 

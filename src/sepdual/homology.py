@@ -326,6 +326,9 @@ def find_decider(B: BoundaryMatrix, lam: Sequence[int],
         cons = [(tuple(w), 1)]
     else:
         raise ValueError(f"unknown decider mode {mode!r}")
+    if constraint == "sum_one":
+        cons.append((tuple(1 for _ in range(n)), 1))
+        cons.append((tuple(-1 for _ in range(n)), -1))
 
     fm_cons = list(cons)
     if constraint == "nonneg":
@@ -336,11 +339,7 @@ def find_decider(B: BoundaryMatrix, lam: Sequence[int],
             unit = tuple(1 if k == i else 0 for k in range(n))
             fm_cons.append((unit, 0))
             fm_cons.append((tuple(-u for u in unit), -1))
-    elif constraint == "sum_one":
-        ones = tuple(1 for _ in range(n))
-        fm_cons.append((ones, 1))
-        fm_cons.append((tuple(-1 for _ in range(n)), -1))
-    elif constraint is not None:
+    elif constraint not in (None, "sum_one"):
         raise ValueError(f"unknown decider constraint {constraint!r}")
 
     if _fm_feasible(fm_cons, n) is False:
@@ -372,8 +371,6 @@ def find_decider(B: BoundaryMatrix, lam: Sequence[int],
         if i == n:
             if any(p < rhs for p, (_, rhs) in zip(partial, cons)):
                 return None
-            if constraint == "sum_one" and sum(mu) != 1:
-                return None
             return list(mu)
         for v in values:
             mu[i] = v
@@ -381,11 +378,6 @@ def find_decider(B: BoundaryMatrix, lam: Sequence[int],
             for ci, (coeffs, rhs) in enumerate(cons):
                 partial[ci] += coeffs[i] * v
                 if partial[ci] + suffix[ci][i + 1] < rhs:
-                    ok = False
-            if constraint == "sum_one":
-                head = sum(mu[: i + 1])
-                room = (n - i - 1) * max_val
-                if head - room > 1 or head + room < 1:
                     ok = False
             if ok:
                 found = rec(i + 1)

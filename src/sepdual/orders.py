@@ -120,31 +120,37 @@ def order2_of(g: BipartiteGraph, universe: str, a: int, b: int) -> int:
     return _kernels.order2(masks, a, b)
 
 
-def order_side(g: BipartiteGraph, s: Sep, side: str) -> HalfInt:
-    """Order of a separation of side ``side`` ("x" or "y")."""
+def _side(side: str) -> str:
     if side not in ("x", "y"):
         raise SideMismatch(f"side must be 'x' or 'y', got {side!r}")
-    masks, ground, _ = universe_context(g, side)
+    return side
+
+
+def order_of(g: BipartiteGraph, universe: str, s: Sep) -> HalfInt:
+    """Order of ``s`` under the given universe's order function.
+
+    A partition universe ("bx"/"by") rejects a separation whose sides meet.
+    """
+    masks, ground, partitions_only = universe_context(g, universe)
     a, b = _validate(ground, s)
+    if partitions_only and a & b:
+        raise NotAPartition("partition order requires disjoint sides")
     return HalfInt(_kernels.order2(masks, a, b))
+
+
+def order_side(g: BipartiteGraph, s: Sep, side: str) -> HalfInt:
+    """Order of a separation of side ``side`` ("x" or "y")."""
+    return order_of(g, _side(side), s)
 
 
 def order_edge(g: BipartiteGraph, s: Sep) -> HalfInt:
     """Order of a separation of the edge set."""
-    masks, ground, _ = universe_context(g, "e")
-    a, b = _validate(ground, s)
-    return HalfInt(_kernels.order2(masks, a, b))
+    return order_of(g, "e", s)
 
 
 def order_partition(g: BipartiteGraph, s: Sep, side: str) -> HalfInt:
     """Partition order (integer-valued); rejects non-partitions."""
-    if side not in ("x", "y"):
-        raise SideMismatch(f"side must be 'x' or 'y', got {side!r}")
-    masks, ground, _ = universe_context(g, side)
-    a, b = _validate(ground, s)
-    if a & b:
-        raise NotAPartition("partition order requires disjoint sides")
-    return HalfInt(_kernels.order2(masks, a, b))
+    return order_of(g, "b" + _side(side), s)
 
 
 def order_side_edge_form(g: BipartiteGraph, s: Sep, side: str) -> HalfInt:
@@ -157,9 +163,7 @@ def order_side_edge_form(g: BipartiteGraph, s: Sep, side: str) -> HalfInt:
     two counts, so its middle neighbours would otherwise enter one half too
     often.  Used as a built-in cross-check.
     """
-    if side not in ("x", "y"):
-        raise SideMismatch(f"side must be 'x' or 'y', got {side!r}")
-    masks, ground, _ = universe_context(g, side)
+    masks, ground, _ = universe_context(g, _side(side))
     a, b = _validate(ground, s)
     c, d = _kernels.shift2(masks, a, b)
     ab = a & b
@@ -177,13 +181,3 @@ def order_side_edge_form(g: BipartiteGraph, s: Sep, side: str) -> HalfInt:
         bit <<= 1
     return HalfInt(2 * e_c_b + 2 * e_d_a - e_mid - e_ab - e_tied_mid)
 
-
-def order_of(g: BipartiteGraph, universe: str, s: Sep) -> HalfInt:
-    """Order of ``s`` under the given universe's order function."""
-    if universe == "e":
-        return order_edge(g, s)
-    if universe in ("x", "y"):
-        return order_side(g, s, universe)
-    if universe in ("bx", "by"):
-        return order_partition(g, s, universe[1])
-    raise ValueError(f"unknown universe {universe!r}")

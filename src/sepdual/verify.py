@@ -390,7 +390,6 @@ def _pushforward_containment(g, ctx, k2):
     hyp_count = 0
     for side in ("x", "y"):
         other = _OTHER[side]
-        ctx.system(side, 16 * k2)
         hyps = ctx.hypotheses(side, 16 * k2, "tangle")
         hyp_count += len(hyps)
         for tau in hyps:

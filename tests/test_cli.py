@@ -104,6 +104,38 @@ def test_shift_command_to_edges(capsys):
     assert data["a"] == ["x1--y1", "x1--y2"]
 
 
+K22 = ("--generator", "random", "--nx", "2", "--ny", "2", "--p", "1.0",
+       "--seed", "1")
+SIDES = {"x": ("x1", "x2"), "bx": ("x1", "x2"),
+         "e": ("x1--y1,x1--y2", "x2--y1,x2--y2")}
+
+
+@pytest.mark.parametrize("universe, to, dest, a, b", [
+    ("bx", "by", "by", ["y1", "y2"], []),
+    ("x", None, "y", ["y1", "y2"], ["y1", "y2"]),
+    ("e", None, "x", ["x1"], ["x2"]),
+])
+def test_shift_to_picks_the_map(universe, to, dest, a, b, capsys):
+    sa, sb = SIDES[universe]
+    to_arg = () if to is None else ("--to", to)
+    code, out, _ = run_cli(capsys, "shift", *K22, "--universe", universe,
+                           "--a", sa, "--b", sb, *to_arg)
+    assert code == 0
+    data = json.loads(out)
+    assert (data["universe"], data["a"], data["b"]) == (dest, a, b)
+
+
+@pytest.mark.parametrize("universe, to", [
+    ("x", "x"), ("bx", "e"), ("e", "bx"), ("e", "e")])
+def test_shift_to_refused_pair_is_usage_error(universe, to, capsys):
+    sa, sb = SIDES[universe]
+    code, out, err = run_cli(capsys, "shift", *K22, "--universe", universe,
+                             "--a", sa, "--b", sb, "--to", to)
+    assert code == 2 and out == ""
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert f"from {universe!r} to {to!r}" in err
+
+
 def test_order_command_edge_universe(capsys):
     code, out, _ = run_cli(capsys, "order", "--generator", "random",
                            "--nx", "2", "--ny", "2", "--p", "1.0",
@@ -136,11 +168,12 @@ def test_tangles_csv_summary(capsys):
     assert lines[1] == "0,1"
 
 
-def test_tangles_cap_seps_flag(capsys):
-    code, _, err = run_cli(capsys, "tangles", "--generator", "random",
-                           "--nx", "4", "--ny", "4", "--p", "0.5",
-                           "--seed", "1", "--universe", "x", "--k2", "2",
-                           "--cap-seps", "3")
+@pytest.mark.parametrize("universe", ["x", "e"])
+def test_tangles_ground_cap_flag(universe, capsys):
+    argv = ("tangles", "--generator", "random", "--nx", "4", "--ny", "4",
+            "--p", "0.5", "--seed", "1", "--universe", universe, "--k2", "2")
+    assert run_cli(capsys, *argv)[0] == 0  # within the default cap
+    code, _, err = run_cli(capsys, *argv, "--ground-cap", "3")
     assert code == 2
     assert "cap" in err
 
@@ -284,11 +317,18 @@ def test_cap_exceeded_exit(capsys):
     (("tangles", "--generator", "random", "--k2", "2", "--member-cap", "-1"),
      "--member-cap"),
     (("enumerate", "--generator", "random", "--universe", "e", "--k2", "2",
-      "--cap-edges", "-3"), "--cap-edges"),
+      "--ground-cap", "-3"), "--ground-cap -3 is outside"),
+    (("enumerate", "--generator", "random", "--k2", "2",
+      "--format", "csv-summary"), "--format"),
+    (("order", "--generator", "random", "--a", "x1", "--b", "x2,x3",
+      "--format", "csv-summary"), "--format"),
+    (("tangles", "--generator", "random", "--universe", "e", "--k2", "2",
+      "--cap-seps", "3"), "--cap-seps"),
     (("homology", "--generator", "random", "--k2", "1", "--decider-bound",
       "-1"), "--decider-bound"),
 ], ids=["blocks", "k2", "missing-input", "bad-json", "theorem", "p", "nx",
-        "verify-member-cap", "tangles-member-cap", "cap-edges", "decider-bound"])
+        "verify-member-cap", "tangles-member-cap", "ground-cap",
+        "enumerate-format", "order-format", "cap-seps", "decider-bound"])
 def test_input_fault_is_usage_error(argv, named, tmp_path, capsys):
     bad_json = tmp_path / "g.json"
     bad_json.write_text('{"x": ["x1"], ')
@@ -296,7 +336,7 @@ def test_input_fault_is_usage_error(argv, named, tmp_path, capsys):
             for a in argv]
     try:
         code = main(argv)
-    except SystemExit as exc:  # argparse rejects an unknown --theorem
+    except SystemExit as exc:  # argparse rejects an unknown flag or --theorem
         code = exc.code
     err = capsys.readouterr().err
     assert code == 2

@@ -304,6 +304,41 @@ def test_find_decider_constraints():
     assert validate_decider(B, [1], mu)
 
 
+
+@pytest.mark.parametrize("constraint", [None, "nonneg", "zero_one", "sum_one"])
+@pytest.mark.parametrize("mode", ["componentwise", "scalar"])
+def test_find_decider_returns_first_witness(mode, constraint):
+    # the pruned search returns the first mu of itertools.product order over
+    # the documented values (smallest absolute values first, + before -)
+    rng = random.Random(13)
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        pairs = [(a, b) for a in range(1 << n) for b in range(a, 1 << n)]
+        picks = rng.sample(pairs, min(rng.randint(1, 4), len(pairs)))
+        seps = [Sep(a, b) if rng.random() < 0.5 else Sep(b, a) for a, b in picks]
+        B = BoundaryMatrix(n, seps)
+        lam = [rng.choice((1, -1)) for _ in seps]
+        bound = rng.randint(0, 3)
+        if constraint == "zero_one":
+            values = (0, 1)
+        elif constraint == "nonneg":
+            values = tuple(range(bound + 1))
+        else:
+            values = (0,) + tuple(v for k in range(1, bound + 1) for v in (k, -k))
+        w = B.boundary(lam)
+
+        def meets(mu):
+            if mode == "componentwise":
+                ok = validate_decider(B, lam, mu)
+            else:
+                ok = sum(wi * mi for wi, mi in zip(w, mu)) >= 1
+            return ok and (constraint != "sum_one" or sum(mu) == 1)
+
+        want = next((list(mu) for mu in itertools.product(values, repeat=n)
+                     if meets(mu)), None)
+        assert find_decider(B, lam, bound=bound, mode=mode,
+                            constraint=constraint) == want
+
 def test_decider_success_implies_not_cycle():
     rng = random.Random(21)
     ground = GroundSet(range(4))
