@@ -41,17 +41,24 @@ _RANGES = {"nx": (0, math.inf), "ny": (0, math.inf), "p": (0, 1),
            "decider_bound": (0, math.inf)}
 
 
+#: Options each generator reads, with their defaults.  They are parsed with
+#: default None, so that an option no graph source reads can be refused.
+_GENERATOR_OPTIONS = {
+    "random": {"nx": 3, "ny": 3, "p": 0.5, "seed": 0},
+    "planted": {"blocks": "3x3,3x3", "in_p": 1.0, "cross_p": 0.0, "seed": 0},
+}
+
+
 def _graph_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", help="transactions CSV (group,member) or graph JSON")
-    p.add_argument("--generator", choices=("random", "planted"))
-    p.add_argument("--nx", type=int, default=3)
-    p.add_argument("--ny", type=int, default=3)
-    p.add_argument("--p", type=float, default=0.5, help="edge probability")
-    p.add_argument("--blocks", default="3x3,3x3",
-                   help="planted block sizes, e.g. 3x3,2x2")
-    p.add_argument("--in-p", type=float, default=1.0, dest="in_p")
-    p.add_argument("--cross-p", type=float, default=0.0, dest="cross_p")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--generator", choices=tuple(_GENERATOR_OPTIONS))
+    p.add_argument("--nx", type=int)
+    p.add_argument("--ny", type=int)
+    p.add_argument("--p", type=float, help="edge probability")
+    p.add_argument("--blocks", help="planted block sizes, e.g. 3x3,2x2")
+    p.add_argument("--in-p", type=float, dest="in_p")
+    p.add_argument("--cross-p", type=float, dest="cross_p")
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", help="write the report (for ingest, the graph "
                                  "JSON dump) here instead of stdout")
 
@@ -99,23 +106,35 @@ def _read_input(path: Path):
         raise ParseError(f"malformed input {path}: {exc!r}") from None
 
 
+def _refuse(args, names, reason: str) -> None:
+    """Refuse the first option of ``names`` that was given."""
+    for name in names:
+        if getattr(args, name, None) is not None:
+            raise ParseError(f"--{name.replace('_', '-')} {reason}")
+
+
+_SOURCE_OPTIONS = ("input", "generator", "nx", "ny", "p", "blocks", "in_p",
+                   "cross_p", "seed")
+
+
 def _load_graph(args):
     if args.input:
+        _refuse(args, _SOURCE_OPTIONS[1:], "is not read with --input")
         path = Path(args.input)
-        g = _read_input(path)
-        source = {"input": str(path)}
-    elif args.generator == "random":
-        g = gen_random(args.nx, args.ny, args.p, args.seed)
-        source = {"generator": "random", "nx": args.nx, "ny": args.ny,
-                  "p": args.p, "seed": args.seed}
-    elif args.generator == "planted":
-        g = gen_planted(_parse_blocks(args.blocks), args.in_p, args.cross_p,
-                        args.seed)
-        source = {"generator": "planted", "blocks": args.blocks,
-                  "in_p": args.in_p, "cross_p": args.cross_p, "seed": args.seed}
-    else:
+        return _read_input(path), {"input": str(path)}
+    if args.generator is None:
         raise SepdualError("no graph source: pass --input or --generator")
-    return g, source
+    reads = _GENERATOR_OPTIONS[args.generator]
+    _refuse(args, [n for n in _SOURCE_OPTIONS[2:] if n not in reads],
+            f"is not read by --generator {args.generator}")
+    opts = {n: d if getattr(args, n) is None else getattr(args, n)
+            for n, d in reads.items()}
+    if args.generator == "random":
+        g = gen_random(opts["nx"], opts["ny"], opts["p"], opts["seed"])
+    else:
+        g = gen_planted(_parse_blocks(opts["blocks"]), opts["in_p"],
+                        opts["cross_p"], opts["seed"])
+    return g, {"generator": args.generator, **opts}
 
 
 def _parse_side(g, universe, text):
@@ -237,10 +256,11 @@ def cmd_tangles(args) -> int:
 def cmd_verify(args) -> int:
     k2_grid = args.k2 if args.k2 else list(K2_GRID)
     if args.corpus:
+        _refuse(args, (*_SOURCE_OPTIONS, "name"), "is not read with --corpus")
         graphs = None
     else:
         g, _ = _load_graph(args)
-        graphs = [(args.name, g)]
+        graphs = [("graph" if args.name is None else args.name, g)]
     report = run_corpus(k2_grid=k2_grid, graphs=graphs,
                         theorems=args.theorem or None,
                         member_cap=args.member_cap)
@@ -321,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv-summary"), default="json")
     p.add_argument("--corpus", action="store_true",
                    help="run on the shipped 50-graph corpus")
-    p.add_argument("--name", default="graph", help="graph name in the report")
+    p.add_argument("--name", help="graph name in the report")
     p.add_argument("--k2", type=int, action="append",
                    help="doubled threshold; repeatable (default grid 1 2 3 4)")
     p.add_argument("--theorem", action="append", choices=list(ALL_THEOREMS),

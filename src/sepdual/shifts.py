@@ -69,8 +69,8 @@ def sep_to_edges(g: BipartiteGraph, s: Sep, side: str) -> Sep:
     """(A,B) -> (E(A), E(B)): incident-edge sets of the two sides."""
     if side not in ("x", "y"):
         raise SideMismatch(f"side must be 'x' or 'y', got {side!r}")
-    ground = g.x if side == "x" else g.y
-    inc = g.inc_x if side == "x" else g.inc_y
+    _, ground, _ = universe_context(g, side)
+    inc = g.inc_x if side == "x" else g.inc_y  # no universe context holds these
     a, b = s
     ground.check(a)
     ground.check(b)

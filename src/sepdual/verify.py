@@ -6,14 +6,20 @@ materialize the shifted family, and test the claimed conclusion literally.
 A case can end four ways:
 
 * verified       - every hypothesis object passed (vacuously when none exist)
-* counterexample - a genuine violation, with an independently re-validated
-                   witness
-* degenerate     - a violation explained by a broken side condition the
-                   statements implicitly assume: a threshold so large that a
-                   system contains its entire universe, or isolated vertices
-                   where an image-style shift needs the round trip
-                   (sides -> edges -> sides) to be exact
+* counterexample - a violation with no side-condition hint recorded, with an
+                   independently re-validated witness
+* degenerate     - a violation in a case that recorded any side-condition
+                   hint: a threshold so large that a system contains its
+                   entire universe, or isolated vertices where an image-style
+                   shift needs the round trip (sides -> edges -> sides) to be
+                   exact.  The hint is not shown to cause the violation; it
+                   only had to be recorded before the violation was found.
 * capped         - an enumeration exceeded its configured size cap
+
+Every witness is re-validated on label sets, without the mask kernels.  A
+totality witness (a member the shifted family orients neither way or both
+ways) is re-checked by recomputing the map in the direction of its step:
+members pulled back to the hypothesis, or the hypothesis pushed forward.
 
 The shipped corpus is a fixed list of generators and seeds, so reports are
 bit-reproducible.
@@ -24,14 +30,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import __version__ as _pkg_version
 from .bigraph import BipartiteGraph, from_edges, gen_planted, gen_random
 from .errors import CapExceeded
-from .orders import HalfInt
+from .orders import HalfInt, universe_context
 from .separations import Sep
-from .shifts import _OTHER, edges_to_side, shift_side, universe_map
+from .shifts import _OTHER, shift_side, universe_map
 from .tangles import (
     DEFAULT_MEMBER_CAP,
     LowOrderSystem,
@@ -88,8 +94,7 @@ class _Ctx:
                 f"system over {universe!r} at doubled order {j2} is its whole universe")
         return sys
 
-    def hypotheses(self, universe: str, j2: int, kind: str) -> tuple[Orientation, ...]:
-        self.system(universe, j2)
+    def search(self, universe: str, j2: int, kind: str) -> tuple[Orientation, ...]:
         return kept_search(self.g, universe, j2, kind, self.member_cap)
 
     def isolated_hint(self, side: str) -> None:
@@ -226,16 +231,6 @@ def _conclusion_failure(system, status, member, orientation, want):
     return None
 
 
-def _check_induced(g, tgt_sys, tau_set, dest, want):
-    """Totality + consistency of the family over ``dest`` pulled into ``tgt_sys``."""
-    pulled = _pullback_members(g, tgt_sys, dest, tau_set)
-    status, member, orient = _orient_from(tgt_sys, pulled)
-    if status != "ok" and not _revalidate_totality(
-            g, tgt_sys.universe, dest, member, tau_set, status):
-        raise AssertionError("witness failed independent re-validation")
-    return _conclusion_failure(tgt_sys, status, member, orient, want)
-
-
 def _subset_violation(tau, elements, ground):
     for s in elements:
         if s not in tau:
@@ -245,144 +240,114 @@ def _subset_violation(tau, elements, ground):
     return None
 
 
-def _pullback_members(g, sys: LowOrderSystem, dest,
-                      tau_set) -> set[tuple[int, int]]:
-    """Orientations of sys members whose image over ``dest`` lies in tau."""
-    fn = universe_map(g, sys.universe, dest)
+def _pull(fn, members, family) -> set:
+    """Orientations of ``members`` whose image under fn lies in family."""
     out = set()
-    for m in sys.members:
+    for m in members:
         a, b = m
         for s in (m, (b, a)):
-            if fn(s) in tau_set:
+            if fn(s) in family:
                 out.add(s)
     return out
 
 
-def _oriented_in(system: LowOrderSystem, s) -> bool:
-    """Whether s or its inverse is a member (members are canonical)."""
-    a, b = s
-    return ((a, b) if a <= b else (b, a)) in system.index
+def _push(fn, members, family) -> set:
+    """Image of family under fn, kept to the orientations of ``members``."""
+    image = {fn(s) for s in family}
+    return {s for m in members for s in (m, (m[1], m[0])) if s in image}
+
+
+def _revalidate_totality(g, step, ends, member, family, status) -> bool:
+    """Re-run one step on the witness member alone, with the set-based map."""
+    hits = len(step(partial(_set_map, g, *ends), (member,), family))
+    return hits == 0 if status == "none" else hits == 2
 
 
 # -- theorem bodies ----------------------------------------------------------
 #
-# Twelve of the fifteen statements share four shapes; the two corollaries and
-# push-forward containment keep their own bodies.  The order of system,
-# hypothesis and hint calls in each body is part of the report: the first cap
-# to trip writes the ``capped`` note, and the hints decide ``degenerate``.
+# Fourteen of the fifteen statements are legs run by one body, ``_run_legs``.
+# A leg takes each hypothesis tau (a tangle or regular profile at factor * k
+# of one universe) through one or two steps, each into a system at its own
+# factor * k: ``pull`` keeps the orientations of the system's members whose
+# image lies in the family, ``push`` keeps the image of the family, cut to
+# orientations of the system's members.  After one step the family must
+# orient that system as tau's kind (a tangle or a regular profile); after two
+# it must lie inside tau.  A theorem runs one leg per side, and legs with the
+# same hypothesis count it once.
+#
+# Every leg records its isolated-vertex hints, then asks for the hypothesis
+# system, the step systems in step order, and last the search: the order of
+# the statement.  The first cap to trip writes the ``capped`` note, so this
+# order decides which cap a capped case names; the hints decide
+# ``degenerate``.  Push-forward containment keeps its own body: its chain
+# starts from tau restricted to S_k and leaves every system after the first
+# shift.
 
 
-def _pullback_theorem(g, ctx, k2, factor, kind, prefix=""):
-    """Hypothesis at factor*k, pulled back along the side shift, checked at k.
+class _Leg(NamedTuple):
+    label: tuple[str, str]  # ("side" or "target", its value) for the witness
+    hints: tuple[str, ...]  # sides whose isolated vertices are hinted at
+    hyp: tuple[str, int]  # (universe, factor) of the hypothesis
+    steps: tuple  # (_pull or _push, universe, factor, (map source, map dest))
+    counted: bool  # False when an earlier leg has the same hypothesis
 
-    ``prefix="b"`` runs the partition universes with the tie-broken shift.
+
+def _run_legs(g, ctx, k2, kind, legs):
+    """The one body of the leg theorems: (hypothesis count, failures)."""
+    hyp_count = 0
+    for leg in legs:
+        for side in leg.hints:
+            ctx.isolated_hint(side)
+        universe, factor = leg.hyp
+        ctx.system(universe, factor * k2)
+        systems = [ctx.system(u, f * k2) for _, u, f, _ in leg.steps]
+        hyps = ctx.search(universe, factor * k2, kind)
+        if leg.counted:
+            hyp_count += len(hyps)
+        if not hyps:
+            continue
+        maps = [universe_map(g, *ends) for _, _, _, ends in leg.steps]
+        sys = systems[-1]
+        for tau in hyps:
+            family = tau_set = tau.as_set()
+            for (step, _, _, _), fn, step_sys in zip(leg.steps, maps, systems):
+                family = step(fn, step_sys.members, family)
+            if len(systems) == 2:
+                fail = _subset_violation(tau, sorted(family), sys.ground)
+            else:
+                status, member, orient = _orient_from(sys, family)
+                (step, _, _, ends), = leg.steps
+                if status != "ok" and not _revalidate_totality(
+                        g, step, ends, member, tau_set, status):
+                    raise AssertionError("witness failed independent re-validation")
+                fail = _conclusion_failure(sys, status, member, orient, kind)
+            if fail:
+                key, value = leg.label
+                fail[key] = value
+                return hyp_count, [fail]
+    return hyp_count, []
+
+
+def _legs(kind, hyp, *steps, label="side", hints="", prefix=""):
+    """The body of a theorem with one leg per side x, y.
+
+    In ``hyp``, the steps and ``hints``, ``"s"`` names the leg's side and
+    ``"o"`` the other side (universes get ``prefix``), and ``"e"`` the edges.
     """
-    hyp_count = 0
+    legs = []
     for side in ("x", "y"):
-        other = _OTHER[side]
-        if prefix:
-            ctx.isolated_hint(side)
-            ctx.isolated_hint(other)
-        ctx.system(prefix + side, factor * k2)
-        tgt_sys = ctx.system(prefix + other, k2)
-        hyps = ctx.hypotheses(prefix + side, factor * k2, kind)
-        hyp_count += len(hyps)
-        for tau in hyps:
-            fail = _check_induced(g, tgt_sys, tau.as_set(), prefix + side, kind)
-            if fail:
-                fail["side"] = side
-                return hyp_count, [fail]
-    return hyp_count, []
-
-
-def _double_shift_chain(g, ctx, k2, hyp_factor, mid_factor, kind, prefix=""):
-    """Pull back twice and assert the result is contained in the hypothesis."""
-    hyp_count = 0
-    for side in ("x", "y"):
-        other = _OTHER[side]
-        if prefix:
-            ctx.isolated_hint(side)
-            ctx.isolated_hint(other)
-        ctx.system(prefix + side, hyp_factor * k2)
-        mid_sys = ctx.system(prefix + other, mid_factor * k2)
-        low_sys = ctx.system(prefix + side, k2)
-        hyps = ctx.hypotheses(prefix + side, hyp_factor * k2, kind)
-        hyp_count += len(hyps)
-        for tau in hyps:
-            mid = _pullback_members(g, mid_sys, prefix + side, tau.as_set())
-            back = _pullback_members(g, low_sys, prefix + other, mid)
-            bad = _subset_violation(tau, sorted(back), low_sys.ground)
-            if bad:
-                bad["side"] = side
-                return hyp_count, [bad]
-    return hyp_count, []
-
-
-def _edges_to_vtx(g, ctx, k2, kind):
-    """Edge hypothesis at 2k, its side image checked at k."""
-    hyps = ctx.hypotheses("e", 2 * k2, kind)
-    for target in ("x", "y"):
-        ctx.isolated_hint(target)
-        tgt_sys = ctx.system(target, k2)
-        for tau in hyps:
-            image = {edges_to_side(g, s, target) for s in tau.choices()}
-            fail = _conclusion_failure(tgt_sys, *_orient_from(tgt_sys, image), kind)
-            if fail:
-                fail["target"] = target
-                return len(hyps), [fail]
-    return len(hyps), []
-
-
-def _vtx_to_edges(g, ctx, k2, factor, kind):
-    """Side hypothesis at factor*k, pulled back to the edges at k."""
-    hyp_count = 0
-    tgt_sys = ctx.system("e", k2)
-    for side in ("x", "y"):
-        hyps = ctx.hypotheses(side, factor * k2, kind)
-        hyp_count += len(hyps)
-        for tau in hyps:
-            fail = _check_induced(g, tgt_sys, tau.as_set(), side, kind)
-            if fail:
-                fail["side"] = side
-                return hyp_count, [fail]
-    return hyp_count, []
-
-
-def _cor_double_shift_edges(g, ctx, k2):
-    """8k edge tangle: side image at 4k, pulled back to the edges at k."""
-    hyps = ctx.hypotheses("e", 8 * k2, "tangle")
-    low_sys = ctx.system("e", k2)
-    for side in ("x", "y"):
-        ctx.isolated_hint(side)
-        mid_sys = ctx.system(side, 4 * k2)
-        for tau in hyps:
-            sigma = {t for s in tau.choices()
-                     if _oriented_in(mid_sys, t := edges_to_side(g, s, side))}
-            back = _pullback_members(g, low_sys, side, sigma)
-            bad = _subset_violation(tau, sorted(back), low_sys.ground)
-            if bad:
-                bad["side"] = side
-                return len(hyps), [bad]
-    return len(hyps), []
-
-
-def _cor_double_shift_sides(g, ctx, k2):
-    """8k side tangle: pulled back to the edges at 2k, pushed forward at k."""
-    hyp_count = 0
-    mid_sys = ctx.system("e", 2 * k2)
-    for side in ("x", "y"):
-        hyps = ctx.hypotheses(side, 8 * k2, "tangle")
-        low_sys = ctx.system(side, k2)
-        hyp_count += len(hyps)
-        for tau in hyps:
-            pulled = _pullback_members(g, mid_sys, side, tau.as_set())
-            image = {t for s in pulled
-                     if _oriented_in(low_sys, t := edges_to_side(g, s, side))}
-            bad = _subset_violation(tau, sorted(image), low_sys.ground)
-            if bad:
-                bad["side"] = side
-                return hyp_count, [bad]
-    return hyp_count, []
+        sides = {"s": side, "o": _OTHER[side]}
+        names = {"e": "e", "s": prefix + side, "o": prefix + _OTHER[side]}
+        h = (names[hyp[0]], hyp[1])
+        prev, leg_steps = h[0], []
+        for op, u, f in steps:
+            u = names[u]
+            leg_steps.append((_pull, u, f, (u, prev)) if op == "pull"
+                             else (_push, u, f, (prev, u)))
+            prev = u
+        legs.append(_Leg((label, side), tuple(sides[s] for s in hints), h,
+                         tuple(leg_steps), all(leg.hyp != h for leg in legs)))
+    return partial(_run_legs, kind=kind, legs=tuple(legs))
 
 
 def _pushforward_containment(g, ctx, k2):
@@ -390,7 +355,8 @@ def _pushforward_containment(g, ctx, k2):
     hyp_count = 0
     for side in ("x", "y"):
         other = _OTHER[side]
-        hyps = ctx.hypotheses(side, 16 * k2, "tangle")
+        ctx.system(side, 16 * k2)
+        hyps = ctx.search(side, 16 * k2, "tangle")
         hyp_count += len(hyps)
         for tau in hyps:
             tset = tau.as_set()
@@ -399,7 +365,7 @@ def _pushforward_containment(g, ctx, k2):
                 s = tau.chosen(tau.system.index[m])
                 t = shift_side(g, s, side)
                 if shift_side(g, t, other) not in tset:
-                    other_ground = g.y if side == "x" else g.x
+                    other_ground = universe_context(g, other)[1]
                     fail = {"kind": "pushforward_escape", "side": side,
                             "member": _sep_dict(low.ground, s),
                             "image": _sep_dict(other_ground, t)}
@@ -408,29 +374,32 @@ def _pushforward_containment(g, ctx, k2):
 
 
 ALL_THEOREMS: dict[str, Callable] = {
-    "shift_tangle": partial(_pullback_theorem, factor=4, kind="tangle"),
-    "double_shift": partial(_double_shift_chain, hyp_factor=16, mid_factor=4,
-                            kind="tangle"),
-    "edges_to_vtx": partial(_edges_to_vtx, kind="tangle"),
-    "vtx_to_edges": partial(_vtx_to_edges, factor=4, kind="tangle"),
-    "cor_double_shift_edges": _cor_double_shift_edges,
-    "cor_double_shift_sides": _cor_double_shift_sides,
-    "shifttangle_weaker": partial(_pullback_theorem, factor=8, kind="tangle"),
-    "double_shift_weaker": partial(_double_shift_chain, hyp_factor=64,
-                                   mid_factor=8, kind="tangle"),
-    "profile_shift": partial(_pullback_theorem, factor=3,
-                             kind="regular_profile"),
+    "shift_tangle": _legs("tangle", ("s", 4), ("pull", "o", 1)),
+    "double_shift": _legs("tangle", ("s", 16), ("pull", "o", 4),
+                          ("pull", "s", 1)),
+    "edges_to_vtx": _legs("tangle", ("e", 2), ("push", "s", 1),
+                          label="target", hints="s"),
+    "vtx_to_edges": _legs("tangle", ("s", 4), ("pull", "e", 1)),
+    "cor_double_shift_edges": _legs("tangle", ("e", 8), ("push", "s", 4),
+                                    ("pull", "e", 1), hints="s"),
+    "cor_double_shift_sides": _legs("tangle", ("s", 8), ("pull", "e", 2),
+                                    ("push", "s", 1)),
+    "shifttangle_weaker": _legs("tangle", ("s", 8), ("pull", "o", 1)),
+    "double_shift_weaker": _legs("tangle", ("s", 64), ("pull", "o", 8),
+                                 ("pull", "s", 1)),
+    "profile_shift": _legs("regular_profile", ("s", 3), ("pull", "o", 1)),
     # the displayed chain restricts both steps to order k
-    "profile_double_shift": partial(_double_shift_chain, hyp_factor=9,
-                                    mid_factor=1, kind="regular_profile"),
-    "profile_edges_to_vtx": partial(_edges_to_vtx, kind="regular_profile"),
-    "profile_vtx_to_edges": partial(_vtx_to_edges, factor=3,
-                                    kind="regular_profile"),
+    "profile_double_shift": _legs("regular_profile", ("s", 9),
+                                  ("pull", "o", 1), ("pull", "s", 1)),
+    "profile_edges_to_vtx": _legs("regular_profile", ("e", 2),
+                                  ("push", "s", 1), label="target", hints="s"),
+    "profile_vtx_to_edges": _legs("regular_profile", ("s", 3),
+                                  ("pull", "e", 1)),
     "pushforward_containment": _pushforward_containment,
-    "partition_shift": partial(_pullback_theorem, factor=4, kind="tangle",
-                               prefix="b"),
-    "partition_double_shift": partial(_double_shift_chain, hyp_factor=16,
-                                      mid_factor=4, kind="tangle", prefix="b"),
+    "partition_shift": _legs("tangle", ("s", 4), ("pull", "o", 1),
+                             hints="so", prefix="b"),
+    "partition_double_shift": _legs("tangle", ("s", 16), ("pull", "o", 4),
+                                    ("pull", "s", 1), hints="so", prefix="b"),
 }
 
 

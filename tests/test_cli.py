@@ -326,13 +326,31 @@ def test_cap_exceeded_exit(capsys):
       "--cap-seps", "3"), "--cap-seps"),
     (("homology", "--generator", "random", "--k2", "1", "--decider-bound",
       "-1"), "--decider-bound"),
+    # graph options that no source reads
+    (("verify", "--corpus", "--input", "{missing}", "--name", "foo",
+      "--seed", "9", "--k2", "1", "--theorem", "shift_tangle"), "--input"),
+    (("verify", "--corpus", "--name", "foo", "--k2", "1",
+      "--theorem", "shift_tangle"), "--name"),
+    (("order", "--input", "{good_csv}", "--seed", "3", "--a", "a",
+      "--b", "b"), "--seed"),
+    (("order", "--input", "{good_csv}", "--generator", "random",
+      "--a", "a", "--b", "b"), "--generator"),
+    (("tangles", "--generator", "random", "--blocks", "2x2", "--k2", "1"),
+     "--blocks is not read by --generator random"),
+    (("tangles", "--generator", "planted", "--p", "0.3", "--k2", "1"),
+     "--p is not read by --generator planted"),
 ], ids=["blocks", "k2", "missing-input", "bad-json", "theorem", "p", "nx",
         "verify-member-cap", "tangles-member-cap", "ground-cap",
-        "enumerate-format", "order-format", "cap-seps", "decider-bound"])
+        "enumerate-format", "order-format", "cap-seps", "decider-bound",
+        "corpus-input", "corpus-name", "input-seed", "input-generator",
+        "random-blocks", "planted-p"])
 def test_input_fault_is_usage_error(argv, named, tmp_path, capsys):
     bad_json = tmp_path / "g.json"
     bad_json.write_text('{"x": ["x1"], ')
-    argv = [a.format(missing=tmp_path / "absent.csv", bad_json=bad_json)
+    good_csv = tmp_path / "tx.csv"
+    good_csv.write_text("group,member\np1,a\np1,b\np2,b\n")
+    argv = [a.format(missing=tmp_path / "absent.csv", bad_json=bad_json,
+                     good_csv=good_csv)
             for a in argv]
     try:
         code = main(argv)

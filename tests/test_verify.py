@@ -4,8 +4,10 @@ import gc
 
 import pytest
 
-from sepdual import from_edges
-from sepdual.tangles import DEFAULT_MEMBER_CAP, LowOrderSystem
+import sepdual.verify as verify
+from sepdual import Sep, from_edges, gen_random
+from sepdual.separations import DEFAULT_PARTITION_CAP, DEFAULT_SEP_CAP
+from sepdual.tangles import DEFAULT_EDGE_CAP, DEFAULT_MEMBER_CAP, LowOrderSystem
 from sepdual.verify import (
     ALL_THEOREMS,
     TheoremCase,
@@ -79,6 +81,47 @@ def test_witness_revalidation_runs():
     assert case.witness is not None
     member = case.witness["member"]
     assert set(member) == {"a", "b"}
+
+
+def test_push_leg_totality_witness_is_revalidated(monkeypatch):
+    # a corpus case whose push-leg witness is not_total: the bottom
+    # separation of X is not the image of any edge separation in the tangle
+    case = run_theorem("edges_to_vtx", gen_random(2, 2, 0.3, 100), 1,
+                       "random-2x2-p03-s100")
+    assert case.outcome == "degenerate"
+    assert case.witness["kind"] == "not_total"
+    assert case.witness["target"] == "x"
+    g = gen_random(2, 2, 0.3, 100)
+    member = case.witness["member"]
+    wrong = Sep(g.x.mask(member["a"]), g.x.mask(member["b"]))
+    # a set-based map that sends everything onto the witness contradicts it
+    monkeypatch.setattr(verify, "_set_map", lambda g, source, dest, s: wrong)
+    with pytest.raises(AssertionError, match="re-validation"):
+        run_theorem("edges_to_vtx", g, 1, "random-2x2-p03-s100")
+
+
+#: The universe of the first system each theorem asks for: the hypothesis
+#: system of its first leg.
+FIRST_SYSTEM = {theorem: "x" for theorem in ALL_THEOREMS}
+FIRST_SYSTEM.update(edges_to_vtx="e", profile_edges_to_vtx="e",
+                    cor_double_shift_edges="e", partition_shift="bx",
+                    partition_double_shift="bx")
+
+
+def test_capped_note_names_the_first_system_of_the_legs():
+    """With every ground set over its cap, the first system asked for trips
+    first, so the note names the hypothesis universe of the first leg."""
+    g = gen_random(21, 22, 0.05, 1)
+    caps = {"x": (g.x.n, DEFAULT_SEP_CAP), "bx": (g.x.n, DEFAULT_PARTITION_CAP),
+            "e": (g.n_edges, DEFAULT_EDGE_CAP)}
+    assert all(n > cap for n, cap in caps.values())
+    for theorem, universe in FIRST_SYSTEM.items():
+        n, cap = caps[universe]
+        for k2 in (1, 4):
+            case = run_theorem(theorem, g, k2, "over-caps")
+            assert case.outcome == "capped", theorem
+            assert case.note == (f"universe {universe!r} has {n} elements, "
+                                 f"over cap {cap}"), theorem
 
 
 def test_corpus_shape():
