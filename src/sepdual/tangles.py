@@ -29,11 +29,12 @@ Memo invariant: all that is kept about one (graph, universe) is one
 ``_Memo`` at ``g._cache[universe]``, touched by this module only: the sorted
 scan (doubled orders and plain ``(a, b)`` int pairs, which the garbage
 collector stops tracking), the top order, the empty-prefix point per kind,
-and the systems and searches kept through ``kept_system`` and
-``kept_search``.  S_k is the prefix of the scan of order below k, so all
-systems of a universe share the same pair objects and a system is fixed by
-its member count.  ``Sep`` is built only where a separation leaves the
-module (``Orientation.chosen`` and the witnesses of the checks).
+and the systems (per threshold) and searches (per member count and kind,
+not per member cap) kept through ``kept_system`` and ``kept_search``.  S_k
+is the prefix of the scan of order below k, so all systems of a universe
+share the same pair objects and a system is fixed by its member count.
+``Sep`` is built only where a separation leaves the module
+(``Orientation.chosen`` and the witnesses of the checks).
 
 Empty-prefix shortcut: once the search over the first n members of a
 universe finds nothing, ``enumerate_tangles`` returns no result for any
@@ -77,7 +78,7 @@ class _Memo:
         self.scan = self.max2 = None
         self.empty_from = {}  # kind -> smallest member count searched empty
         self.systems = {}  # k2 -> kept S_k
-        self.found = {}  # (k2, kind, member_cap) -> kept search result
+        self.found = {}  # (member count, kind) -> kept search result
 
 
 def _memo(g: BipartiteGraph, universe: str) -> _Memo:
@@ -493,12 +494,14 @@ def kept_system(g: BipartiteGraph, universe: str, k2: int) -> LowOrderSystem:
 
 def kept_search(g: BipartiteGraph, universe: str, k2: int, kind: str,
                 member_cap: int) -> tuple[Orientation, ...]:
-    """The search of the kept S_k, kept as a tuple; with the cap in the key, a
-    smaller cap still trips, and a search that trips is not kept."""
+    """The search of the kept S_k, kept as a tuple per (member count, kind);
+    a system over the cap is searched again, so the cap trips as usual."""
+    system = kept_system(g, universe, k2)
     found = _memo(g, universe).found
-    key = (k2, kind, member_cap)
-    if key not in found:
+    n = len(system)
+    key = (n, kind)
+    if n > member_cap or key not in found:
         found[key] = tuple(enumerate_tangles(
-            g, universe, HalfInt(k2), kind=kind, member_cap=member_cap,
-            system=kept_system(g, universe, k2)))
+            g, universe, system.k, kind=kind, member_cap=member_cap,
+            system=system))
     return found[key]

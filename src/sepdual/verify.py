@@ -35,9 +35,9 @@ from typing import Callable, Iterable, NamedTuple, Optional
 from . import __version__ as _pkg_version
 from .bigraph import BipartiteGraph, from_edges, gen_planted, gen_random
 from .errors import CapExceeded
-from .orders import HalfInt, universe_context
+from .orders import universe_context
 from .separations import Sep
-from .shifts import _OTHER, shift_side, universe_map
+from .shifts import _OTHER, universe_map
 from .tangles import (
     DEFAULT_MEMBER_CAP,
     LowOrderSystem,
@@ -172,14 +172,6 @@ def _set_map(g: BipartiteGraph, source: str, dest: str, s: Sep) -> Sep:
                 d |= 1 << j
         return Sep(c, d)
     raise ValueError(f"no set-based map from {source!r} to {dest!r}")
-
-
-def _revalidate_totality(g, source, dest, member: Sep, tau_set, status) -> bool:
-    """Re-check a totality failure with the set-based map recomputation."""
-    a, b = member
-    hits = sum(1 for s in (member, (b, a))
-               if _set_map(g, source, dest, s) in tau_set)
-    return hits == 0 if status == "none" else hits == 2
 
 
 # -- shared checking machinery ----------------------------------------------
@@ -358,13 +350,19 @@ def _pushforward_containment(g, ctx, k2):
         ctx.system(side, 16 * k2)
         hyps = ctx.search(side, 16 * k2, "tangle")
         hyp_count += len(hyps)
+        if not hyps:
+            continue
+        # S_k is a prefix of every hypothesis system, which may be kept at
+        # any threshold with as many members as S_16k, so member i of S_k
+        # is member i of tau's system
+        low = kept_system(g, side, k2)
+        there, back = universe_map(g, side, other), universe_map(g, other, side)
         for tau in hyps:
             tset = tau.as_set()
-            low = tau.system.restricted(HalfInt(k2))
-            for m in low.members:
-                s = tau.chosen(tau.system.index[m])
-                t = shift_side(g, s, side)
-                if shift_side(g, t, other) not in tset:
+            for i in range(len(low.members)):
+                s = tau.chosen(i)
+                t = there(s)
+                if back(t) not in tset:
                     other_ground = universe_context(g, other)[1]
                     fail = {"kind": "pushforward_escape", "side": side,
                             "member": _sep_dict(low.ground, s),

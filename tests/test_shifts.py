@@ -24,7 +24,9 @@ from sepdual import (
     shift_partition,
     shift_side,
 )
-from sepdual.shifts import universe_map
+from sepdual.orders import universe_context
+from sepdual.shifts import _PAIRS, universe_map
+from sepdual.verify import _set_map, corpus
 
 
 def test_shift_side_examples(m2, k22):
@@ -180,6 +182,43 @@ def test_universe_map_kinds(m2, k22, path3):
     for source, dest in (("x", "x"), ("e", "e"), ("bx", "y"), ("e", "bx")):
         with pytest.raises(SideMismatch):
             universe_map(m2, source, dest)
+
+
+def _edges_of(g, side, mask):
+    """E(A) from label sets: the edges whose endpoint on ``side`` is in A."""
+    ground = universe_context(g, side)[1]
+    labels = set(ground.members(mask))
+    end = 0 if side == "x" else 1
+    return g.edges.mask(e for e in g.edges.labels if e[end] in labels)
+
+
+def test_every_map_matches_label_set_oracles():
+    """Every pair universe_map accepts, on every corpus graph and every
+    separation of its source (edge sources on graphs of at most 6 edges)."""
+    checked = set()
+    for name, g in corpus():
+        for source, dest in _PAIRS:
+            ground = universe_context(g, source)[1]
+            if source == "e" and ground.n > 6:
+                continue
+            mode = "partitions_only" if source[0] == "b" else "all_separations"
+            fn = universe_map(g, source, dest)
+            for s in enumerate_seps(ground, mode):
+                if dest == "e":
+                    want = Sep(_edges_of(g, source, s.a), _edges_of(g, source, s.b))
+                else:
+                    want = _set_map(g, source, dest, s)
+                assert fn(s) == want, (name, source, dest, s)
+            checked.add((source, dest))
+    assert checked == set(_PAIRS)
+
+
+def test_sep_to_edges_of_a_non_cover_ties_uncovered_edges(path3):
+    # x2 is in neither side, so its edges x2-y1 and x2-y2 tie and land on both
+    e = path3.edges
+    x1 = e.mask([("x1", "y1")])
+    x2 = e.mask([("x2", "y1"), ("x2", "y2")])
+    assert sep_to_edges(path3, Sep(0b01, 0), "x") == Sep(x1 | x2, x2)
 
 
 def test_pull_back_families(m2):

@@ -7,7 +7,8 @@ import pytest
 import sepdual.verify as verify
 from sepdual import Sep, from_edges, gen_random
 from sepdual.separations import DEFAULT_PARTITION_CAP, DEFAULT_SEP_CAP
-from sepdual.tangles import DEFAULT_EDGE_CAP, DEFAULT_MEMBER_CAP, LowOrderSystem
+from sepdual.tangles import (DEFAULT_EDGE_CAP, DEFAULT_MEMBER_CAP, LowOrderSystem,
+                             kept_search, kept_system)
 from sepdual.verify import (
     ALL_THEOREMS,
     TheoremCase,
@@ -209,6 +210,30 @@ def test_kept_search_never_skips_a_smaller_cap(caps):
         fresh = run_theorem("edges_to_vtx", complete(3, 3), 3, "k33",
                             member_cap=cap)
         assert case.to_dict() == fresh.to_dict()
+
+
+def test_kept_search_is_keyed_by_member_count_and_kind():
+    g = complete(3, 3)
+    # S_k over x has 4 members at doubled thresholds 4, 5 and 6
+    assert {len(kept_system(g, "x", k2)) for k2 in (4, 5, 6)} == {4}
+    for kind in ("tangle", "regular_profile"):
+        first = kept_search(g, "x", 4, kind, DEFAULT_MEMBER_CAP)
+        for k2 in (5, 6):
+            assert kept_search(g, "x", k2, kind, DEFAULT_MEMBER_CAP) is first
+        assert kept_search(g, "x", 4, kind, 256) is first
+    assert sorted(g._cache["x"].found) == [(4, "regular_profile"), (4, "tangle")]
+
+
+def test_reused_search_leaves_pushforward_unchanged():
+    """A search reused from a lower threshold holds orientations of that
+    threshold's system; the push-forward must still read S_k at its own k."""
+    g = gen_random(1, 1, 0.3, 0)
+    for k2 in (1, 2):
+        for theorem in ALL_THEOREMS:
+            run_theorem(theorem, g, k2, "g")
+    case = run_theorem("pushforward_containment", g, 5, "g")
+    fresh = run_theorem("pushforward_containment", gen_random(1, 1, 0.3, 0), 5, "g")
+    assert case.to_dict() == fresh.to_dict()
 
 
 def test_kept_state_is_freed_with_its_graph():
