@@ -17,32 +17,37 @@ A consequence worth knowing: every tangle is a regular profile.
 Enumeration is exhaustive backtracking over members sorted by order, with
 incremental violation pruning; violations are monotone under extension, so
 pruned subtrees can contain no result.  The search keeps, beside the chosen
-orientations, exactly what the next member is tested against: the unions
-of first sides of chosen pairs for tangles; for regular profiles the set
-``picked`` of chosen orientations and a counted map ``closes`` of the
-inverted suprema of chosen pairs (pairs taken with repetition).  Adding an
-orientation pushes its entries, backtracking pops exactly those, so a test
-costs O(|chosen|) on masks; ``check_tangle`` and ``check_profile`` stay the
-reference the search is tested against.
+orientations, exactly what the next member is tested against: the set
+``pair_unions`` of the distinct unions of first sides of chosen pairs for
+tangles; for regular profiles the set ``picked`` of chosen orientations and
+the set ``closes`` of the inverted suprema of chosen pairs (pairs taken
+with repetition).  Adding an orientation pushes its entries that are not
+held yet, backtracking pops exactly those, so a test costs O(|chosen|) on
+masks; ``check_tangle`` and ``check_profile`` stay the reference the search
+is tested against.
 
 Memo invariant: all that is kept about one (graph, universe) is one
 ``_Memo`` at ``g._cache[universe]``, touched by this module only: the sorted
 scan (doubled orders and plain ``(a, b)`` int pairs, which the garbage
-collector stops tracking), the top order, the empty-prefix point per kind,
-and the systems (per threshold) and searches (per member count and kind,
-not per member cap) kept through ``kept_system`` and ``kept_search``.  S_k
-is the prefix of the scan of order below k, so all systems of a universe
-share the same pair objects and a system is fixed by its member count.
-``Sep`` is built only where a separation leaves the module
-(``Orientation.chosen`` and the witnesses of the checks).
+collector stops tracking), the top order, the prefix record, and the
+systems (per threshold) kept through ``kept_system``.  S_k is the prefix of
+the scan of order below k, so all systems of a universe share the same pair
+objects and a system is fixed by its member count.  ``Sep`` is built only
+where a separation leaves the module (``Orientation.chosen`` and the
+witnesses of the checks).
 
-Empty-prefix shortcut: once the search over the first n members of a
-universe finds nothing, ``enumerate_tangles`` returns no result for any
-system of that universe with n or more members.  This is exact because
-both conditions only ever relate chosen members to each other, so
-restricting a tangle (or regular profile) of a system to a prefix of its
-members gives a tangle (or regular profile) of that prefix; the search's
-own pruning rests on the same fact.
+Prefix record: each search ``enumerate_tangles`` runs is recorded per
+(member count, kind) as the tuple of its results' ``forward`` tuples, and a
+repeat is answered from the record, wrapped in the caller's system.  A new
+member count n resumes from the largest recorded m < n of its kind: if m has
+no result neither has n, else m's results are replayed as pushes and the
+search goes on from member m.  This is exact because both conditions only
+relate chosen members to each other, so a tangle (or regular profile)
+restricted to a prefix of its system's members is one of that prefix; the
+search's own pruning rests on the same fact.  So the depth-first search
+reaches depth m exactly at m's results, in the order m's search listed them,
+and resuming from them in that order keeps the order of a search from
+member 0.
 """
 
 from __future__ import annotations
@@ -72,13 +77,12 @@ DEFAULT_MEMBER_CAP = 24
 class _Memo:
     """What is kept per (graph, universe); see the module docstring."""
 
-    __slots__ = ("scan", "max2", "empty_from", "systems", "found")
+    __slots__ = ("scan", "max2", "record", "systems")
 
     def __init__(self):
         self.scan = self.max2 = None
-        self.empty_from = {}  # kind -> smallest member count searched empty
+        self.record = {}  # (member count, kind) -> forward tuples of the results
         self.systems = {}  # k2 -> kept S_k
-        self.found = {}  # (member count, kind) -> kept search result
 
 
 def _memo(g: BipartiteGraph, universe: str) -> _Memo:
@@ -142,15 +146,15 @@ class LowOrderSystem:
     Members are plain ``(a, b)`` int pairs (not ``Sep``), canonical
     (lexicographically smaller orientation first), deduplicated, and sorted
     by (order, first mask, second mask).  The top separation (full, full) is
-    never a member.  A system holds the empty-prefix record of its (graph,
+    never a member.  A system holds the prefix record of its (graph,
     universe), not the graph, so nothing a graph keeps refers back to it.
     """
 
-    __slots__ = ("empty_from", "universe", "k2", "ground", "members", "orders2",
+    __slots__ = ("record", "universe", "k2", "ground", "members", "orders2",
                  "_index")
 
-    def __init__(self, empty_from, universe, k2, ground, members, orders2):
-        self.empty_from = empty_from
+    def __init__(self, record, universe, k2, ground, members, orders2):
+        self.record = record
         self.universe = universe
         self.k2 = k2
         self.ground = ground
@@ -178,7 +182,7 @@ class LowOrderSystem:
         if k2 > self.k2:
             raise ValueError("restriction threshold exceeds the system threshold")
         cut = bisect_left(self.orders2, k2)
-        return LowOrderSystem(self.empty_from, self.universe, k2, self.ground,
+        return LowOrderSystem(self.record, self.universe, k2, self.ground,
                               self.members[:cut], self.orders2[:cut])
 
     def __repr__(self) -> str:
@@ -194,7 +198,7 @@ def build_system(g: BipartiteGraph, universe: str, k,
     _check_ground_cap(universe, ground.n, partitions_only, cap)
     orders2, members = _scan(g, universe)
     cut = bisect_left(orders2, k2)
-    return LowOrderSystem(_memo(g, universe).empty_from, universe, k2, ground,
+    return LowOrderSystem(_memo(g, universe).record, universe, k2, ground,
                           members[:cut], orders2[:cut])
 
 
@@ -361,25 +365,10 @@ def enumerate_tangles(g: BipartiteGraph, universe: str, k,
     search tree covers all 2^n orientations, and pruned branches are exactly
     those whose partial choice already violates the (monotone) conditions,
     so the result list is complete.  Deterministic order: forward choice
-    explored first at every member.  A system at least as large as a prefix
-    whose search came back empty has no result either (see the module
-    docstring) and is not searched again.
-
-    Search state.  ``chosen`` lists the orientations picked so far as plain
-    ``(a, b)`` pairs: each member is tried as itself and as its inverse
-    ``(b, a)``, built inline, so the search makes no ``Sep``.  For tangles,
-    ``pair_unions`` holds ``t.a | u.a`` over chosen multisets {t, u} of size
-    at most 2.  For regular profiles, ``picked`` is the set of chosen
-    orientations and ``closes`` counts the pairs
-    ``inverse(sup(t, u)) = (t.b & u.b, t.a | u.a)`` over chosen multisets
-    {t, u}.  Invariant: ``push(s)`` adds s and exactly the |chosen| + 1
-    entries that pair s with a chosen member or with itself, and returns
-    them as a token; ``pop(token)`` removes exactly those, so after each
-    ``pop`` the state equals the one before the matching ``push``.  Every
-    test of ``ok_to_add(s)`` then touches only pairs involving s, O(|chosen|)
-    work on plain masks.  One order test per chosen t suffices for
-    condition (i) of ``check_profile``: inversion reverses the order, so
-    ``inverse(t) <= s`` and ``inverse(s) <= t`` are the same condition.
+    explored first at every member.  The member cap is checked first; then
+    the prefix record answers a repeat or resumes the search (see the module
+    docstring).  Results are orientations of ``system`` (S_k of ``g`` when
+    it is None), whichever search found them.
     """
     if kind not in ("tangle", "regular_profile"):
         raise ValueError(f"kind must be 'tangle' or 'regular_profile', got {kind!r}")
@@ -388,19 +377,52 @@ def enumerate_tangles(g: BipartiteGraph, universe: str, k,
     n = len(system.members)
     if n > member_cap:
         raise CapExceeded(f"system has {n} members, over member cap {member_cap}")
-    # smallest member count of this universe whose search found nothing
-    empty_from = system.empty_from
-    if n >= empty_from.get(kind, n + 1):
-        return []
+    record = system.record
+    found = record.get((n, kind))
+    if found is None:
+        # with no prefix searched yet, seed with the one orientation of none
+        m = max((j for j, kd in record if kd == kind and j < n), default=0)
+        seeds = record.get((m, kind), ((),))
+        found = record[n, kind] = _search(system, kind, m, seeds) if seeds else ()
+    return [Orientation(system, forward) for forward in found]
 
+
+def _search(system: LowOrderSystem, kind: str, m: int,
+            seeds: tuple[tuple[bool, ...], ...]) -> tuple[tuple[bool, ...], ...]:
+    """The ``forward`` tuples of the results of ``system``, in search order,
+    resumed at member m from ``seeds``, the results of the first m members.
+
+    Search state.  ``chosen`` lists the orientations picked so far as plain
+    ``(a, b)`` pairs: each member is tried as itself and as its inverse
+    ``(b, a)``, built inline, so the search makes no ``Sep``.  For tangles,
+    ``pair_unions`` is the set of ``t.a | u.a`` over chosen multisets {t, u}
+    of size at most 2.  For regular profiles, ``picked`` is the set of
+    chosen orientations and ``closes`` the set of
+    ``inverse(sup(t, u)) = (t.b & u.b, t.a | u.a)`` over chosen multisets
+    {t, u}.  Invariant: ``push(s)`` adds s and those of the |chosen| + 1
+    entries pairing s with a chosen member or with itself that the set does
+    not hold yet, and returns them as a token; ``pop(token)`` removes
+    exactly those, so after each ``pop`` the state equals the one before the
+    matching ``push`` (pushes and pops nest).  Every test of ``ok_to_add(s)``
+    then touches only pairs involving s, O(|chosen|) work on plain masks.
+    One order test per chosen t suffices for condition (i) of
+    ``check_profile``: inversion reverses the order, so ``inverse(t) <= s``
+    and ``inverse(s) <= t`` are the same condition.
+
+    Resume.  Seeds are replayed as pushes without tests, popping back only
+    to the first member where a seed differs from the one before, so a
+    resume pushes no more than a search from member 0 would.
+    """
+    members = system.members
+    n = len(members)
     full = system.ground.full
-    results: list[Orientation] = []
+    results: list[tuple[bool, ...]] = []
     forward = [True] * n
     chosen: list[tuple[int, int]] = []
 
     if kind == "tangle":
         # pair_unions holds a|b over all chosen multisets of size <= 2
-        pair_unions: list[int] = []
+        pair_unions: set[int] = set()
 
         def ok_to_add(s: tuple[int, int]) -> bool:
             sa = s[0]
@@ -411,21 +433,22 @@ def enumerate_tangles(g: BipartiteGraph, universe: str, k,
                     return False
             return True
 
-        def push(s: tuple[int, int]) -> int:
+        def push(s: tuple[int, int]) -> set[int]:
             sa = s[0]
-            added = [ta | sa for ta, _ in chosen]
-            added.append(sa)
-            pair_unions.extend(added)
+            added = {ta | sa for ta, _ in chosen}
+            added.add(sa)
+            added -= pair_unions
+            pair_unions.update(added)
             chosen.append(s)
-            return len(added)
+            return added
 
-        def pop(count: int) -> None:
-            del pair_unions[-count:]
+        def pop(added: set[int]) -> None:
+            pair_unions.difference_update(added)
             chosen.pop()
 
     else:
         picked: set[tuple[int, int]] = set()
-        closes: dict[tuple[int, int], int] = {}
+        closes: set[tuple[int, int]] = set()
 
         def ok_to_add(s: tuple[int, int]) -> bool:
             sa, sb = s
@@ -443,45 +466,47 @@ def enumerate_tangles(g: BipartiteGraph, universe: str, k,
                     return False
             return True
 
-        def push(s: tuple[int, int]) -> list[tuple[int, int]]:
+        def push(s: tuple[int, int]) -> set[tuple[int, int]]:
             sa, sb = s
-            added = [(tb & sb, ta | sa) for ta, tb in chosen]
-            added.append((sb, sa))
-            for key in added:
-                closes[key] = closes.get(key, 0) + 1
+            added = {(tb & sb, ta | sa) for ta, tb in chosen}
+            added.add((sb, sa))
+            added -= closes
+            closes.update(added)
             picked.add(s)
             chosen.append(s)
             return added
 
-        def pop(added: list[tuple[int, int]]) -> None:
-            for key in added:
-                count = closes[key] - 1
-                if count:
-                    closes[key] = count
-                else:
-                    del closes[key]
+        def pop(added: set[tuple[int, int]]) -> None:
+            closes.difference_update(added)
             picked.remove(chosen.pop())
-
-    members = system.members
 
     def rec(i: int) -> None:
         if i == n:
-            results.append(Orientation(system, tuple(forward)))
+            results.append(tuple(forward))
             return
-        m = members[i]
-        a, b = m
-        for val, s in ((True, m), (False, (b, a))):
+        member = members[i]
+        a, b = member
+        for val, s in ((True, member), (False, (b, a))):
             if ok_to_add(s):
                 forward[i] = val
                 token = push(s)
                 rec(i + 1)
                 pop(token)
 
-    rec(0)
+    tokens = []  # push tokens of the replayed seed, one per prefix member
+    for seed in seeds:
+        d = 0
+        while d < len(tokens) and seed[d] == forward[d]:
+            d += 1
+        while len(tokens) > d:
+            pop(tokens.pop())
+        for i in range(d, m):
+            a, b = member = members[i]
+            forward[i] = val = seed[i]
+            tokens.append(push(member if val else (b, a)))
+        rec(m)
     del rec  # it refers to itself; unbound, the search leaves no cycle behind
-    if not results:
-        empty_from[kind] = n
-    return results
+    return tuple(results)
 
 
 def kept_system(g: BipartiteGraph, universe: str, k2: int) -> LowOrderSystem:
@@ -490,18 +515,3 @@ def kept_system(g: BipartiteGraph, universe: str, k2: int) -> LowOrderSystem:
     if k2 not in systems:
         systems[k2] = build_system(g, universe, HalfInt(k2))
     return systems[k2]
-
-
-def kept_search(g: BipartiteGraph, universe: str, k2: int, kind: str,
-                member_cap: int) -> tuple[Orientation, ...]:
-    """The search of the kept S_k, kept as a tuple per (member count, kind);
-    a system over the cap is searched again, so the cap trips as usual."""
-    system = kept_system(g, universe, k2)
-    found = _memo(g, universe).found
-    n = len(system)
-    key = (n, kind)
-    if n > member_cap or key not in found:
-        found[key] = tuple(enumerate_tangles(
-            g, universe, system.k, kind=kind, member_cap=member_cap,
-            system=system))
-    return found[key]

@@ -35,7 +35,7 @@ from typing import Callable, Iterable, NamedTuple, Optional
 from . import __version__ as _pkg_version
 from .bigraph import BipartiteGraph, from_edges, gen_planted, gen_random
 from .errors import CapExceeded
-from .orders import universe_context
+from .orders import HalfInt, universe_context
 from .separations import Sep
 from .shifts import _OTHER, universe_map
 from .tangles import (
@@ -45,7 +45,7 @@ from .tangles import (
     check_profile,
     check_regular,
     check_tangle,
-    kept_search,
+    enumerate_tangles,
     kept_system,
     max_order2,
 )
@@ -94,8 +94,10 @@ class _Ctx:
                 f"system over {universe!r} at doubled order {j2} is its whole universe")
         return sys
 
-    def search(self, universe: str, j2: int, kind: str) -> tuple[Orientation, ...]:
-        return kept_search(self.g, universe, j2, kind, self.member_cap)
+    def search(self, universe: str, j2: int, kind: str) -> list[Orientation]:
+        return enumerate_tangles(self.g, universe, HalfInt(j2), kind,
+                                 member_cap=self.member_cap,
+                                 system=kept_system(self.g, universe, j2))
 
     def isolated_hint(self, side: str) -> None:
         adj = self.g.adj_x if side == "x" else self.g.adj_y
@@ -352,9 +354,8 @@ def _pushforward_containment(g, ctx, k2):
         hyp_count += len(hyps)
         if not hyps:
             continue
-        # S_k is a prefix of every hypothesis system, which may be kept at
-        # any threshold with as many members as S_16k, so member i of S_k
-        # is member i of tau's system
+        # S_k is a prefix of tau's system S_16k, so member i of S_k is
+        # member i of tau's system
         low = kept_system(g, side, k2)
         there, back = universe_map(g, side, other), universe_map(g, other, side)
         for tau in hyps:

@@ -11,7 +11,7 @@ from oracles import (
     order_partition_oracle,
     order_side_oracle,
 )
-from sepdual import _kernels
+from sepdual import _kernels, tangles
 from sepdual import (
     BipartiteGraph,
     CapExceeded,
@@ -29,12 +29,12 @@ from sepdual import (
     enumerate_tangles,
     from_dict,
     gen_planted,
+    gen_random,
     is_regular_profile,
     restrict,
 )
 from sepdual.orders import UNIVERSES, order2_of, universe_context
-from sepdual.tangles import (DEFAULT_MEMBER_CAP, kept_search, kept_system,
-                             max_order2)
+from sepdual.tangles import DEFAULT_MEMBER_CAP, kept_system, max_order2
 from sepdual.verify import even_cycle
 
 
@@ -179,7 +179,7 @@ def test_profile_engine_matches_naive_across_corpus():
 def _hand_built_system(rng):
     """A system of 2-6 random distinct canonical members over 2-4 elements,
     top separation excluded, in random order, and its graph; a fresh
-    empty-prefix record each time so none carries over between systems."""
+    prefix record each time so none carries over between systems."""
     n = rng.randint(2, 4)
     full = (1 << n) - 1
     g = BipartiteGraph(range(n), [], [])
@@ -467,23 +467,86 @@ def test_empty_prefix_recorded_on_system_graph(m2, k22):
     assert [o.forward for o in enumerate_tangles(other, "e", k)] == expected
 
 
-def test_memo_keyed_by_universe_and_filled_only_by_kept_helpers(k33):
+def test_memo_keyed_by_universe_keeps_systems_only_through_kept_system(k33):
     for universe in UNIVERSES:
         for kind in ("tangle", "regular_profile"):
             enumerate_tangles(k33, universe, HalfInt(2), kind=kind)
     assert sorted(k33._cache) == sorted(UNIVERSES)
-    # build_system and enumerate_tangles keep no system or result
-    assert not any(m.systems or m.found for m in k33._cache.values())
+    # build_system and enumerate_tangles keep no system; every search they
+    # ran is in its universe's record
+    for universe, memo in k33._cache.items():
+        assert not memo.systems
+        n = len(build_system(k33, universe, HalfInt(2)))
+        assert sorted(memo.record) == [(n, "regular_profile"), (n, "tangle")]
     sys = kept_system(k33, "e", 3)
     assert kept_system(k33, "e", 3) is sys
     assert sys.members == build_system(k33, "e", HalfInt(3)).members
-    found = kept_search(k33, "e", 3, "tangle", DEFAULT_MEMBER_CAP)
-    assert kept_search(k33, "e", 3, "tangle", DEFAULT_MEMBER_CAP) is found
-    assert all(o.system is sys for o in found)
-    assert [o.forward for o in found] == [
-        o.forward for o in enumerate_tangles(_copy(k33), "e", HalfInt(3))]
-    with pytest.raises(CapExceeded):
-        kept_search(k33, "e", 3, "tangle", len(sys) - 1)
     with pytest.raises(ValueError):
         max_order2(k33, "z")
     assert "z" not in k33._cache
+
+
+def test_prefix_record_is_keyed_by_member_count_and_kind(k33, monkeypatch):
+    searched = []
+    search = tangles._search
+    monkeypatch.setattr(tangles, "_search",
+                        lambda *args: searched.append(args[1]) or search(*args))
+    # S_k over x has 4 members at doubled thresholds 4, 5 and 6
+    assert {len(build_system(k33, "x", HalfInt(k2))) for k2 in (4, 5, 6)} == {4}
+    for kind in ("tangle", "regular_profile"):
+        first = enumerate_tangles(k33, "x", HalfInt(4), kind=kind)
+        for k2 in (5, 6):
+            sys = build_system(k33, "x", HalfInt(k2))
+            hit = enumerate_tangles(k33, "x", HalfInt(k2), kind=kind, system=sys)
+            assert [o.forward for o in hit] == [o.forward for o in first]
+            assert all(o.system is sys for o in hit)
+        # the cap trips before the record is read
+        with pytest.raises(CapExceeded, match="4 members, over member cap 3"):
+            enumerate_tangles(k33, "x", HalfInt(4), kind=kind, member_cap=3)
+    assert searched == ["tangle", "regular_profile"]
+    record = k33._cache["x"].record
+    assert sorted(record) == [(4, "regular_profile"), (4, "tangle")]
+    assert record[4, "regular_profile"] == tuple(o.forward for o in first)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_resumed_search_equals_fresh_search(seed, monkeypatch):
+    """Ascending, descending and shuffled thresholds on one graph each: a
+    search resumed from what the graph's record holds must list the same
+    results in the same order as a search of a fresh copy and, up to 12
+    members, as the naive filter."""
+    prefixes = []
+    search = tangles._search
+    monkeypatch.setattr(tangles, "_search",
+                        lambda *args: prefixes.append(args[2]) or search(*args))
+    g = gen_random(4, 4, 0.6, seed)
+    k2s = list(range(1, 13))
+    shuffled = k2s[:]
+    random.Random(seed).shuffle(shuffled)
+    fresh, naive = {}, {}
+    for order in (k2s, k2s[::-1], shuffled):
+        shared = _copy(g)
+        for universe in UNIVERSES:
+            for kind in ("tangle", "regular_profile"):
+                for k2 in order:
+                    sys = build_system(shared, universe, HalfInt(k2))
+                    if len(sys) > DEFAULT_MEMBER_CAP:
+                        with pytest.raises(CapExceeded):
+                            enumerate_tangles(shared, universe, 0, kind, system=sys)
+                        continue
+                    got = enumerate_tangles(shared, universe, 0, kind, system=sys)
+                    assert all(o.system is sys for o in got)
+                    got = [o.forward for o in got]
+                    key = (universe, kind, len(sys))
+                    if key not in fresh:
+                        fresh[key] = [o.forward for o in enumerate_tangles(
+                            _copy(g), universe, HalfInt(k2), kind)]
+                    assert got == fresh[key], (order, key)
+                    if len(sys) <= 12:
+                        ok = ((lambda o: check_tangle(o).ok) if kind == "tangle"
+                              else is_regular_profile)
+                        if key not in naive:
+                            naive[key] = [o.forward for o in
+                                          enumerate_orientations(sys) if ok(o)]
+                        assert got == naive[key], (order, key)
+    assert sum(m > 0 for m in prefixes) >= 20  # resumed from a non-empty prefix

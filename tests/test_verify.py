@@ -5,10 +5,11 @@ import gc
 import pytest
 
 import sepdual.verify as verify
-from sepdual import Sep, from_edges, gen_random
+from sepdual import (HalfInt, Sep, build_system, enumerate_tangles, from_edges,
+                     gen_random)
 from sepdual.separations import DEFAULT_PARTITION_CAP, DEFAULT_SEP_CAP
 from sepdual.tangles import (DEFAULT_EDGE_CAP, DEFAULT_MEMBER_CAP, LowOrderSystem,
-                             kept_search, kept_system)
+                             kept_system)
 from sepdual.verify import (
     ALL_THEOREMS,
     TheoremCase,
@@ -212,16 +213,25 @@ def test_kept_search_never_skips_a_smaller_cap(caps):
         assert case.to_dict() == fresh.to_dict()
 
 
-def test_kept_search_is_keyed_by_member_count_and_kind():
-    g = complete(3, 3)
-    # S_k over x has 4 members at doubled thresholds 4, 5 and 6
-    assert {len(kept_system(g, "x", k2)) for k2 in (4, 5, 6)} == {4}
+def test_search_results_belong_to_the_system_asked_for():
+    """Two thresholds share a member count; the second is answered from the
+    first's search, yet its orientations are of its own S_k, so restricting
+    them works up to the threshold asked for."""
+    g = complete(4, 4)
+    # S_k over x has 5 members at doubled thresholds 5 to 8
+    assert {len(kept_system(g, "x", k2)) for k2 in (5, 8)} == {5}
+    ctx = verify._Ctx(g, DEFAULT_MEMBER_CAP)
     for kind in ("tangle", "regular_profile"):
-        first = kept_search(g, "x", 4, kind, DEFAULT_MEMBER_CAP)
-        for k2 in (5, 6):
-            assert kept_search(g, "x", k2, kind, DEFAULT_MEMBER_CAP) is first
-        assert kept_search(g, "x", 4, kind, 256) is first
-    assert sorted(g._cache["x"].found) == [(4, "regular_profile"), (4, "tangle")]
+        for search in (lambda k2: ctx.search("x", k2, kind),
+                       lambda k2: enumerate_tangles(g, "x", HalfInt(k2), kind)):
+            for k2 in (5, 8):
+                found = search(k2)
+                assert found
+                for o in found:
+                    assert o.system.k2 == k2
+                    for j2 in range(k2 + 1):
+                        assert len(o.restrict(HalfInt(j2)).forward) == len(
+                            build_system(g, "x", HalfInt(j2)))
 
 
 def test_reused_search_leaves_pushforward_unchanged():
