@@ -75,6 +75,14 @@ def scan_members(masks, n: int, partitions_only: bool = False):
     No step is negative, so a partial score is a lower bound on the order
     of every separation that extends it: a search that cuts a branch once
     its score reaches a threshold still yields every member below it.
+
+    The steps at element i depend only on how the partial separation meets
+    U_i, the union of the masks through i cut to the elements above i: the
+    elements below i are in neither side yet, so m ∩ a = m ∩ U_i ∩ a for
+    every mask m through i, and likewise for b.  So each level keeps its
+    steps per ``k & (U_i << n | U_i)``, and a node whose restriction to U_i
+    was met before costs one dictionary lookup.  On an edge universe every
+    element lies in two masks, U_i is small and nearly every node hits.
     """
     through = [[m for m in masks if m >> i & 1] for i in range(n)]
     full = (1 << n) - 1
@@ -88,25 +96,35 @@ def scan_members(masks, n: int, partitions_only: bool = False):
         abit = bit << n
         ms = through[i]
         both = len(ms) << s2 | abit | bit  # i in both sides
+        high = full ^ ((bit << 1) - 1)  # the elements above i
+        union = 0
+        for m in ms:
+            union |= m
+        union &= high  # U_i
+        select = union << n | union
+        steps = {}  # k & select -> (step into a only, step into b only)
         nxt = []
         push = nxt.append
         for k in level:
-            a = k >> n & full
-            b = k & full
-            da = db = 0
-            for m in ms:
-                ca = (m & a).bit_count()
-                cb = (m & b).bit_count()
-                if ca < cb:
-                    da += 2
-                elif cb < ca:
-                    db += 2
+            u = k & select
+            step = steps.get(u)
+            if step is None:
+                a = u >> n
+                b = u & full
+                da = db = 0
+                for m in ms:
+                    ca = (m & a).bit_count()
+                    cb = (m & b).bit_count()
+                    if ca < cb:
+                        da += 2
+                    elif cb < ca:
+                        db += 2
+                step = steps[u] = (da << s2 | abit, db << s2 | bit)
             if not partitions_only:
                 push(k + both)
-            push(k + (da << s2 | abit))
-            push(k + (db << s2 | bit))
+            push(k + step[0])
+            push(k + step[1])
         if not partitions_only or i == n - 1:
-            high = full ^ ((bit << 1) - 1)
             push(chain << s2 | high << n | high | bit)
             chain += len(ms)
         level = nxt

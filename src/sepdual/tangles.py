@@ -27,14 +27,19 @@ masks; ``check_tangle`` and ``check_profile`` stay the reference the search
 is tested against.
 
 Memo invariant: all that is kept about one (graph, universe) is one
-``_Memo`` at ``g._cache[universe]``, touched by this module only: the sorted
-scan (doubled orders and plain ``(a, b)`` int pairs, which the garbage
-collector stops tracking), the top order, the prefix record, and the
-systems (per threshold) kept through ``kept_system``.  S_k is the prefix of
-the scan of order below k, so all systems of a universe share the same pair
-objects and a system is fixed by its member count.  ``Sep`` is built only
-where a separation leaves the module (``Orientation.chosen`` and the
-witnesses of the checks).
+``_Memo`` at ``g._cache[universe]``, touched by this module only: the scan,
+the top order, the prefix record, and the systems (per threshold) kept
+through ``kept_system``.  The scan (``_Scan``) holds the kernel's sorted int
+keys, one int object per mask, and one decoded prefix of plain ``(a, b)``
+int pairs, which the garbage collector stops tracking; it refers to neither
+the memo nor the graph.  S_k is the prefix of the scan of order below k, so
+a system is its member count, found by bisecting the keys.  Its length and
+orders are read off the keys, and its members are decoded on first read by
+extending the scan's prefix, so all systems of a universe share the same
+pair objects and a system that nobody reads (one whose search trips the
+member cap, say) is never decoded.  ``Sep`` is built only where a
+separation leaves the module (``Orientation.chosen`` and the witnesses of
+the checks).
 
 Prefix record: each search ``enumerate_tangles`` runs is recorded per
 (member count, kind) as the tuple of its results' ``forward`` tuples, and a
@@ -85,6 +90,38 @@ class _Memo:
         self.systems = {}  # k2 -> kept S_k
 
 
+class _Scan:
+    """The sorted scan of one universe, of which every S_k is a prefix: the
+    kernel's keys ``order2 << 2n | a << n | b``, one int object per mask,
+    and the members decoded so far, the longest prefix any system read."""
+
+    __slots__ = ("keys", "n", "pool", "pairs")
+
+    def __init__(self, keys: list[int], n: int, partitions_only: bool):
+        self.keys = keys
+        self.n = n
+        # (3^n - 1)/2 separations over only 2^n masks: hold one int object per
+        # mask (a partition's masks occur once each, so a range will do)
+        full = (1 << n) - 1
+        self.pool = range(full + 1) if partitions_only else list(range(full + 1))
+        self.pairs: tuple[tuple[int, int], ...] = ()
+
+    def count_below(self, k2: int) -> int:
+        """Number of members of doubled order below k2."""
+        return bisect_left(self.keys, k2 << 2 * self.n)
+
+    def members(self, count: int) -> tuple[tuple[int, int], ...]:
+        """The first ``count`` members as ``(a, b)`` pairs, extending the
+        decoded prefix as far as needed, so every system shares its pairs."""
+        pairs = self.pairs
+        if len(pairs) < count:
+            n, full, pool = self.n, (1 << self.n) - 1, self.pool
+            pairs = self.pairs = pairs + tuple([
+                (pool[k >> n & full], pool[k & full])
+                for k in self.keys[len(pairs):count]])
+        return pairs[:count]
+
+
 def _memo(g: BipartiteGraph, universe: str) -> _Memo:
     memo = g._cache.get(universe)
     if memo is None:
@@ -93,20 +130,13 @@ def _memo(g: BipartiteGraph, universe: str) -> _Memo:
     return memo
 
 
-def _scan(g: BipartiteGraph, universe: str
-          ) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-    """Sorted scan of a universe, of which every S_k is a prefix: doubled
-    orders and canonical members, built once per (graph, universe)."""
+def _scan(g: BipartiteGraph, universe: str) -> _Scan:
+    """The scan of a universe, built once per (graph, universe)."""
     memo = _memo(g, universe)
     if memo.scan is None:
         masks, ground, partitions_only = universe_context(g, universe)
         keys = _kernels.scan_members(masks, ground.n, partitions_only)
-        n, full = ground.n, ground.full
-        # (3^n - 1)/2 separations over only 2^n masks: hold one int object per
-        # mask (a partition's masks occur once each, so a range will do)
-        pool = range(full + 1) if partitions_only else list(range(full + 1))
-        members = tuple([(pool[k >> n & full], pool[k & full]) for k in keys])
-        memo.scan = (tuple([k >> 2 * n for k in keys]), members)
+        memo.scan = _Scan(keys, ground.n, partitions_only)
     return memo.scan
 
 
@@ -133,8 +163,8 @@ def max_order2(g: BipartiteGraph, universe: str) -> int:
         masks, ground, partitions_only = universe_context(g, universe)
         if partitions_only:
             _check_ground_cap(universe, ground.n, partitions_only, None)
-            orders2 = _scan(g, universe)[0]
-            memo.max2 = orders2[-1] if orders2 else 0
+            keys = _scan(g, universe).keys
+            memo.max2 = keys[-1] >> 2 * ground.n if keys else 0
         else:
             memo.max2 = _kernels.order2(masks, ground.full, ground.full)
     return memo.max2
@@ -146,21 +176,46 @@ class LowOrderSystem:
     Members are plain ``(a, b)`` int pairs (not ``Sep``), canonical
     (lexicographically smaller orientation first), deduplicated, and sorted
     by (order, first mask, second mask).  The top separation (full, full) is
-    never a member.  A system holds the prefix record of its (graph,
-    universe), not the graph, so nothing a graph keeps refers back to it.
+    never a member.  A system is a member count over the scan of its
+    universe: ``len`` and ``orders2`` read the scan's keys, and ``members``
+    is decoded on first read.  It holds the scan and the prefix record of
+    its (graph, universe), not the graph, so nothing a graph keeps refers
+    back to it.
     """
 
-    __slots__ = ("record", "universe", "k2", "ground", "members", "orders2",
-                 "_index")
+    __slots__ = ("scan", "record", "universe", "k2", "ground", "count",
+                 "_members", "_index")
 
-    def __init__(self, record, universe, k2, ground, members, orders2):
+    def __init__(self, scan: _Scan, record: dict, universe: str, k2: int,
+                 ground, count: int):
+        self.scan = scan
         self.record = record
         self.universe = universe
         self.k2 = k2
         self.ground = ground
-        self.members = members
-        self.orders2 = orders2
+        self.count = count
+        self._members = None
         self._index = None
+
+    @classmethod
+    def from_members(cls, universe: str, k2: int, ground,
+                     members) -> "LowOrderSystem":
+        """A system of the given canonical members, in the given order, each
+        of order 0, with a fresh prefix record: member lists no scan yields."""
+        n = ground.n
+        keys = [a << n | b for a, b in members]
+        return cls(_Scan(keys, n, False), {}, universe, k2, ground, len(keys))
+
+    @property
+    def members(self) -> tuple[tuple[int, int], ...]:
+        if self._members is None:
+            self._members = self.scan.members(self.count)
+        return self._members
+
+    @property
+    def orders2(self) -> tuple[int, ...]:
+        s2 = 2 * self.scan.n
+        return tuple([k >> s2 for k in self.scan.keys[:self.count]])
 
     @property
     def index(self) -> dict[tuple[int, int], int]:
@@ -174,32 +229,32 @@ class LowOrderSystem:
         return HalfInt(self.k2)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.count
 
     def restricted(self, k) -> "LowOrderSystem":
         """The subsystem of order below k (a prefix, since members are sorted)."""
         k2 = as_halfint(k).doubled
         if k2 > self.k2:
             raise ValueError("restriction threshold exceeds the system threshold")
-        cut = bisect_left(self.orders2, k2)
-        return LowOrderSystem(self.record, self.universe, k2, self.ground,
-                              self.members[:cut], self.orders2[:cut])
+        return LowOrderSystem(self.scan, self.record, self.universe, k2,
+                              self.ground, self.scan.count_below(k2))
 
     def __repr__(self) -> str:
         return (f"LowOrderSystem({self.universe!r}, k={self.k}, "
-                f"members={len(self.members)})")
+                f"members={self.count})")
 
 
 def build_system(g: BipartiteGraph, universe: str, k,
                  cap: int | None = None) -> LowOrderSystem:
-    """Construct S_k for a universe of ``g``; k is a HalfInt or whole int."""
+    """Construct S_k for a universe of ``g``; k is a HalfInt or whole int.
+
+    Only the member count is found here; members are decoded when read."""
     k2 = as_halfint(k).doubled
     masks, ground, partitions_only = universe_context(g, universe)
     _check_ground_cap(universe, ground.n, partitions_only, cap)
-    orders2, members = _scan(g, universe)
-    cut = bisect_left(orders2, k2)
-    return LowOrderSystem(_memo(g, universe).record, universe, k2, ground,
-                          members[:cut], orders2[:cut])
+    scan = _scan(g, universe)
+    return LowOrderSystem(scan, _memo(g, universe).record, universe, k2, ground,
+                          scan.count_below(k2))
 
 
 class Orientation:
@@ -208,7 +263,7 @@ class Orientation:
     __slots__ = ("system", "forward")
 
     def __init__(self, system: LowOrderSystem, forward: tuple[bool, ...]):
-        if len(forward) != len(system.members):
+        if len(forward) != system.count:
             raise ValueError("one choice per member required")
         self.system = system
         self.forward = tuple(forward)
@@ -218,7 +273,8 @@ class Orientation:
         return Sep(a, b) if self.forward[i] else Sep(b, a)
 
     def choices(self) -> tuple[Sep, ...]:
-        return tuple(self.chosen(i) for i in range(len(self.forward)))
+        return tuple([Sep(a, b) if f else Sep(b, a)
+                      for (a, b), f in zip(self.system.members, self.forward)])
 
     def as_set(self) -> frozenset[Sep]:
         return frozenset(self.choices())
@@ -242,7 +298,7 @@ class Orientation:
     def restrict(self, k) -> "Orientation":
         """Induced orientation of the subsystem of order below k."""
         sub = self.system.restricted(k)
-        return Orientation(sub, self.forward[: len(sub.members)])
+        return Orientation(sub, self.forward[: sub.count])
 
     def to_dict(self) -> dict:
         ground = self.system.ground
@@ -341,7 +397,7 @@ def is_regular_profile(o: Orientation) -> bool:
 
 def enumerate_orientations(system: LowOrderSystem) -> Iterator[Orientation]:
     """All 2^n orientations, forward-first per member; the naive generator."""
-    n = len(system.members)
+    n = system.count
     forward = [True] * n
 
     def rec(i):
@@ -374,7 +430,7 @@ def enumerate_tangles(g: BipartiteGraph, universe: str, k,
         raise ValueError(f"kind must be 'tangle' or 'regular_profile', got {kind!r}")
     if system is None:
         system = build_system(g, universe, k)
-    n = len(system.members)
+    n = system.count
     if n > member_cap:
         raise CapExceeded(f"system has {n} members, over member cap {member_cap}")
     record = system.record
@@ -512,6 +568,7 @@ def _search(system: LowOrderSystem, kind: str, m: int,
 def kept_system(g: BipartiteGraph, universe: str, k2: int) -> LowOrderSystem:
     """S_k at doubled threshold k2, built once and kept in the memo."""
     systems = _memo(g, universe).systems
-    if k2 not in systems:
-        systems[k2] = build_system(g, universe, HalfInt(k2))
-    return systems[k2]
+    system = systems.get(k2)
+    if system is None:
+        system = systems[k2] = build_system(g, universe, HalfInt(k2))
+    return system

@@ -35,7 +35,7 @@ from typing import Callable, Iterable, NamedTuple, Optional
 from . import __version__ as _pkg_version
 from .bigraph import BipartiteGraph, from_edges, gen_planted, gen_random
 from .errors import CapExceeded
-from .orders import HalfInt, universe_context
+from .orders import universe_context
 from .separations import Sep
 from .shifts import _OTHER, universe_map
 from .tangles import (
@@ -95,7 +95,8 @@ class _Ctx:
         return sys
 
     def search(self, universe: str, j2: int, kind: str) -> list[Orientation]:
-        return enumerate_tangles(self.g, universe, HalfInt(j2), kind,
+        # the threshold is read only when no system is given
+        return enumerate_tangles(self.g, universe, None, kind,
                                  member_cap=self.member_cap,
                                  system=kept_system(self.g, universe, j2))
 
@@ -360,7 +361,7 @@ def _pushforward_containment(g, ctx, k2):
         there, back = universe_map(g, side, other), universe_map(g, other, side)
         for tau in hyps:
             tset = tau.as_set()
-            for i in range(len(low.members)):
+            for i in range(len(low)):
                 s = tau.chosen(i)
                 t = there(s)
                 if back(t) not in tset:

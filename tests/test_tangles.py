@@ -35,7 +35,7 @@ from sepdual import (
 )
 from sepdual.orders import UNIVERSES, order2_of, universe_context
 from sepdual.tangles import DEFAULT_MEMBER_CAP, kept_system, max_order2
-from sepdual.verify import even_cycle
+from sepdual.verify import even_cycle, run_theorem
 
 
 def test_build_system_k33(k33):
@@ -64,8 +64,9 @@ def test_members_are_untracked_int_pairs():
     assert g.n_edges == 10  # the default edge cap
     sys = build_system(g, "e", 10**6)
     assert len(sys) == (3**10 - 1) // 2
+    members = sys.members  # decoded on first read, untracked by the next collection
     gc.collect()
-    for m in sys.members:
+    for m in members:
         assert type(m) is tuple and len(m) == 2
         assert type(m[0]) is int and type(m[1]) is int
         assert not gc.is_tracked(m)
@@ -189,7 +190,7 @@ def _hand_built_system(rng):
             if a | b == full and (a, b) <= (b, a) and (a, b) != (full, full):
                 seps.add(Sep(a, b))
     members = tuple(rng.sample(sorted(seps), min(len(seps), rng.randint(2, 6))))
-    return g, LowOrderSystem({}, "x", 1, g.x, members, (0,) * len(members))
+    return g, LowOrderSystem.from_members("x", 1, g.x, members)
 
 
 def test_search_matches_naive_on_hand_built_systems():
@@ -317,6 +318,20 @@ def test_scan_matches_definition_on_random_masks():
                 assert (_scan_triples(masks, n, partitions_only)
                         == _scan_by_definition(masks, n, partitions_only)), (
                     n, masks, partitions_only)
+    # incidence-shaped lists, where the scan's per-level step cache hits: the
+    # incident-edge masks of a random bipartite graph with up to 10 edges,
+    # so every element lies in exactly two masks
+    for trial in range(40):
+        nx, ny = rng.randint(1, 4), rng.randint(1, 4)
+        pairs = [(x, y) for x in range(nx) for y in range(ny)]
+        edges = rng.sample(pairs, min(len(pairs), rng.randint(1, 10)))
+        n = len(edges)
+        masks = [sum(1 << j for j, e in enumerate(edges) if e[side] == v)
+                 for side, count in ((0, nx), (1, ny)) for v in range(count)]
+        for partitions_only in (False, True):
+            assert (_scan_triples(masks, n, partitions_only)
+                    == _scan_by_definition(masks, n, partitions_only)), (
+                n, masks, partitions_only)
 
 
 def test_scan_matches_label_set_oracles():
@@ -370,6 +385,23 @@ def test_systems_are_slices_of_one_scan(m2, k22, k33, path3):
                 sub = largest.restricted(HalfInt(k2))
                 assert sub.members == sys.members
                 assert sub.orders2 == sys.orders2
+
+
+def test_systems_share_member_objects_in_any_read_order(k33, path3):
+    """Descending reads slice the decoded prefix, ascending reads extend
+    it; either way every system's members are the same pair objects."""
+    for g in (k33, path3):
+        for universe in UNIVERSES:
+            top = max_order2(g, universe)
+            down, up = range(top + 2, 0, -1), range(1, top + 3)
+            for k2s in ([*down, *up], [*up, *down]):
+                fresh = _copy(g)
+                read = [build_system(fresh, universe, HalfInt(k2)).members
+                        for k2 in k2s]
+                longest = max(read, key=len)
+                assert len(longest) == len(fresh._cache[universe].scan.keys)
+                for members in read:
+                    assert all(a is b for a, b in zip(members, longest))
 
 
 def test_max_order2_of_partition_universes(m2, k22, k33, path3, two_blocks):
@@ -450,6 +482,19 @@ def test_member_cap_checked_before_empty_prefix(k33):
     assert enumerate_tangles(k33, "x", HalfInt(4)) == []
     with pytest.raises(CapExceeded, match=message):
         enumerate_tangles(k33, "x", HalfInt(7), member_cap=5)
+
+
+def test_capped_system_is_never_decoded():
+    """cycle10's edge system at k2 = 32 trips the member cap, directly and
+    as the hypothesis of a theorem; neither decodes a member of the scan."""
+    g = even_cycle(5)
+    with pytest.raises(CapExceeded, match="over member cap 24"):
+        enumerate_tangles(g, "e", HalfInt(32))
+    assert g._cache["e"].scan.pairs == ()
+    g = even_cycle(5)
+    case = run_theorem("cor_double_shift_edges", g, 4)  # hypothesis at k2 = 32
+    assert case.outcome == "capped" and "over member cap 24" in case.note
+    assert g._cache["e"].scan.pairs == ()
 
 
 def test_empty_prefix_recorded_on_system_graph(m2, k22):
