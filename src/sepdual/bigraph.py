@@ -80,7 +80,8 @@ class BipartiteGraph:
         self.edges = GroundSet(
             (self.x.labels[xi], self.y.labels[yi]) for xi, yi in edge_list
         )
-        # one tangles._Memo per universe, written only by sepdual.tangles
+        # one tangles._Universe per universe name, and the systems kept per
+        # (name, k2); written only by sepdual.tangles
         self._cache = {}
 
     # -- queries ----------------------------------------------------------

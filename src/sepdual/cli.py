@@ -29,7 +29,7 @@ from .homology import (BoundaryMatrix, find_decider, kernel_basis,
                        validate_decider)
 from .orders import (UNIVERSES, HalfInt, order_of, order_side_edge_form,
                      universe_context)
-from .separations import make_sep
+from .separations import make_sep, sep_labels
 from .shifts import _OTHER, universe_map
 from .tangles import DEFAULT_MEMBER_CAP, build_system, enumerate_tangles
 from .verify import ALL_THEOREMS, K2_GRID, report_json, run_corpus
@@ -151,7 +151,10 @@ def _parse_side(g, universe, text):
 
 def _emit(args, text: str) -> None:
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise SepdualError(f"cannot write {args.out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -191,15 +194,15 @@ def cmd_ingest(args) -> int:
                for k in ("identical", "complementary")):
         print("all neighbourhood partitions distinct")
     if args.out:
-        Path(args.out).write_text(g.dump_json())
+        _emit(args, g.dump_json())
     return 0
 
 
 def cmd_enumerate(args) -> int:
     _, source, system = _system(args)
     ground = system.ground
-    members = [{"a": ground.names(a), "b": ground.names(b), "order2": o}
-               for (a, b), o in zip(system.members, system.orders2)]
+    members = [{**sep_labels(ground, s), "order2": o}
+               for s, o in zip(system.members, system.orders2)]
     config = {"source": source, "universe": args.universe, "k2": args.k2}
     _emit(args, _json_report({"members": members, "count": len(members)}, config))
     return 0
@@ -228,10 +231,8 @@ def cmd_shift(args) -> int:
     _, ground, _ = universe_context(g, args.universe)
     s = make_sep(ground, _parse_side(g, args.universe, args.a),
                  _parse_side(g, args.universe, args.b))
-    c, d = shift(s)
     _, dest_ground, _ = universe_context(g, dest)
-    payload = {"a": dest_ground.names(c), "b": dest_ground.names(d),
-               "universe": dest}
+    payload = {**sep_labels(dest_ground, shift(s)), "universe": dest}
     config = {"source": source, "universe": args.universe, "a": args.a,
               "b": args.b, "to": args.to}
     _emit(args, _json_report(payload, config))

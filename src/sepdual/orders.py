@@ -68,7 +68,9 @@ class HalfInt:
         return self.doubled >= _coerce(other).doubled
 
     def __hash__(self):
-        return hash(("HalfInt", self.doubled))
+        # equal to the hash of the int a whole value compares equal to
+        d = self.doubled
+        return hash(d >> 1) if d & 1 == 0 else hash(("HalfInt", d))
 
     def __float__(self):
         return self.doubled / 2

@@ -117,6 +117,12 @@ def enumerate_seps(
         raise ValueError(f"unknown enumeration mode {mode!r}")
 
 
+def sep_labels(ground: GroundSet, s: Sep) -> dict:
+    """A separation in reports: the labels of each side, ``{"a": ..., "b": ...}``."""
+    a, b = s
+    return {"a": ground.names(a), "b": ground.names(b)}
+
+
 def render(ground: GroundSet, s: Sep) -> str:
     """Human-readable form of a separation using ground-set labels."""
     a, b = s

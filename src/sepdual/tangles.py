@@ -26,20 +26,22 @@ held yet, backtracking pops exactly those, so a test costs O(|chosen|) on
 masks; ``check_tangle`` and ``check_profile`` stay the reference the search
 is tested against.
 
-Memo invariant: all that is kept about one (graph, universe) is one
-``_Memo`` at ``g._cache[universe]``, touched by this module only: the scan,
-the top order, the prefix record, and the systems (per threshold) kept
-through ``kept_system``.  The scan (``_Scan``) holds the kernel's sorted int
-keys, one int object per mask, and one decoded prefix of plain ``(a, b)``
-int pairs, which the garbage collector stops tracking; it refers to neither
-the memo nor the graph.  S_k is the prefix of the scan of order below k, so
-a system is its member count, found by bisecting the keys.  Its length and
-orders are read off the keys, and its members are decoded on first read by
-extending the scan's prefix, so all systems of a universe share the same
-pair objects and a system that nobody reads (one whose search trips the
-member cap, say) is never decoded.  ``Sep`` is built only where a
-separation leaves the module (``Orientation.chosen`` and the witnesses of
-the checks).
+Kept state: all that is kept about one (graph, universe) is one
+``_Universe`` at ``g._cache[name]``, and the systems kept through
+``kept_system`` are at ``g._cache[name, k2]``; only this module touches
+them.  A ``_Universe`` holds the universe's context (masks, ground set,
+partition flag), looked up once; the kernel's sorted int keys, scanned on
+first need; one int object per mask and one decoded prefix of plain
+``(a, b)`` int pairs, which the garbage collector stops tracking; the prefix
+record; and the top order.  It refers to no system and not to the graph, so
+a dropped graph is freed by reference counting.  S_k is the prefix of the
+scan of order below k, so a system is its ``_Universe``, its threshold and
+its member count, found by bisecting the keys.  Its length and orders are
+read off the keys, and its members are decoded on first read by extending
+the shared prefix, so all systems of a universe share the same pair objects
+and a system that nobody reads (one whose search trips the member cap, say)
+is never decoded.  ``Sep`` is built only where a separation leaves the
+module (``Orientation.chosen`` and the witnesses of the checks).
 
 Prefix record: each search ``enumerate_tangles`` runs is recorded per
 (member count, kind) as the tuple of its results' ``forward`` tuples, and a
@@ -72,6 +74,7 @@ from .separations import (
     Sep,
     inverse,
     leq,
+    sep_labels,
     sup,
 )
 
@@ -79,75 +82,70 @@ DEFAULT_EDGE_CAP = 10
 DEFAULT_MEMBER_CAP = 24
 
 
-class _Memo:
-    """What is kept per (graph, universe); see the module docstring."""
+class _Universe:
+    """All that is kept per (graph, universe); see the module docstring.
 
-    __slots__ = ("scan", "max2", "record", "systems")
+    The universe's context (masks, ground set, partition flag) is looked up
+    once.  ``keys`` is the sorted scan of which every S_k is a prefix, the
+    kernel's keys ``order2 << 2n | a << n | b``, built on first need;
+    ``pool`` holds one int object per mask and ``pairs`` the members decoded
+    so far, the longest prefix any system read.  ``record`` is the prefix
+    record and ``max2`` the top order, once asked for.
+    """
 
-    def __init__(self):
-        self.scan = self.max2 = None
-        self.record = {}  # (member count, kind) -> forward tuples of the results
-        self.systems = {}  # k2 -> kept S_k
+    __slots__ = ("name", "masks", "ground", "partitions_only", "keys", "pool",
+                 "pairs", "record", "max2")
 
-
-class _Scan:
-    """The sorted scan of one universe, of which every S_k is a prefix: the
-    kernel's keys ``order2 << 2n | a << n | b``, one int object per mask,
-    and the members decoded so far, the longest prefix any system read."""
-
-    __slots__ = ("keys", "n", "pool", "pairs")
-
-    def __init__(self, keys: list[int], n: int, partitions_only: bool):
-        self.keys = keys
-        self.n = n
-        # (3^n - 1)/2 separations over only 2^n masks: hold one int object per
-        # mask (a partition's masks occur once each, so a range will do)
-        full = (1 << n) - 1
-        self.pool = range(full + 1) if partitions_only else list(range(full + 1))
+    def __init__(self, name: str, context):
+        self.name = name
+        self.masks, self.ground, self.partitions_only = context
+        self.keys = self.pool = self.max2 = None
         self.pairs: tuple[tuple[int, int], ...] = ()
+        self.record = {}  # (member count, kind) -> forward tuples of the results
+
+    @classmethod
+    def of(cls, g: BipartiteGraph, name: str) -> "_Universe":
+        """The one kept for ``g``; an unknown name raises and keeps none."""
+        space = g._cache.get(name)
+        if space is None:
+            space = g._cache[name] = cls(name, universe_context(g, name))
+        return space
+
+    def check_ground_cap(self, cap: int | None = None) -> None:
+        """Refuse to scan a ground set over ``cap`` (default set by universe)."""
+        if cap is None:
+            cap = (DEFAULT_PARTITION_CAP if self.partitions_only
+                   else DEFAULT_EDGE_CAP if self.name == "e" else DEFAULT_SEP_CAP)
+        n = self.ground.n
+        if n > cap:
+            raise CapExceeded(f"universe {self.name!r} has {n} elements, over cap {cap}")
+
+    def scan(self) -> list[int]:
+        """The sorted keys, scanned on first need."""
+        if self.keys is None:
+            self.keys = _kernels.scan_members(self.masks, self.ground.n,
+                                              self.partitions_only)
+        return self.keys
 
     def count_below(self, k2: int) -> int:
         """Number of members of doubled order below k2."""
-        return bisect_left(self.keys, k2 << 2 * self.n)
+        return bisect_left(self.scan(), k2 << 2 * self.ground.n)
 
     def members(self, count: int) -> tuple[tuple[int, int], ...]:
         """The first ``count`` members as ``(a, b)`` pairs, extending the
         decoded prefix as far as needed, so every system shares its pairs."""
         pairs = self.pairs
         if len(pairs) < count:
-            n, full, pool = self.n, (1 << self.n) - 1, self.pool
+            n, full, pool = self.ground.n, self.ground.full, self.pool
+            if pool is None:
+                # (3^n - 1)/2 separations over only 2^n masks; a partition's
+                # masks occur once each, so a range will do
+                pool = self.pool = (range(full + 1) if self.partitions_only
+                                    else list(range(full + 1)))
             pairs = self.pairs = pairs + tuple([
                 (pool[k >> n & full], pool[k & full])
                 for k in self.keys[len(pairs):count]])
         return pairs[:count]
-
-
-def _memo(g: BipartiteGraph, universe: str) -> _Memo:
-    memo = g._cache.get(universe)
-    if memo is None:
-        universe_context(g, universe)  # keep no memo for an unknown name
-        memo = g._cache[universe] = _Memo()
-    return memo
-
-
-def _scan(g: BipartiteGraph, universe: str) -> _Scan:
-    """The scan of a universe, built once per (graph, universe)."""
-    memo = _memo(g, universe)
-    if memo.scan is None:
-        masks, ground, partitions_only = universe_context(g, universe)
-        keys = _kernels.scan_members(masks, ground.n, partitions_only)
-        memo.scan = _Scan(keys, ground.n, partitions_only)
-    return memo.scan
-
-
-def _check_ground_cap(universe: str, n: int, partitions_only: bool,
-                      cap: int | None) -> None:
-    """Refuse to scan a universe whose ground set is over its cap."""
-    if cap is None:
-        cap = (DEFAULT_PARTITION_CAP if partitions_only
-               else DEFAULT_EDGE_CAP if universe == "e" else DEFAULT_SEP_CAP)
-    if n > cap:
-        raise CapExceeded(f"universe {universe!r} has {n} elements, over cap {cap}")
 
 
 def max_order2(g: BipartiteGraph, universe: str) -> int:
@@ -156,18 +154,18 @@ def max_order2(g: BipartiteGraph, universe: str) -> int:
     For separation universes this is the top element (full, full); for
     partition universes it is the maximum over all partitions, read off the
     scan, so the ground set is held to the default cap of ``build_system``.
-    Kept in the memo; a separation universe is never scanned for it.
+    Kept per universe; a separation universe is never scanned for it.
     """
-    memo = _memo(g, universe)
-    if memo.max2 is None:
-        masks, ground, partitions_only = universe_context(g, universe)
-        if partitions_only:
-            _check_ground_cap(universe, ground.n, partitions_only, None)
-            keys = _scan(g, universe).keys
-            memo.max2 = keys[-1] >> 2 * ground.n if keys else 0
+    space = _Universe.of(g, universe)
+    if space.max2 is None:
+        ground = space.ground
+        if space.partitions_only:
+            space.check_ground_cap()
+            keys = space.scan()
+            space.max2 = keys[-1] >> 2 * ground.n if keys else 0
         else:
-            memo.max2 = _kernels.order2(masks, ground.full, ground.full)
-    return memo.max2
+            space.max2 = _kernels.order2(space.masks, ground.full, ground.full)
+    return space.max2
 
 
 class LowOrderSystem:
@@ -178,21 +176,15 @@ class LowOrderSystem:
     by (order, first mask, second mask).  The top separation (full, full) is
     never a member.  A system is a member count over the scan of its
     universe: ``len`` and ``orders2`` read the scan's keys, and ``members``
-    is decoded on first read.  It holds the scan and the prefix record of
-    its (graph, universe), not the graph, so nothing a graph keeps refers
-    back to it.
+    is decoded on first read.  It holds the ``_Universe`` of its (graph,
+    universe), not the graph, so nothing a graph keeps refers back to it.
     """
 
-    __slots__ = ("scan", "record", "universe", "k2", "ground", "count",
-                 "_members", "_index")
+    __slots__ = ("space", "k2", "count", "_members", "_index")
 
-    def __init__(self, scan: _Scan, record: dict, universe: str, k2: int,
-                 ground, count: int):
-        self.scan = scan
-        self.record = record
-        self.universe = universe
+    def __init__(self, space: _Universe, k2: int, count: int):
+        self.space = space
         self.k2 = k2
-        self.ground = ground
         self.count = count
         self._members = None
         self._index = None
@@ -202,20 +194,29 @@ class LowOrderSystem:
                      members) -> "LowOrderSystem":
         """A system of the given canonical members, in the given order, each
         of order 0, with a fresh prefix record: member lists no scan yields."""
+        space = _Universe(universe, ((), ground, False))
         n = ground.n
-        keys = [a << n | b for a, b in members]
-        return cls(_Scan(keys, n, False), {}, universe, k2, ground, len(keys))
+        space.keys = [a << n | b for a, b in members]
+        return cls(space, k2, len(space.keys))
+
+    @property
+    def universe(self) -> str:
+        return self.space.name
+
+    @property
+    def ground(self):
+        return self.space.ground
 
     @property
     def members(self) -> tuple[tuple[int, int], ...]:
         if self._members is None:
-            self._members = self.scan.members(self.count)
+            self._members = self.space.members(self.count)
         return self._members
 
     @property
     def orders2(self) -> tuple[int, ...]:
-        s2 = 2 * self.scan.n
-        return tuple([k >> s2 for k in self.scan.keys[:self.count]])
+        s2 = 2 * self.space.ground.n
+        return tuple([k >> s2 for k in self.space.keys[:self.count]])
 
     @property
     def index(self) -> dict[tuple[int, int], int]:
@@ -236,8 +237,7 @@ class LowOrderSystem:
         k2 = as_halfint(k).doubled
         if k2 > self.k2:
             raise ValueError("restriction threshold exceeds the system threshold")
-        return LowOrderSystem(self.scan, self.record, self.universe, k2,
-                              self.ground, self.scan.count_below(k2))
+        return LowOrderSystem(self.space, k2, self.space.count_below(k2))
 
     def __repr__(self) -> str:
         return (f"LowOrderSystem({self.universe!r}, k={self.k}, "
@@ -250,11 +250,9 @@ def build_system(g: BipartiteGraph, universe: str, k,
 
     Only the member count is found here; members are decoded when read."""
     k2 = as_halfint(k).doubled
-    masks, ground, partitions_only = universe_context(g, universe)
-    _check_ground_cap(universe, ground.n, partitions_only, cap)
-    scan = _scan(g, universe)
-    return LowOrderSystem(scan, _memo(g, universe).record, universe, k2, ground,
-                          scan.count_below(k2))
+    space = _Universe.of(g, universe)
+    space.check_ground_cap(cap)
+    return LowOrderSystem(space, k2, space.count_below(k2))
 
 
 class Orientation:
@@ -303,14 +301,9 @@ class Orientation:
     def to_dict(self) -> dict:
         ground = self.system.ground
         out = []
-        for (a, b), o2, fwd in zip(self.system.members, self.system.orders2,
-                                   self.forward):
-            out.append({
-                "a": ground.names(a),
-                "b": ground.names(b),
-                "order2": o2,
-                "forward": fwd,
-            })
+        for s, o2, fwd in zip(self.system.members, self.system.orders2,
+                              self.forward):
+            out.append({**sep_labels(ground, s), "order2": o2, "forward": fwd})
         return {
             "universe": self.system.universe,
             "k2": self.system.k2,
@@ -433,7 +426,7 @@ def enumerate_tangles(g: BipartiteGraph, universe: str, k,
     n = system.count
     if n > member_cap:
         raise CapExceeded(f"system has {n} members, over member cap {member_cap}")
-    record = system.record
+    record = system.space.record
     found = record.get((n, kind))
     if found is None:
         # with no prefix searched yet, seed with the one orientation of none
@@ -566,9 +559,9 @@ def _search(system: LowOrderSystem, kind: str, m: int,
 
 
 def kept_system(g: BipartiteGraph, universe: str, k2: int) -> LowOrderSystem:
-    """S_k at doubled threshold k2, built once and kept in the memo."""
-    systems = _memo(g, universe).systems
-    system = systems.get(k2)
+    """S_k at doubled threshold k2, built once and kept at
+    ``g._cache[universe, k2]``."""
+    system = g._cache.get((universe, k2))
     if system is None:
-        system = systems[k2] = build_system(g, universe, HalfInt(k2))
+        system = g._cache[universe, k2] = build_system(g, universe, HalfInt(k2))
     return system

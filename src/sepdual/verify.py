@@ -36,7 +36,7 @@ from . import __version__ as _pkg_version
 from .bigraph import BipartiteGraph, from_edges, gen_planted, gen_random
 from .errors import CapExceeded
 from .orders import universe_context
-from .separations import Sep
+from .separations import Sep, sep_labels
 from .shifts import _OTHER, universe_map
 from .tangles import (
     DEFAULT_MEMBER_CAP,
@@ -107,11 +107,6 @@ class _Ctx:
 
 
 # -- independent witness re-validation (label sets, not the mask kernels) ---
-
-
-def _sep_dict(ground, s: Sep) -> dict:
-    a, b = s
-    return {"a": ground.names(a), "b": ground.names(b)}
 
 
 def _revalidate_cover_triple(ground, triple) -> bool:
@@ -199,13 +194,13 @@ def _conclusion_failure(system, status, member, orientation, want):
     """Check the induced orientation; returns a witness dict on failure."""
     ground = system.ground
     if status == "none":
-        return {"kind": "not_total", "member": _sep_dict(ground, member)}
+        return {"kind": "not_total", "member": sep_labels(ground, member)}
     if status == "both":
-        return {"kind": "both_orientations", "member": _sep_dict(ground, member)}
+        return {"kind": "both_orientations", "member": sep_labels(ground, member)}
     if want == "regular_profile":
         if not check_regular(orientation):
             bad = next(s for s in orientation.choices() if s[0] == ground.full)
-            return {"kind": "not_regular", "member": _sep_dict(ground, bad)}
+            return {"kind": "not_regular", "member": sep_labels(ground, bad)}
         rep = check_profile(orientation)
         if rep.violation:
             if rep.clause == "consistency_pair":
@@ -215,14 +210,14 @@ def _conclusion_failure(system, status, member, orientation, want):
             if not okw:
                 raise AssertionError("witness failed independent re-validation")
             return {"kind": rep.clause,
-                    "witness": [_sep_dict(ground, s) for s in rep.violation]}
+                    "witness": [sep_labels(ground, s) for s in rep.violation]}
         return None
     rep = check_tangle(orientation)
     if rep.violation:
         if not _revalidate_cover_triple(ground, rep.violation):
             raise AssertionError("witness failed independent re-validation")
         return {"kind": "cover_triple",
-                "triple": [_sep_dict(ground, s) for s in rep.violation]}
+                "triple": [sep_labels(ground, s) for s in rep.violation]}
     return None
 
 
@@ -231,7 +226,7 @@ def _subset_violation(tau, elements, ground):
         if s not in tau:
             if s in tau.as_set():  # re-check through the explicit choice list
                 raise AssertionError("witness failed independent re-validation")
-            return {"kind": "not_subset", "member": _sep_dict(ground, s)}
+            return {"kind": "not_subset", "member": sep_labels(ground, s)}
     return None
 
 
@@ -367,8 +362,8 @@ def _pushforward_containment(g, ctx, k2):
                 if back(t) not in tset:
                     other_ground = universe_context(g, other)[1]
                     fail = {"kind": "pushforward_escape", "side": side,
-                            "member": _sep_dict(low.ground, s),
-                            "image": _sep_dict(other_ground, t)}
+                            "member": sep_labels(low.ground, s),
+                            "image": sep_labels(other_ground, t)}
                     return hyp_count, [fail]
     return hyp_count, []
 

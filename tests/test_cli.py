@@ -360,3 +360,22 @@ def test_input_fault_is_usage_error(argv, named, tmp_path, capsys):
     assert code == 2
     assert err.count("error:") == 1 and "Traceback" not in err
     assert named in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("ingest",),
+    ("enumerate", "--k2", "1"),
+    ("order", "--a", "x1", "--b", "x2,x3"),
+    ("shift", "--a", "x1", "--b", "x2,x3"),
+    ("tangles", "--k2", "1"),
+    ("verify", "--k2", "1", "--theorem", "shift_tangle"),
+    ("homology", "--k2", "1"),
+], ids=lambda argv: argv[0])
+def test_unwritable_out_is_usage_error(argv, tmp_path, capsys):
+    out = tmp_path / "absent" / "r.json"
+    code, _, err = run_cli(capsys, *argv, "--generator", "random",
+                           "--out", str(out))
+    assert code == 2
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert f"cannot write {out}" in err
+    assert not out.parent.exists()

@@ -39,6 +39,17 @@ class TestHalfInt:
         assert HalfInt(3) < 2
         assert HalfInt.whole(2).doubled == 4
 
+    def test_hash_agrees_with_equality(self):
+        # equal values hash equal, so membership works in both directions
+        for n in (0, 1, 2, 7, 10**20):
+            assert HalfInt.whole(n) == n and hash(HalfInt.whole(n)) == hash(n)
+            assert n in {HalfInt.whole(n)} and HalfInt.whole(n) in {n}
+            assert {n: "int"}[HalfInt.whole(n)] == "int"
+        # a half-integer equals no int and is found only as itself
+        assert HalfInt(3) in {HalfInt(3)} and HalfInt(3) not in {1, 2}
+        assert 1 not in {HalfInt(3)} and 2 not in {HalfInt(3)}
+        assert len({HalfInt(4), 2, HalfInt.whole(2), HalfInt(3)}) == 2
+
     def test_arithmetic(self):
         assert (HalfInt(1) * 4).doubled == 4
         assert (HalfInt(1) + HalfInt(2)).doubled == 3

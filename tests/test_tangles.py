@@ -364,9 +364,9 @@ def _copy(g):
 
 
 def _scanned(g, universe):
-    """Whether the universe's memo holds its scan."""
-    memo = g._cache.get(universe)
-    return memo is not None and memo.scan is not None
+    """Whether the universe's kept state holds its scan."""
+    space = g._cache.get(universe)
+    return space is not None and space.keys is not None
 
 
 def test_systems_are_slices_of_one_scan(m2, k22, k33, path3):
@@ -399,7 +399,7 @@ def test_systems_share_member_objects_in_any_read_order(k33, path3):
                 read = [build_system(fresh, universe, HalfInt(k2)).members
                         for k2 in k2s]
                 longest = max(read, key=len)
-                assert len(longest) == len(fresh._cache[universe].scan.keys)
+                assert len(longest) == len(fresh._cache[universe].keys)
                 for members in read:
                     assert all(a is b for a, b in zip(members, longest))
 
@@ -490,11 +490,11 @@ def test_capped_system_is_never_decoded():
     g = even_cycle(5)
     with pytest.raises(CapExceeded, match="over member cap 24"):
         enumerate_tangles(g, "e", HalfInt(32))
-    assert g._cache["e"].scan.pairs == ()
+    assert g._cache["e"].pairs == ()
     g = even_cycle(5)
     case = run_theorem("cor_double_shift_edges", g, 4)  # hypothesis at k2 = 32
     assert case.outcome == "capped" and "over member cap 24" in case.note
-    assert g._cache["e"].scan.pairs == ()
+    assert g._cache["e"].pairs == ()
 
 
 def test_empty_prefix_recorded_on_system_graph(m2, k22):
@@ -517,18 +517,46 @@ def test_memo_keyed_by_universe_keeps_systems_only_through_kept_system(k33):
         for kind in ("tangle", "regular_profile"):
             enumerate_tangles(k33, universe, HalfInt(2), kind=kind)
     assert sorted(k33._cache) == sorted(UNIVERSES)
-    # build_system and enumerate_tangles keep no system; every search they
-    # ran is in its universe's record
-    for universe, memo in k33._cache.items():
-        assert not memo.systems
+    # build_system and enumerate_tangles keep no system (the cache holds one
+    # entry per universe name only); every search they ran is in its
+    # universe's record
+    for universe, space in k33._cache.items():
         n = len(build_system(k33, universe, HalfInt(2)))
-        assert sorted(memo.record) == [(n, "regular_profile"), (n, "tangle")]
+        assert sorted(space.record) == [(n, "regular_profile"), (n, "tangle")]
     sys = kept_system(k33, "e", 3)
     assert kept_system(k33, "e", 3) is sys
+    assert k33._cache["e", 3] is sys and sys.space is k33._cache["e"]
+    assert sorted(map(str, k33._cache)) == sorted([*UNIVERSES, str(("e", 3))])
     assert sys.members == build_system(k33, "e", HalfInt(3)).members
     with pytest.raises(ValueError):
         max_order2(k33, "z")
     assert "z" not in k33._cache
+
+
+def test_universe_context_looked_up_once_per_universe(monkeypatch):
+    """However many systems, top orders, kept systems and searches are asked
+    for, each (graph, universe) looks up its context once, and every system
+    holds that universe's one kept object."""
+    calls = []
+    lookup = tangles.universe_context
+    monkeypatch.setattr(tangles, "universe_context",
+                        lambda g, u: calls.append((id(g), u)) or lookup(g, u))
+    graphs = [gen_random(3, 3, 0.6, seed) for seed in range(2)]
+    for g in graphs:
+        for universe in UNIVERSES:
+            for k2 in range(1, 6):
+                systems = [build_system(g, universe, HalfInt(k2)),
+                           kept_system(g, universe, k2)]
+                systems.append(systems[0].restricted(HalfInt(k2 - 1)))
+                assert all(s.space is g._cache[universe] for s in systems)
+                max_order2(g, universe)
+                for kind in ("tangle", "regular_profile"):
+                    try:
+                        found = enumerate_tangles(g, universe, HalfInt(k2), kind)
+                    except CapExceeded:
+                        continue
+                    assert all(o.system.space is g._cache[universe] for o in found)
+    assert sorted(calls) == sorted((id(g), u) for g in graphs for u in UNIVERSES)
 
 
 def test_prefix_record_is_keyed_by_member_count_and_kind(k33, monkeypatch):
