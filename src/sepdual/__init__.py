@@ -53,7 +53,6 @@ from .orders import (
 from .separations import (
     Sep,
     canonical,
-    enumerate_seps,
     inf,
     inverse,
     leq,

@@ -51,21 +51,21 @@ class HalfInt:
 
     def __eq__(self, other):
         try:
-            return self.doubled == _coerce(other).doubled
+            return self.doubled == _doubled(other)
         except TypeError:
             return NotImplemented
 
     def __lt__(self, other):
-        return self.doubled < _coerce(other).doubled
+        return self.doubled < _doubled(other)
 
     def __le__(self, other):
-        return self.doubled <= _coerce(other).doubled
+        return self.doubled <= _doubled(other)
 
     def __gt__(self, other):
-        return self.doubled > _coerce(other).doubled
+        return self.doubled > _doubled(other)
 
     def __ge__(self, other):
-        return self.doubled >= _coerce(other).doubled
+        return self.doubled >= _doubled(other)
 
     def __hash__(self):
         # equal to the hash of the int a whole value compares equal to
@@ -82,12 +82,18 @@ class HalfInt:
         return f"HalfInt({self.doubled})"
 
 
-def _coerce(v) -> HalfInt:
+def _doubled(v) -> int:
+    """Twice the value of a HalfInt or of an int of either sign, so that a
+    comparison with a negative int is answered rather than refused."""
     if isinstance(v, HalfInt):
-        return v
+        return v.doubled
     if isinstance(v, int):
-        return HalfInt.whole(v)
+        return 2 * v
     raise TypeError(f"cannot interpret {v!r} as a half-integer")
+
+
+def _coerce(v) -> HalfInt:
+    return v if isinstance(v, HalfInt) else HalfInt(_doubled(v))
 
 
 def as_halfint(v) -> HalfInt:

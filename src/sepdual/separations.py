@@ -20,9 +20,9 @@ pairs.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
-from .errors import CapExceeded, CoverViolation
+from .errors import CoverViolation
 from .groundset import GroundSet
 
 #: Enumeration caps; 3**n growth makes silently large runs pathological.
@@ -82,39 +82,6 @@ def canonical(s: Sep) -> Sep:
     """The smaller of the two orientations; idempotent, fixes unoriented identity."""
     a, b = s
     return Sep(a, b) if a <= b else Sep(b, a)
-
-
-def enumerate_seps(
-    ground: GroundSet, mode: str = "all_separations", cap: int | None = None
-) -> Iterator[Sep]:
-    """Yield every oriented separation (or partition) of ``ground`` once.
-
-    ``mode`` is ``"all_separations"`` (3**n results) or ``"partitions_only"``
-    (2**n results).  Order is deterministic.  Raises :class:`CapExceeded`
-    when the ground set is larger than the cap.
-    """
-    n = ground.n
-    full = ground.full
-    if mode == "partitions_only":
-        limit = DEFAULT_PARTITION_CAP if cap is None else cap
-        if n > limit:
-            raise CapExceeded(f"partition enumeration of {n} elements exceeds cap {limit}")
-        for a in range(1 << n):
-            yield Sep(a, full ^ a)
-    elif mode == "all_separations":
-        limit = DEFAULT_SEP_CAP if cap is None else cap
-        if n > limit:
-            raise CapExceeded(f"separation enumeration of {n} elements exceeds cap {limit}")
-        for a in range(1 << n):
-            rest = full ^ a
-            m = a
-            while True:
-                yield Sep(a, rest | m)
-                if m == 0:
-                    break
-                m = (m - 1) & a
-    else:
-        raise ValueError(f"unknown enumeration mode {mode!r}")
 
 
 def sep_labels(ground: GroundSet, s: Sep) -> dict:

@@ -31,17 +31,27 @@ Kept state: all that is kept about one (graph, universe) is one
 ``kept_system`` are at ``g._cache[name, k2]``; only this module touches
 them.  A ``_Universe`` holds the universe's context (masks, ground set,
 partition flag), looked up once; the kernel's sorted int keys, scanned on
-first need; one int object per mask and one decoded prefix of plain
-``(a, b)`` int pairs, which the garbage collector stops tracking; the prefix
-record; and the top order.  It refers to no system and not to the graph, so
-a dropped graph is freed by reference counting.  S_k is the prefix of the
-scan of order below k, so a system is its ``_Universe``, its threshold and
-its member count, found by bisecting the keys.  Its length and orders are
-read off the keys, and its members are decoded on first read by extending
-the shared prefix, so all systems of a universe share the same pair objects
-and a system that nobody reads (one whose search trips the member cap, say)
-is never decoded.  ``Sep`` is built only where a separation leaves the
-module (``Orientation.chosen`` and the witnesses of the checks).
+first need and kept as an array of 64-bit ints; one int object per mask and
+one decoded prefix of plain ``(a, b)`` int pairs, which the garbage
+collector stops tracking; the prefix record; the top order; and the image
+tables below, of plain pairs too.  It refers to no system and not to the
+graph, so a dropped graph is freed by reference counting.  S_k is the
+prefix of the scan of order below k, so a system is its ``_Universe``, its
+threshold and its member count, found by bisecting the keys.  Its length
+and orders are read off the keys, and its members are decoded on first read
+by extending the shared prefix, so all systems of a universe share the same
+pair objects and a system that nobody reads (one whose search trips the
+member cap, say) is never decoded.  ``Sep`` is built only where a
+separation leaves the module (``Orientation.chosen`` and the witnesses of
+the checks).
+
+Image tables: a member's image under one map of one graph never changes, so
+``kept_images`` keeps, per destination universe, the list of (image of the
+member, image of its inverse), aligned with the decoded prefix and extended
+through ``shifts.universe_map`` to the member count asked for.  The verifier
+reads every pull and push step from these tables, so each member is shifted
+once per (graph, map) however many hypotheses, theorems and thresholds
+share it.
 
 Prefix record: each search ``enumerate_tangles`` runs is recorded per
 (member count, kind) as the tuple of its results' ``forward`` tuples, and a
@@ -60,9 +70,10 @@ member 0.
 from __future__ import annotations
 
 import json
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from . import _kernels
 from .bigraph import BipartiteGraph
@@ -77,6 +88,7 @@ from .separations import (
     sep_labels,
     sup,
 )
+from .shifts import universe_map
 
 DEFAULT_EDGE_CAP = 10
 DEFAULT_MEMBER_CAP = 24
@@ -87,14 +99,17 @@ class _Universe:
 
     The universe's context (masks, ground set, partition flag) is looked up
     once.  ``keys`` is the sorted scan of which every S_k is a prefix, the
-    kernel's keys ``order2 << 2n | a << n | b``, built on first need;
+    kernel's keys ``order2 << 2n | a << n | b``, built by ``scan``;
     ``pool`` holds one int object per mask and ``pairs`` the members decoded
     so far, the longest prefix any system read.  ``record`` is the prefix
-    record and ``max2`` the top order, once asked for.
+    record and ``max2`` the top order, once asked for.  ``images`` maps a
+    destination universe to the images of ``pairs[:len(list)]`` under the
+    canonical map there: one ``(image of member, image of its inverse)``
+    entry per member, as plain int pairs.
     """
 
     __slots__ = ("name", "masks", "ground", "partitions_only", "keys", "pool",
-                 "pairs", "record", "max2")
+                 "pairs", "record", "max2", "images")
 
     def __init__(self, name: str, context):
         self.name = name
@@ -102,6 +117,7 @@ class _Universe:
         self.keys = self.pool = self.max2 = None
         self.pairs: tuple[tuple[int, int], ...] = ()
         self.record = {}  # (member count, kind) -> forward tuples of the results
+        self.images = {}  # dest universe -> [(image of member, of its inverse)]
 
     @classmethod
     def of(cls, g: BipartiteGraph, name: str) -> "_Universe":
@@ -120,11 +136,15 @@ class _Universe:
         if n > cap:
             raise CapExceeded(f"universe {self.name!r} has {n} elements, over cap {cap}")
 
-    def scan(self) -> list[int]:
-        """The sorted keys, scanned on first need."""
+    def scan(self) -> Sequence[int]:
+        """The sorted keys, scanned on first need.  They are kept as an array
+        of 64-bit ints, a fifth of the memory of int objects in a list and
+        nothing for the collector to traverse, unless the largest (the last)
+        needs more bits."""
         if self.keys is None:
-            self.keys = _kernels.scan_members(self.masks, self.ground.n,
-                                              self.partitions_only)
+            keys = _kernels.scan_members(self.masks, self.ground.n,
+                                         self.partitions_only)
+            self.keys = array("q", keys) if not keys or keys[-1] >> 63 == 0 else keys
         return self.keys
 
     def count_below(self, k2: int) -> int:
@@ -556,6 +576,23 @@ def _search(system: LowOrderSystem, kind: str, m: int,
         rec(m)
     del rec  # it refers to itself; unbound, the search leaves no cycle behind
     return tuple(results)
+
+
+def kept_images(g: BipartiteGraph, universe: str, dest: str,
+                count: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """The images of the first ``count`` members of ``universe`` under its
+    canonical map to ``dest``: per member, ``(image of member, image of its
+    inverse)`` as plain pairs.  Kept on the universe's ``_Universe`` and
+    extended as far as asked, so an entry, once made, is never remade."""
+    space = _Universe.of(g, universe)
+    table = space.images.get(dest)
+    if table is None:
+        table = space.images[dest] = []
+    if len(table) < count:
+        shift = universe_map(g, universe, dest)
+        table.extend([(tuple(shift(m)), tuple(shift((m[1], m[0]))))
+                      for m in space.members(count)[len(table):]])
+    return table[:count]
 
 
 def kept_system(g: BipartiteGraph, universe: str, k2: int) -> LowOrderSystem:

@@ -46,6 +46,7 @@ from .tangles import (
     check_regular,
     check_tangle,
     enumerate_tangles,
+    kept_images,
     kept_system,
     max_order2,
 )
@@ -230,26 +231,47 @@ def _subset_violation(tau, elements, ground):
     return None
 
 
-def _pull(fn, members, family) -> set:
-    """Orientations of ``members`` whose image under fn lies in family."""
+def _family(tau: Orientation) -> set:
+    """The orientations tau chooses, as plain pairs."""
+    return {m if f else (m[1], m[0])
+            for m, f in zip(tau.system.members, tau.forward)}
+
+
+def _pull(images, sources, family, members) -> set:
+    """Orientations of ``members`` whose image lies in family; ``images`` is
+    aligned with ``sources``, which are ``members`` themselves."""
     out = set()
-    for m in members:
-        a, b = m
-        for s in (m, (b, a)):
-            if fn(s) in family:
-                out.add(s)
+    for m, (there, back) in zip(sources, images):
+        if there in family:
+            out.add(m)
+        if back in family:
+            out.add((m[1], m[0]))
     return out
 
 
-def _push(fn, members, family) -> set:
-    """Image of family under fn, kept to the orientations of ``members``."""
-    image = {fn(s) for s in family}
+def _push(images, sources, family, members) -> set:
+    """Image of family, kept to the orientations of ``members``; ``images``
+    is aligned with ``sources``, and family holds orientations of them."""
+    image = set()
+    for m, (there, back) in zip(sources, images):
+        if m in family:
+            image.add(there)
+        if (m[1], m[0]) in family:
+            image.add(back)
     return {s for m in members for s in (m, (m[1], m[0])) if s in image}
 
 
 def _revalidate_totality(g, step, ends, member, family, status) -> bool:
-    """Re-run one step on the witness member alone, with the set-based map."""
-    hits = len(step(partial(_set_map, g, *ends), (member,), family))
+    """Re-run one step on the witness member alone, with the set-based map:
+    count the orientations of the member that map into family (pull) or
+    that family maps onto (push)."""
+    fn = partial(_set_map, g, *ends)
+    pair = (member, (member[1], member[0]))
+    if step is _pull:
+        hits = sum(fn(s) in family for s in pair)
+    else:
+        image = {fn(s) for s in family}
+        hits = sum(s in image for s in pair)
     return hits == 0 if status == "none" else hits == 2
 
 
@@ -264,6 +286,15 @@ def _revalidate_totality(g, step, ends, member, family, status) -> bool:
 # orient that system as tau's kind (a tangle or a regular profile); after two
 # it must lie inside tau.  A theorem runs one leg per side, and legs with the
 # same hypothesis count it once.
+#
+# Families are sets of plain ``(a, b)`` pairs, and no step shifts anything:
+# both read the images of a map's source members from the kept table
+# (``tangles.kept_images``), so a member is shifted once per graph and map.
+# A pull reads the table of its own system's members.  A push reads the
+# table of the previous system's members, which is exact because every
+# family is a set of orientations of those members: the hypothesis is one
+# orientation per member of its system, and a pull keeps orientations of
+# its own.  Only a witness of totality is recomputed with the set-based map.
 #
 # Every leg records its isolated-vertex hints, then asks for the hypothesis
 # system, the step systems in step order, and last the search: the order of
@@ -282,6 +313,20 @@ class _Leg(NamedTuple):
     counted: bool  # False when an earlier leg has the same hypothesis
 
 
+def _plan(g, leg, hyp_sys, systems):
+    """Each step of ``leg`` as (step, images, sources, members): the kept
+    images of the step's map, aligned with ``sources``, the members of the
+    map's source system (the step's own for a pull, the previous for a push),
+    and the members of the step's system."""
+    plan, prev = [], hyp_sys
+    for (step, _, _, ends), sys in zip(leg.steps, systems):
+        source = sys if step is _pull else prev
+        plan.append((step, kept_images(g, *ends, len(source)), source.members,
+                     sys.members))
+        prev = sys
+    return plan
+
+
 def _run_legs(g, ctx, k2, kind, legs):
     """The one body of the leg theorems: (hypothesis count, failures)."""
     hyp_count = 0
@@ -289,19 +334,19 @@ def _run_legs(g, ctx, k2, kind, legs):
         for side in leg.hints:
             ctx.isolated_hint(side)
         universe, factor = leg.hyp
-        ctx.system(universe, factor * k2)
+        hyp_sys = ctx.system(universe, factor * k2)
         systems = [ctx.system(u, f * k2) for _, u, f, _ in leg.steps]
         hyps = ctx.search(universe, factor * k2, kind)
         if leg.counted:
             hyp_count += len(hyps)
         if not hyps:
             continue
-        maps = [universe_map(g, *ends) for _, _, _, ends in leg.steps]
+        plan = _plan(g, leg, hyp_sys, systems)
         sys = systems[-1]
         for tau in hyps:
-            family = tau_set = tau.as_set()
-            for (step, _, _, _), fn, step_sys in zip(leg.steps, maps, systems):
-                family = step(fn, step_sys.members, family)
+            family = tau_set = _family(tau)
+            for step, images, sources, targets in plan:
+                family = step(images, sources, family, targets)
             if len(systems) == 2:
                 fail = _subset_violation(tau, sorted(family), sys.ground)
             else:
@@ -353,13 +398,15 @@ def _pushforward_containment(g, ctx, k2):
         # S_k is a prefix of tau's system S_16k, so member i of S_k is
         # member i of tau's system
         low = kept_system(g, side, k2)
-        there, back = universe_map(g, side, other), universe_map(g, other, side)
+        images = kept_images(g, side, other, len(low))
+        back = universe_map(g, other, side)
         for tau in hyps:
-            tset = tau.as_set()
-            for i in range(len(low)):
-                s = tau.chosen(i)
-                t = there(s)
+            tset = _family(tau)
+            for m, f, (m_there, inv_there) in zip(tau.system.members, tau.forward,
+                                                  images):
+                t = m_there if f else inv_there
                 if back(t) not in tset:
+                    s = m if f else (m[1], m[0])
                     other_ground = universe_context(g, other)[1]
                     fail = {"kind": "pushforward_escape", "side": side,
                             "member": sep_labels(low.ground, s),

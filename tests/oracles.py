@@ -1,10 +1,15 @@
 """Independent brute-force oracles used to derive expected test values.
 
 Everything here works on label sets and Fractions with per-vertex loops,
-sharing no code path with the package's bitmask kernels.
+sharing no code path with the package's bitmask kernels, except
+``enumerate_seps``, which lists every separation of a ground set as masks
+for the tests to sweep.
 """
 
 from fractions import Fraction
+
+from sepdual import CapExceeded, Sep
+from sepdual.separations import DEFAULT_PARTITION_CAP, DEFAULT_SEP_CAP
 
 
 def graph_dicts(g):
@@ -106,3 +111,34 @@ def all_seps_of(labels):
                 b.add(lab)
         out.append((a, b))
     return out
+
+
+def enumerate_seps(ground, mode="all_separations", cap=None):
+    """Yield every oriented separation (or partition) of ``ground`` once.
+
+    ``mode`` is ``"all_separations"`` (3**n results) or ``"partitions_only"``
+    (2**n results).  Order is deterministic.  Raises ``CapExceeded`` when
+    the ground set is larger than the cap.
+    """
+    n = ground.n
+    full = ground.full
+    if mode == "partitions_only":
+        limit = DEFAULT_PARTITION_CAP if cap is None else cap
+        if n > limit:
+            raise CapExceeded(f"partition enumeration of {n} elements exceeds cap {limit}")
+        for a in range(1 << n):
+            yield Sep(a, full ^ a)
+    elif mode == "all_separations":
+        limit = DEFAULT_SEP_CAP if cap is None else cap
+        if n > limit:
+            raise CapExceeded(f"separation enumeration of {n} elements exceeds cap {limit}")
+        for a in range(1 << n):
+            rest = full ^ a
+            m = a
+            while True:
+                yield Sep(a, rest | m)
+                if m == 0:
+                    break
+                m = (m - 1) & a
+    else:
+        raise ValueError(f"unknown enumeration mode {mode!r}")

@@ -8,6 +8,8 @@ import hashlib
 import itertools
 import random
 import time
+
+from oracles import enumerate_seps
 from sepdual import (
     BoundaryMatrix,
     HalfInt,
@@ -16,7 +18,6 @@ from sepdual import (
     check_tangle,
     disc_fixture,
     enumerate_orientations,
-    enumerate_seps,
     enumerate_tangles,
     find_decider,
     from_edges,

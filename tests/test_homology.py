@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from oracles import enumerate_seps
 from sepdual import (
     BoundaryMatrix,
     HalfInt,
@@ -12,7 +13,6 @@ from sepdual import (
     Sep,
     build_system,
     disc_fixture,
-    enumerate_seps,
     enumerate_tangles,
     find_decider,
     inf,

@@ -8,13 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import order_edge_oracle, order_side_oracle, sep_sets
+from oracles import enumerate_seps, order_edge_oracle, order_side_oracle, sep_sets
 from sepdual import _kernels
 from sepdual import (
     HalfInt,
     NotAPartition,
     Sep,
-    enumerate_seps,
     gen_random,
     inf,
     inverse,
@@ -49,6 +48,14 @@ class TestHalfInt:
         assert HalfInt(3) in {HalfInt(3)} and HalfInt(3) not in {1, 2}
         assert 1 not in {HalfInt(3)} and 2 not in {HalfInt(3)}
         assert len({HalfInt(4), 2, HalfInt.whole(2), HalfInt(3)}) == 2
+
+    def test_comparisons_with_negative_ints(self):
+        # compared by value; building HalfInt(-2) would raise ValueError
+        for v in (HalfInt(0), HalfInt(1), HalfInt(2)):
+            assert not v == -1 and v != -1
+            assert not v < -1 and not v <= -1 and v > -1 and v >= -1
+            assert -1 < v and -1 != v and not -1 == v
+        assert HalfInt(1) != 0 and HalfInt(1) > 0 and HalfInt(0) == 0
 
     def test_arithmetic(self):
         assert (HalfInt(1) * 4).doubled == 4

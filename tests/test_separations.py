@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import enumerate_seps
 from sepdual import (
     CapExceeded,
     CoverViolation,
@@ -13,7 +14,6 @@ from sepdual import (
     Sep,
     SepdualError,
     canonical,
-    enumerate_seps,
     from_edges,
     inf,
     inverse,

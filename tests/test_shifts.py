@@ -4,14 +4,14 @@ import itertools
 
 import pytest
 
-from oracles import edges_to_side_oracle, sep_sets, shift_side_oracle
+from oracles import (edges_to_side_oracle, enumerate_seps, sep_sets,
+                     shift_side_oracle)
 from sepdual import (
     NotAPartition,
     PreconditionViolated,
     Sep,
     SideMismatch,
     edges_to_side,
-    enumerate_seps,
     from_edges,
     inverse,
     leq,

@@ -3,6 +3,9 @@
 No top-level name is defined twice in a module (a later definition silently
 replaces the earlier one), and no module imports a name it never uses.  The
 package ``__init__`` is exempt: its imports are re-exports.
+
+Kept state: a graph's ``_cache`` is named only in ``tangles.py``, which owns
+it; ``bigraph.py`` may declare the slot and set it to a new dict.
 """
 
 import ast
@@ -42,3 +45,45 @@ def test_no_duplicate_or_unused_top_level_names(path):
                 unused.append(f"{name} (line {node.lineno})")
     assert not duplicates, f"defined twice: {duplicates}"
     assert not unused, f"imported but never used: {unused}"
+
+
+def _cache_uses(tree):
+    """Every node naming ``_cache``: an attribute, a name or a string."""
+    return [n for n in ast.walk(tree)
+            if getattr(n, "attr", None) == "_cache"
+            or getattr(n, "id", None) == "_cache"
+            or (isinstance(n, ast.Constant) and n.value == "_cache")]
+
+
+def _declares_or_initialises_cache(node, tree):
+    """The ``__slots__`` entry or a ``self._cache = {}`` assignment."""
+    if isinstance(node, ast.Constant):
+        return any(isinstance(a, ast.Assign)
+                   and any(getattr(t, "id", None) == "__slots__" for t in a.targets)
+                   and node in ast.walk(a.value) for a in ast.walk(tree))
+    return (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+            and any(isinstance(a, ast.Assign) and a.targets == [node]
+                    and isinstance(a.value, ast.Dict) and not a.value.keys
+                    for a in ast.walk(tree)))
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "tangles.py"],
+                         ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_only_tangles_names_the_kept_state(path):
+    tree = ast.parse(path.read_text(), str(path))
+    uses = _cache_uses(tree)
+    if path.name == "bigraph.py":
+        uses = [n for n in uses if not _declares_or_initialises_cache(n, tree)]
+    assert not uses, f"names _cache at lines {sorted(n.lineno for n in uses)}"
+
+
+def test_kept_state_check_sees_a_read():
+    tree = ast.parse(
+        "class G:\n"
+        "    __slots__ = ('_cache',)\n"
+        "    def __init__(self):\n"
+        "        self._cache = {}\n"
+        "        self._cache.get(1)\n")
+    left = [n for n in _cache_uses(tree)
+            if not _declares_or_initialises_cache(n, tree)]
+    assert [n.lineno for n in left] == [5]

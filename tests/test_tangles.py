@@ -7,6 +7,7 @@ import pytest
 
 from oracles import (
     all_seps_of,
+    enumerate_seps,
     order_edge_oracle,
     order_partition_oracle,
     order_side_oracle,
@@ -25,7 +26,6 @@ from sepdual import (
     check_regular,
     check_tangle,
     enumerate_orientations,
-    enumerate_seps,
     enumerate_tangles,
     from_dict,
     gen_planted,
@@ -34,7 +34,7 @@ from sepdual import (
     restrict,
 )
 from sepdual.orders import UNIVERSES, order2_of, universe_context
-from sepdual.tangles import DEFAULT_MEMBER_CAP, kept_system, max_order2
+from sepdual.tangles import DEFAULT_MEMBER_CAP, kept_images, kept_system, max_order2
 from sepdual.verify import even_cycle, run_theorem
 
 
@@ -531,6 +531,32 @@ def test_memo_keyed_by_universe_keeps_systems_only_through_kept_system(k33):
     with pytest.raises(ValueError):
         max_order2(k33, "z")
     assert "z" not in k33._cache
+
+
+def test_scan_keys_are_an_array_unless_a_key_needs_more_bits(k33, monkeypatch):
+    keys = tangles._Universe.of(_copy(k33), "e").scan()
+    masks, ground, _ = universe_context(k33, "e")
+    assert keys.typecode == "q"
+    assert list(keys) == _kernels.scan_members(masks, ground.n, False)
+    assert len(tangles._Universe.of(_copy(k33), "x").scan()) == 13
+    wide = [5, 1 << 63]
+    monkeypatch.setattr(_kernels, "scan_members", lambda *args: wide)
+    assert tangles._Universe.of(_copy(k33), "x").scan() is wide
+
+
+def test_kept_images_keep_earlier_entries(k33, two_blocks):
+    """A longer read extends the table: the entries of a shorter read are
+    the same objects, and each is made from the shared member pairs."""
+    for g, source, dest in ((k33, "x", "y"), (k33, "e", "x"),
+                            (two_blocks, "bx", "by")):
+        total = len(build_system(g, source, HalfInt(max_order2(g, source) + 1)))
+        short = kept_images(g, source, dest, 3)
+        longer = kept_images(g, source, dest, 10)
+        whole = kept_images(g, source, dest, total + 5)
+        assert (len(short), len(longer), len(whole)) == (3, 10, total) and total > 10
+        assert all(a is b for a, b in zip(short, longer))
+        assert all(a is b for a, b in zip(longer, whole))
+        assert g._cache[source].images[dest] == whole
 
 
 def test_universe_context_looked_up_once_per_universe(monkeypatch):

@@ -5,9 +5,10 @@ import gc
 import pytest
 
 import sepdual.verify as verify
-from sepdual import (HalfInt, Sep, build_system, enumerate_tangles, from_edges,
-                     gen_random)
+from sepdual import (CapExceeded, HalfInt, Sep, _kernels, build_system,
+                     enumerate_tangles, from_edges, gen_random)
 from sepdual.separations import DEFAULT_PARTITION_CAP, DEFAULT_SEP_CAP
+from sepdual.shifts import universe_map
 from sepdual.tangles import (DEFAULT_EDGE_CAP, DEFAULT_MEMBER_CAP, LowOrderSystem,
                              kept_system)
 from sepdual.verify import (
@@ -264,3 +265,95 @@ def test_kept_state_is_freed_with_its_graph():
         assert systems_alive() == before
     finally:
         gc.enable()
+
+
+def _leg_theorems():
+    """theorem -> (kind, legs), for every theorem run by ``_run_legs``."""
+    return {t: (body.keywords["kind"], body.keywords["legs"])
+            for t, body in ALL_THEOREMS.items() if t != "pushforward_containment"}
+
+
+def test_kept_images_equal_the_map_on_every_corpus_table():
+    """After a corpus pass, every entry of every image table is the pair of
+    plain tuples universe_map gives for the member and for its inverse, and
+    every map a leg or the push-forward uses has a table on some graph."""
+    graphs = corpus()
+    run_corpus(graphs=graphs)
+    used = {ends for _, legs in _leg_theorems().values() for leg in legs
+            for _, _, _, ends in leg.steps} | {("x", "y"), ("y", "x")}
+    seen = set()
+    for _, g in graphs:
+        for universe, space in g._cache.items():
+            if not isinstance(universe, str):
+                continue
+            for dest, table in space.images.items():
+                seen.add((universe, dest))
+                shift = universe_map(g, universe, dest)
+                assert len(table) <= len(space.pairs)
+                for (a, b), entry in zip(space.pairs, table):
+                    assert entry == (shift(Sep(a, b)), shift(Sep(b, a)))
+                    assert all(type(image) is tuple for image in entry)
+    assert seen == used
+
+
+def test_repeat_run_makes_no_shift(monkeypatch):
+    """A second run of a leg theorem on the same graph and threshold reads
+    every image from the kept tables.  (Push-forward containment maps the
+    images back through universe_map, so it is left out.)"""
+    calls = []
+    shift2 = _kernels.shift2
+    monkeypatch.setattr(_kernels, "shift2",
+                        lambda *args: calls.append(args) or shift2(*args))
+    shifted = nonvacuous = 0
+    for name, g in corpus()[:12]:
+        for theorem in _leg_theorems():
+            for k2 in (1, 2, 3, 4):
+                calls.clear()
+                first = run_theorem(theorem, g, k2, name)
+                shifted += bool(calls)
+                calls.clear()
+                again = run_theorem(theorem, g, k2, name)
+                assert not calls, (name, theorem, k2)
+                assert again.to_dict() == first.to_dict()
+                nonvacuous += bool(again.hypothesis_count)
+    assert shifted >= 20 and nonvacuous >= 100
+
+
+def _reference_step(g, step, ends, members, family):
+    """One pull or push step computed with the set-based map."""
+    fn = lambda s: verify._set_map(g, *ends, s)
+    both = [s for m in members for s in (m, (m[1], m[0]))]
+    if step is verify._pull:
+        return {s for s in both if fn(s) in family}
+    image = {fn(s) for s in family}
+    return {s for s in both if s in image}
+
+
+def test_steps_read_from_the_tables_match_the_set_based_map():
+    """Every step of every leg, from every hypothesis on part of the
+    corpus, gives the family the set-based map gives, pushes included."""
+    checked = {verify._pull: 0, verify._push: 0}
+    for name, g in corpus()[::3]:
+        for kind, legs in _leg_theorems().values():
+            for k2 in (1, 2, 3, 4):
+                ctx = verify._Ctx(g, DEFAULT_MEMBER_CAP)
+                for leg in legs:
+                    universe, factor = leg.hyp
+                    try:
+                        hyp_sys = ctx.system(universe, factor * k2)
+                        systems = [ctx.system(u, f * k2) for _, u, f, _ in leg.steps]
+                        hyps = ctx.search(universe, factor * k2, kind)
+                    except CapExceeded:
+                        continue
+                    if not hyps:
+                        continue
+                    plan = verify._plan(g, leg, hyp_sys, systems)
+                    for tau in hyps:
+                        family = set(tau.choices())
+                        for (step, images, sources, members), (_, _, _, ends) in zip(
+                                plan, leg.steps):
+                            want = _reference_step(g, step, ends, members, family)
+                            family = step(images, sources, family, members)
+                            assert family == want, (name, leg, k2)
+                            checked[step] += 1
+    assert checked[verify._pull] >= 500 and checked[verify._push] >= 50
