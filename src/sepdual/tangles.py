@@ -29,21 +29,33 @@ is tested against.
 Kept state: all that is kept about one (graph, universe) is one
 ``_Universe`` at ``g._cache[name]``, and the systems kept through
 ``kept_system`` are at ``g._cache[name, k2]``; only this module touches
-them.  A ``_Universe`` holds the universe's context (masks, ground set,
-partition flag), looked up once; the kernel's sorted int keys, scanned on
-first need and kept as an array of 64-bit ints; one int object per mask and
-one decoded prefix of plain ``(a, b)`` int pairs, which the garbage
-collector stops tracking; the prefix record; the top order; and the image
-tables below, of plain pairs too.  It refers to no system and not to the
-graph, so a dropped graph is freed by reference counting.  S_k is the
-prefix of the scan of order below k, so a system is its ``_Universe``, its
-threshold and its member count, found by bisecting the keys.  Its length
-and orders are read off the keys, and its members are decoded on first read
-by extending the shared prefix, so all systems of a universe share the same
-pair objects and a system that nobody reads (one whose search trips the
-member cap, say) is never decoded.  ``Sep`` is built only where a
-separation leaves the module (``Orientation.chosen`` and the witnesses of
-the checks).
+them, and only it calls the kernel's scan and count.  A ``_Universe`` holds
+the universe's context (masks, ground set, partition flag), looked up once;
+the cumulative member counts by order; a prefix of the kernel's sorted int
+keys, kept as an array of 64-bit ints; one int object per mask and one
+decoded prefix of plain ``(a, b)`` int pairs, which the garbage collector
+stops tracking; the prefix record; the top order; and the image tables
+below, of plain pairs too.  It refers to no system and not to the graph, so
+a dropped graph is freed by reference counting.  S_k is the prefix of the
+scan of order below k, so a system is its ``_Universe``, its threshold and
+its member count, one index into the cumulative counts.
+
+The universe's size, known in closed form, decides how the counts are
+found.  A universe of at most ``LIST_MAX`` members is scanned in full on
+first need and its counts are read off the keys.  A larger one is counted
+by ``_kernels.order_counts`` without listing a member, and its keys are
+listed, below a threshold, only when a read needs members past those
+listed; each such scan at least doubles the keys, and once past half the
+universe lists it all.  On the corpus the large universes are edge
+universes of 8-10 edges whose searches read at most 18 members, while every
+larger threshold is asked only for its member count.
+
+A system's length is its count, its orders are read off the keys, and its
+members are decoded on first read by extending the shared prefix, so all
+systems of a universe share the same pair objects and a system that nobody
+reads (one whose search trips the member cap, say) is never decoded.
+``Sep`` is built only where a separation leaves the module
+(``Orientation.chosen`` and the witnesses of the checks).
 
 Image tables: a member's image under one map of one graph never changes, so
 ``kept_images`` keeps, per destination universe, the list of (image of the
@@ -92,29 +104,41 @@ from .shifts import universe_map
 
 DEFAULT_EDGE_CAP = 10
 DEFAULT_MEMBER_CAP = 24
+#: A universe of at most this many members is listed in full on first need;
+#: a larger one is counted by order and listed only as far as it is read.
+LIST_MAX = 1000
 
 
 class _Universe:
     """All that is kept per (graph, universe); see the module docstring.
 
     The universe's context (masks, ground set, partition flag) is looked up
-    once.  ``keys`` is the sorted scan of which every S_k is a prefix, the
-    kernel's keys ``order2 << 2n | a << n | b``, built by ``scan``;
-    ``pool`` holds one int object per mask and ``pairs`` the members decoded
-    so far, the longest prefix any system read.  ``record`` is the prefix
-    record and ``max2`` the top order, once asked for.  ``images`` maps a
-    destination universe to the images of ``pairs[:len(list)]`` under the
-    canonical map there: one ``(image of member, image of its inverse)``
-    entry per member, as plain int pairs.
+    once.  ``cumulative[k2]`` is the number of members of doubled order
+    below k2, for k2 up to the top order plus one, built by ``counts``.
+    ``keys`` is a prefix of the sorted scan of which every S_k is a prefix,
+    the kernel's keys ``order2 << 2n | a << n | b``, extended by ``listed``:
+    the whole scan for a universe of at most ``LIST_MAX`` members, else the
+    members below a threshold, as far as reads needed.  ``pool`` holds one
+    int object per mask and ``pairs`` the members decoded so far, the
+    longest prefix any system read.  ``record`` is the prefix record and
+    ``max2`` the top order, once asked for.  ``images`` maps a destination
+    universe to the images of ``pairs[:len(list)]`` under the canonical map
+    there: one ``(image of member, image of its inverse)`` entry per member,
+    as plain int pairs.
     """
 
-    __slots__ = ("name", "masks", "ground", "partitions_only", "keys", "pool",
-                 "pairs", "record", "max2", "images")
+    __slots__ = ("name", "masks", "ground", "partitions_only", "small",
+                 "cumulative", "keys", "pool", "pairs", "record", "max2", "images")
 
     def __init__(self, name: str, context):
         self.name = name
         self.masks, self.ground, self.partitions_only = context
-        self.keys = self.pool = self.max2 = None
+        n = self.ground.n
+        # the member count in closed form: the 2^n ordered partitions, or the
+        # 3^n ordered separations but (full, full), two orientations a member
+        members = (1 << n - 1 if n else 0) if self.partitions_only else (3 ** n - 1) // 2
+        self.small = members <= LIST_MAX
+        self.cumulative = self.keys = self.pool = self.max2 = None
         self.pairs: tuple[tuple[int, int], ...] = ()
         self.record = {}  # (member count, kind) -> forward tuples of the results
         self.images = {}  # dest universe -> [(image of member, of its inverse)]
@@ -136,20 +160,63 @@ class _Universe:
         if n > cap:
             raise CapExceeded(f"universe {self.name!r} has {n} elements, over cap {cap}")
 
-    def scan(self) -> Sequence[int]:
-        """The sorted keys, scanned on first need.  They are kept as an array
-        of 64-bit ints, a fifth of the memory of int objects in a list and
-        nothing for the collector to traverse, unless the largest (the last)
-        needs more bits."""
-        if self.keys is None:
-            keys = _kernels.scan_members(self.masks, self.ground.n,
-                                         self.partitions_only)
-            self.keys = array("q", keys) if not keys or keys[-1] >> 63 == 0 else keys
-        return self.keys
+    def counts(self) -> list[int]:
+        """The cumulative member counts by order, built on first need: off
+        the whole scan for a small universe, else by the kernel's count."""
+        if self.cumulative is None:
+            n = self.ground.n
+            if self.small:
+                keys = self.listed(0)
+                top = keys[-1] >> 2 * n if keys else -1
+                self.cumulative = [bisect_left(keys, k2 << 2 * n)
+                                   for k2 in range(top + 2)]
+            else:
+                by_order = _kernels.order_counts(self.masks, n, self.partitions_only)
+                cumulative = [0]
+                for order in range(max(by_order, default=-1) + 1):
+                    cumulative.append(cumulative[-1] + by_order.get(order, 0))
+                self.cumulative = cumulative
+        return self.cumulative
 
     def count_below(self, k2: int) -> int:
         """Number of members of doubled order below k2."""
-        return bisect_left(self.scan(), k2 << 2 * self.ground.n)
+        cumulative = self.cumulative or self.counts()
+        return cumulative[k2] if k2 < len(cumulative) else cumulative[-1]
+
+    def top(self) -> int:
+        """Doubled order of the largest separation; see ``max_order2``."""
+        if self.max2 is None:
+            if self.partitions_only:
+                self.check_ground_cap()
+                self.max2 = max(len(self.counts()) - 2, 0)
+            else:
+                full = self.ground.full
+                self.max2 = _kernels.order2(self.masks, full, full)
+        return self.max2
+
+    def listed(self, count: int) -> Sequence[int]:
+        """The sorted keys, at least the first ``count`` of them: all of a
+        small universe on first need, else those below the smallest
+        threshold that holds ``count`` members and twice the keys listed
+        before, or all once that is over half.  They are kept as an array of
+        64-bit ints, a fifth of the memory of int objects in a list and
+        nothing for the collector to traverse, unless the largest (the last)
+        needs more bits."""
+        keys = self.keys
+        if keys is None or len(keys) < count:
+            below = None
+            if not self.small:
+                # doubling bounds the rescans of rising reads by about
+                # twice the last
+                cumulative = self.counts()
+                count = max(count, 2 * len(keys or ()))
+                if 2 * count <= cumulative[-1]:
+                    below = bisect_left(cumulative, count)
+            keys = _kernels.scan_members(self.masks, self.ground.n,
+                                         self.partitions_only, below)
+            keys = self.keys = (array("q", keys) if not keys or keys[-1] >> 63 == 0
+                                else keys)
+        return keys
 
     def members(self, count: int) -> tuple[tuple[int, int], ...]:
         """The first ``count`` members as ``(a, b)`` pairs, extending the
@@ -164,7 +231,7 @@ class _Universe:
                                     else list(range(full + 1)))
             pairs = self.pairs = pairs + tuple([
                 (pool[k >> n & full], pool[k & full])
-                for k in self.keys[len(pairs):count]])
+                for k in self.listed(count)[len(pairs):count]])
         return pairs[:count]
 
 
@@ -173,19 +240,11 @@ def max_order2(g: BipartiteGraph, universe: str) -> int:
 
     For separation universes this is the top element (full, full); for
     partition universes it is the maximum over all partitions, read off the
-    scan, so the ground set is held to the default cap of ``build_system``.
-    Kept per universe; a separation universe is never scanned for it.
+    cumulative counts, so the ground set is held to the default cap of
+    ``build_system``.  Kept per universe; a separation universe is never
+    scanned or counted for it.
     """
-    space = _Universe.of(g, universe)
-    if space.max2 is None:
-        ground = space.ground
-        if space.partitions_only:
-            space.check_ground_cap()
-            keys = space.scan()
-            space.max2 = keys[-1] >> 2 * ground.n if keys else 0
-        else:
-            space.max2 = _kernels.order2(space.masks, ground.full, ground.full)
-    return space.max2
+    return _Universe.of(g, universe).top()
 
 
 class LowOrderSystem:
@@ -195,8 +254,8 @@ class LowOrderSystem:
     (lexicographically smaller orientation first), deduplicated, and sorted
     by (order, first mask, second mask).  The top separation (full, full) is
     never a member.  A system is a member count over the scan of its
-    universe: ``len`` and ``orders2`` read the scan's keys, and ``members``
-    is decoded on first read.  It holds the ``_Universe`` of its (graph,
+    universe: ``len`` reads the count, ``orders2`` the scan's keys, and
+    ``members`` is decoded on first read.  It holds the ``_Universe`` of its (graph,
     universe), not the graph, so nothing a graph keeps refers back to it.
     """
 
@@ -217,6 +276,7 @@ class LowOrderSystem:
         space = _Universe(universe, ((), ground, False))
         n = ground.n
         space.keys = [a << n | b for a, b in members]
+        space.cumulative = [0, len(space.keys)]
         return cls(space, k2, len(space.keys))
 
     @property
@@ -236,7 +296,7 @@ class LowOrderSystem:
     @property
     def orders2(self) -> tuple[int, ...]:
         s2 = 2 * self.space.ground.n
-        return tuple([k >> s2 for k in self.space.keys[:self.count]])
+        return tuple([k >> s2 for k in self.space.listed(self.count)[:self.count]])
 
     @property
     def index(self) -> dict[tuple[int, int], int]:

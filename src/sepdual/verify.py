@@ -48,7 +48,6 @@ from .tangles import (
     enumerate_tangles,
     kept_images,
     kept_system,
-    max_order2,
 )
 
 #: Default doubled thresholds: k = 1/2, 1, 3/2, 2.
@@ -90,7 +89,7 @@ class _Ctx:
 
     def system(self, universe: str, j2: int) -> LowOrderSystem:
         sys = kept_system(self.g, universe, j2)
-        if max_order2(self.g, universe) < j2:
+        if sys.space.top() < j2:
             self.hints.append(
                 f"system over {universe!r} at doubled order {j2} is its whole universe")
         return sys

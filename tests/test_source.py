@@ -6,6 +6,10 @@ package ``__init__`` is exempt: its imports are re-exports.
 
 Kept state: a graph's ``_cache`` is named only in ``tangles.py``, which owns
 it; ``bigraph.py`` may declare the slot and set it to a new dict.
+
+One path enumerates S_k: no module but ``tangles.py`` names the kernel's
+scan or count, ``_kernels.scan_members`` and ``_kernels.order_counts``
+(the kernel module defines them, which names neither).
 """
 
 import ast
@@ -87,3 +91,31 @@ def test_kept_state_check_sees_a_read():
     left = [n for n in _cache_uses(tree)
             if not _declares_or_initialises_cache(n, tree)]
     assert [n.lineno for n in left] == [5]
+
+
+SCAN_NAMES = ("scan_members", "order_counts")
+
+
+def _scan_uses(tree):
+    """Every node naming the kernel's scan or count: an attribute, a name or
+    an imported name."""
+    return [n for n in ast.walk(tree)
+            if getattr(n, "attr", None) in SCAN_NAMES
+            or getattr(n, "id", None) in SCAN_NAMES
+            or (isinstance(n, ast.alias) and n.name in SCAN_NAMES)]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "tangles.py"],
+                         ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_only_tangles_scans_or_counts(path):
+    tree = ast.parse(path.read_text(), str(path))
+    uses = _scan_uses(tree)
+    assert not uses, f"names the scan or count at lines {sorted(n.lineno for n in uses)}"
+
+
+def test_scan_check_sees_a_call_and_an_import():
+    tree = ast.parse(
+        "from ._kernels import order_counts\n"
+        "def f(masks):\n"
+        "    return _kernels.scan_members(masks, 3)\n")
+    assert sorted(n.lineno for n in _scan_uses(tree)) == [1, 3]

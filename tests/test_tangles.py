@@ -35,7 +35,7 @@ from sepdual import (
 )
 from sepdual.orders import UNIVERSES, order2_of, universe_context
 from sepdual.tangles import DEFAULT_MEMBER_CAP, kept_images, kept_system, max_order2
-from sepdual.verify import even_cycle, run_theorem
+from sepdual.verify import even_cycle, run_corpus, run_theorem
 
 
 def test_build_system_k33(k33):
@@ -276,11 +276,26 @@ def test_dump_deterministic(k33):
     assert '"universe": "x"' in a
 
 
-def _scan_triples(masks, n, partitions_only=False):
+def _scan_triples(masks, n, partitions_only=False, below=None):
     """``scan_members`` decoded into (order2, a, b) triples."""
     full = (1 << n) - 1
     return [(k >> 2 * n, k >> n & full, k & full)
-            for k in _kernels.scan_members(masks, n, partitions_only)]
+            for k in _kernels.scan_members(masks, n, partitions_only, below)]
+
+
+def _assert_counted_and_bounded(masks, n, partitions_only, expected):
+    """``order_counts`` is the histogram of the expected (order2, a, b)
+    triples, and the scan below t is the expected list cut at order t, for
+    every t from 0 to two past the top order."""
+    by_order = {}
+    for o, _, _ in expected:
+        by_order[o] = by_order.get(o, 0) + 1
+    assert _kernels.order_counts(masks, n, partitions_only) == by_order, (
+        n, masks, partitions_only)
+    top = max(by_order, default=0)
+    for t in range(top + 3):
+        assert (_scan_triples(masks, n, partitions_only, below=t)
+                == [e for e in expected if e[0] < t]), (n, masks, partitions_only, t)
 
 
 def test_scan_sorted_and_complete():
@@ -303,7 +318,8 @@ def _scan_by_definition(masks, n, partitions_only):
 
 def test_scan_matches_definition_on_random_masks():
     """Seeded mask lists over n = 0..8: empty lists, elements in no mask,
-    repeated masks, and both modes."""
+    repeated masks, and both modes; the count by order and every bounded
+    scan too."""
     rng = random.Random(20211)
     for n in range(9):
         for trial in range(12 if n < 7 else 3):
@@ -315,9 +331,10 @@ def test_scan_matches_definition_on_random_masks():
             if trial % 3 == 2 and masks:
                 masks += masks[: rng.randrange(1, len(masks) + 1)]
             for partitions_only in (False, True):
-                assert (_scan_triples(masks, n, partitions_only)
-                        == _scan_by_definition(masks, n, partitions_only)), (
+                expected = _scan_by_definition(masks, n, partitions_only)
+                assert _scan_triples(masks, n, partitions_only) == expected, (
                     n, masks, partitions_only)
+                _assert_counted_and_bounded(masks, n, partitions_only, expected)
     # incidence-shaped lists, where the scan's per-level step cache hits: the
     # incident-edge masks of a random bipartite graph with up to 10 edges,
     # so every element lies in exactly two masks
@@ -329,14 +346,16 @@ def test_scan_matches_definition_on_random_masks():
         masks = [sum(1 << j for j, e in enumerate(edges) if e[side] == v)
                  for side, count in ((0, nx), (1, ny)) for v in range(count)]
         for partitions_only in (False, True):
-            assert (_scan_triples(masks, n, partitions_only)
-                    == _scan_by_definition(masks, n, partitions_only)), (
+            expected = _scan_by_definition(masks, n, partitions_only)
+            assert _scan_triples(masks, n, partitions_only) == expected, (
                 n, masks, partitions_only)
+            _assert_counted_and_bounded(masks, n, partitions_only, expected)
 
 
 def test_scan_matches_label_set_oracles():
     """One graph with a tie-rich cycle and an isolated vertex, every universe,
-    scored by the label-set oracles instead of the mask kernels."""
+    scored by the label-set oracles instead of the mask kernels; the count
+    by order and every bounded scan too."""
     g = BipartiteGraph(["x1", "x2", "x3"], ["y1", "y2", "y3", "y4"],
                        [("x1", "y1"), ("x1", "y2"), ("x2", "y2"), ("x2", "y3"),
                         ("x3", "y3"), ("x3", "y1")])
@@ -357,6 +376,7 @@ def test_scan_matches_label_set_oracles():
                 expected.append((int(o), a, b))
         expected.sort()
         assert _scan_triples(masks, ground.n, partitions_only) == expected
+        _assert_counted_and_bounded(masks, ground.n, partitions_only, expected)
 
 
 def _copy(g):
@@ -534,14 +554,78 @@ def test_memo_keyed_by_universe_keeps_systems_only_through_kept_system(k33):
 
 
 def test_scan_keys_are_an_array_unless_a_key_needs_more_bits(k33, monkeypatch):
-    keys = tangles._Universe.of(_copy(k33), "e").scan()
+    space = tangles._Universe.of(_copy(k33), "e")
+    keys = space.listed(space.count_below(10**6))  # every member
     masks, ground, _ = universe_context(k33, "e")
     assert keys.typecode == "q"
     assert list(keys) == _kernels.scan_members(masks, ground.n, False)
-    assert len(tangles._Universe.of(_copy(k33), "x").scan()) == 13
+    assert len(tangles._Universe.of(_copy(k33), "x").listed(0)) == 13
     wide = [5, 1 << 63]
     monkeypatch.setattr(_kernels, "scan_members", lambda *args: wide)
-    assert tangles._Universe.of(_copy(k33), "x").scan() is wide
+    assert tangles._Universe.of(_copy(k33), "x").listed(0) is wide
+
+
+def test_large_universe_is_counted_and_listed_only_as_far_as_read():
+    """cycle10's edge universe (29,524 members) after a corpus run: every
+    threshold the verifier asks for is counted exactly, but only the members
+    its searches read are listed."""
+    g = even_cycle(5)
+    run_corpus(graphs=[("cycle10", g)])
+    space = g._cache["e"]
+    assert not space.small
+    thresholds = (1, 2, 3, 4, 6, 8, 16, 24, 32)
+    assert {key[1] for key in g._cache
+            if isinstance(key, tuple) and key[0] == "e"} == set(thresholds)
+    assert ([space.count_below(k2) for k2 in thresholds]
+            == [1, 1, 11, 11, 216, 1316, 28188, 29524, 29524])
+    assert len(space.keys) < 29524
+    masks, ground, _ = universe_context(g, "e")
+    full = _kernels.scan_members(masks, ground.n)
+    assert list(space.keys) == full[:len(space.keys)]
+
+
+def test_universe_at_the_boundary_is_listed_in_full_on_first_need(monkeypatch):
+    """The largest universes of at most ``LIST_MAX`` members (a 6-element
+    side, a 10-element partition universe) are scanned whole by their first
+    count, without the kernel's count; one element more and they are counted,
+    and listed only when read."""
+    assert (3**6 - 1) // 2 <= tangles.LIST_MAX < (3**7 - 1) // 2
+    assert 2**9 <= tangles.LIST_MAX < 2**10
+    monkeypatch.setattr(_kernels, "order_counts", None)
+    for nx, universe, size in ((6, "x", 364), (10, "bx", 512)):
+        g = gen_random(nx, 4, 0.6, 3)
+        build_system(g, universe, HalfInt(1))
+        space = g._cache[universe]
+        assert space.small and len(space.keys) == size
+    monkeypatch.undo()
+    for nx, universe, size in ((7, "x", 1093), (11, "bx", 1024)):
+        g = gen_random(nx, 4, 0.6, 3)
+        space = tangles._Universe.of(g, universe)
+        assert space.count_below(10**6) == size and space.keys is None
+        members = build_system(g, universe, HalfInt(3)).members
+        assert 0 < len(space.keys) < size
+        assert members == space.members(len(members))
+
+
+def test_rising_reads_list_by_doubling():
+    """Reads of rising thresholds on a large universe rescan below a
+    threshold that at least doubles the keys, or list every member once
+    that is past half; every listing is a prefix of the full scan."""
+    g = even_cycle(5)
+    masks, ground, _ = universe_context(g, "e")
+    full = _kernels.scan_members(masks, ground.n)
+    space = tangles._Universe.of(g, "e")
+    lengths = [0]
+    for k2 in range(1, 34):
+        count = len(build_system(g, "e", HalfInt(k2)).members)
+        keys = space.keys
+        assert count <= len(keys) and list(keys) == full[:len(keys)]
+        if len(keys) != lengths[-1]:
+            assert (len(keys) in space.counts()
+                    and (len(keys) >= 2 * lengths[-1] or len(keys) == len(full)))
+            assert len(keys) == len(full) or 2 * len(keys) <= len(full)
+            lengths.append(len(keys))
+    assert lengths[-1] == len(full) and len(lengths) > 3
 
 
 def test_kept_images_keep_earlier_entries(k33, two_blocks):
