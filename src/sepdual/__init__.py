@@ -80,6 +80,5 @@ from .tangles import (
     enumerate_orientations,
     enumerate_tangles,
     is_regular_profile,
-    restrict,
 )
 from .verify import TheoremCase, corpus, run_corpus, run_theorem

@@ -81,7 +81,7 @@ class BipartiteGraph:
             (self.x.labels[xi], self.y.labels[yi]) for xi, yi in edge_list
         )
         # one tangles._Universe per universe name, and the systems kept per
-        # (name, k2); read and written only by sepdual.tangles
+        # (name, member count); read and written only by sepdual.tangles
         self._cache = {}
 
     # -- queries ----------------------------------------------------------

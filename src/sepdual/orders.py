@@ -42,7 +42,7 @@ class HalfInt:
         return cls(2 * n)
 
     def __add__(self, other):
-        return HalfInt(self.doubled + _coerce(other).doubled)
+        return HalfInt(self.doubled + as_halfint(other).doubled)
 
     def __mul__(self, factor: int):
         return HalfInt(self.doubled * factor)
@@ -92,13 +92,9 @@ def _doubled(v) -> int:
     raise TypeError(f"cannot interpret {v!r} as a half-integer")
 
 
-def _coerce(v) -> HalfInt:
-    return v if isinstance(v, HalfInt) else HalfInt(_doubled(v))
-
-
 def as_halfint(v) -> HalfInt:
     """Coerce an int (whole units) or HalfInt to HalfInt."""
-    return _coerce(v)
+    return v if isinstance(v, HalfInt) else HalfInt(_doubled(v))
 
 
 def universe_context(g: BipartiteGraph, universe: str):

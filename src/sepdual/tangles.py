@@ -28,17 +28,24 @@ is tested against.
 
 Kept state: all that is kept about one (graph, universe) is one
 ``_Universe`` at ``g._cache[name]``, and the systems kept through
-``kept_system`` are at ``g._cache[name, k2]``; only this module touches
-them, and only it calls the kernel's scan and count.  A ``_Universe`` holds
-the universe's context (masks, ground set, partition flag), looked up once;
-the cumulative member counts by order; a prefix of the kernel's sorted int
-keys, kept as an array of 64-bit ints; one int object per mask and one
-decoded prefix of plain ``(a, b)`` int pairs, which the garbage collector
-stops tracking; the prefix record; the top order; and the image tables
-below, of plain pairs too.  It refers to no system and not to the graph, so
-a dropped graph is freed by reference counting.  S_k is the prefix of the
-scan of order below k, so a system is its ``_Universe``, its threshold and
-its member count, one index into the cumulative counts.
+``kept_system`` are at ``g._cache[name, count]``, one per member count;
+only this module touches them, and only it calls the kernel's scan and
+count.  A ``_Universe`` holds the universe's context (masks, ground set,
+partition flag), looked up once; the cumulative member counts by order; a
+prefix of the kernel's sorted int keys, kept as an array of 64-bit ints; one
+int object per mask and one decoded prefix of plain ``(a, b)`` int pairs,
+which the garbage collector stops tracking; the prefix record; the top
+order; and the image tables below, of plain pairs too.  It refers to no
+system and not to the graph, so a dropped graph is freed by reference
+counting; a kept system refers to its ``_Universe``, which is why systems
+are kept on the graph and not there.
+
+A system is its ``_Universe`` and a member count.  S_k is the prefix of the
+scan of order below k, so every threshold between two consecutive member
+orders names the same system, and the threshold is only a query: S_j for
+j <= k is the prefix of ``count_below(j2)`` members, which is how
+``Orientation.restrict`` restricts, and orientations of one universe
+compare by their choices alone.
 
 The universe's size, known in closed form, decides how the counts are
 found.  A universe of at most ``LIST_MAX`` members is scanned in full on
@@ -55,7 +62,7 @@ members are decoded on first read by extending the shared prefix, so all
 systems of a universe share the same pair objects and a system that nobody
 reads (one whose search trips the member cap, say) is never decoded.
 ``Sep`` is built only where a separation leaves the module
-(``Orientation.chosen`` and the witnesses of the checks).
+(``Orientation.choices`` and the witnesses of the checks).
 
 Image tables: a member's image under one map of one graph never changes, so
 ``kept_images`` keeps, per destination universe, the list of (image of the
@@ -248,36 +255,36 @@ def max_order2(g: BipartiteGraph, universe: str) -> int:
 
 
 class LowOrderSystem:
-    """All separations of one universe with order strictly below a threshold.
+    """The first ``count`` separations of one universe in sorted order: S_k
+    for every threshold k above their orders and at most the next one's.
 
     Members are plain ``(a, b)`` int pairs (not ``Sep``), canonical
     (lexicographically smaller orientation first), deduplicated, and sorted
     by (order, first mask, second mask).  The top separation (full, full) is
-    never a member.  A system is a member count over the scan of its
-    universe: ``len`` reads the count, ``orders2`` the scan's keys, and
-    ``members`` is decoded on first read.  It holds the ``_Universe`` of its (graph,
-    universe), not the graph, so nothing a graph keeps refers back to it.
+    never a member.  A system carries no threshold: it is a member count over
+    the scan of its universe, ``len`` reads the count, ``orders2`` the scan's
+    keys, and ``members`` is decoded on first read.  It holds the
+    ``_Universe`` of its (graph, universe), not the graph, so nothing a graph
+    keeps refers back to it.
     """
 
-    __slots__ = ("space", "k2", "count", "_members", "_index")
+    __slots__ = ("space", "count", "_members", "_index")
 
-    def __init__(self, space: _Universe, k2: int, count: int):
+    def __init__(self, space: _Universe, count: int):
         self.space = space
-        self.k2 = k2
         self.count = count
         self._members = None
         self._index = None
 
     @classmethod
-    def from_members(cls, universe: str, k2: int, ground,
-                     members) -> "LowOrderSystem":
+    def from_members(cls, universe: str, ground, members) -> "LowOrderSystem":
         """A system of the given canonical members, in the given order, each
         of order 0, with a fresh prefix record: member lists no scan yields."""
         space = _Universe(universe, ((), ground, False))
         n = ground.n
         space.keys = [a << n | b for a, b in members]
         space.cumulative = [0, len(space.keys)]
-        return cls(space, k2, len(space.keys))
+        return cls(space, len(space.keys))
 
     @property
     def universe(self) -> str:
@@ -305,23 +312,11 @@ class LowOrderSystem:
             self._index = {s: i for i, s in enumerate(self.members)}
         return self._index
 
-    @property
-    def k(self) -> HalfInt:
-        return HalfInt(self.k2)
-
     def __len__(self) -> int:
         return self.count
 
-    def restricted(self, k) -> "LowOrderSystem":
-        """The subsystem of order below k (a prefix, since members are sorted)."""
-        k2 = as_halfint(k).doubled
-        if k2 > self.k2:
-            raise ValueError("restriction threshold exceeds the system threshold")
-        return LowOrderSystem(self.space, k2, self.space.count_below(k2))
-
     def __repr__(self) -> str:
-        return (f"LowOrderSystem({self.universe!r}, k={self.k}, "
-                f"members={self.count})")
+        return f"LowOrderSystem({self.universe!r}, members={self.count})"
 
 
 def build_system(g: BipartiteGraph, universe: str, k,
@@ -332,7 +327,7 @@ def build_system(g: BipartiteGraph, universe: str, k,
     k2 = as_halfint(k).doubled
     space = _Universe.of(g, universe)
     space.check_ground_cap(cap)
-    return LowOrderSystem(space, k2, space.count_below(k2))
+    return LowOrderSystem(space, space.count_below(k2))
 
 
 class Orientation:
@@ -345,10 +340,6 @@ class Orientation:
             raise ValueError("one choice per member required")
         self.system = system
         self.forward = tuple(forward)
-
-    def chosen(self, i: int) -> Sep:
-        a, b = self.system.members[i]
-        return Sep(a, b) if self.forward[i] else Sep(b, a)
 
     def choices(self) -> tuple[Sep, ...]:
         return tuple([Sep(a, b) if f else Sep(b, a)
@@ -366,17 +357,23 @@ class Orientation:
         return self.forward[i] == forward
 
     def __eq__(self, other) -> bool:
+        # a system is a prefix of its universe, so the choices fix the system
         return (isinstance(other, Orientation)
-                and self.system is other.system
+                and self.system.space is other.system.space
                 and self.forward == other.forward)
 
     def __hash__(self) -> int:
-        return hash((id(self.system), self.forward))
+        return hash((id(self.system.space), self.forward))
 
     def restrict(self, k) -> "Orientation":
-        """Induced orientation of the subsystem of order below k."""
-        sub = self.system.restricted(k)
-        return Orientation(sub, self.forward[: sub.count])
+        """Induced orientation of S_k, the prefix of the members of order
+        below k; raises only when that prefix is longer than the system."""
+        space = self.system.space
+        n = space.count_below(as_halfint(k).doubled)
+        if n > self.system.count:
+            raise ValueError(f"S_k has {n} members, more than the "
+                             f"{self.system.count} of the system")
+        return Orientation(LowOrderSystem(space, n), self.forward[:n])
 
     def to_dict(self) -> dict:
         ground = self.system.ground
@@ -386,16 +383,11 @@ class Orientation:
             out.append({**sep_labels(ground, s), "order2": o2, "forward": fwd})
         return {
             "universe": self.system.universe,
-            "k2": self.system.k2,
             "members": out,
         }
 
     def dump_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-
-
-def restrict(o: Orientation, k) -> Orientation:
-    return o.restrict(k)
 
 
 @dataclass(frozen=True)
@@ -656,9 +648,13 @@ def kept_images(g: BipartiteGraph, universe: str, dest: str,
 
 
 def kept_system(g: BipartiteGraph, universe: str, k2: int) -> LowOrderSystem:
-    """S_k at doubled threshold k2, built once and kept at
-    ``g._cache[universe, k2]``."""
-    system = g._cache.get((universe, k2))
+    """S_k at doubled threshold k2, kept at ``g._cache[universe, count]``, so
+    every threshold with the same members shares one system; built through
+    ``build_system`` once per member count."""
+    space = _Universe.of(g, universe)
+    space.check_ground_cap()
+    key = universe, space.count_below(k2)
+    system = g._cache.get(key)
     if system is None:
-        system = g._cache[universe, k2] = build_system(g, universe, HalfInt(k2))
+        system = g._cache[key] = build_system(g, universe, HalfInt(k2))
     return system

@@ -94,11 +94,10 @@ class _Ctx:
                 f"system over {universe!r} at doubled order {j2} is its whole universe")
         return sys
 
-    def search(self, universe: str, j2: int, kind: str) -> list[Orientation]:
+    def search(self, system: LowOrderSystem, kind: str) -> list[Orientation]:
         # the threshold is read only when no system is given
-        return enumerate_tangles(self.g, universe, None, kind,
-                                 member_cap=self.member_cap,
-                                 system=kept_system(self.g, universe, j2))
+        return enumerate_tangles(self.g, system.universe, None, kind,
+                                 member_cap=self.member_cap, system=system)
 
     def isolated_hint(self, side: str) -> None:
         adj = self.g.adj_x if side == "x" else self.g.adj_y
@@ -335,7 +334,7 @@ def _run_legs(g, ctx, k2, kind, legs):
         universe, factor = leg.hyp
         hyp_sys = ctx.system(universe, factor * k2)
         systems = [ctx.system(u, f * k2) for _, u, f, _ in leg.steps]
-        hyps = ctx.search(universe, factor * k2, kind)
+        hyps = ctx.search(hyp_sys, kind)
         if leg.counted:
             hyp_count += len(hyps)
         if not hyps:
@@ -389,8 +388,7 @@ def _pushforward_containment(g, ctx, k2):
     hyp_count = 0
     for side in ("x", "y"):
         other = _OTHER[side]
-        ctx.system(side, 16 * k2)
-        hyps = ctx.search(side, 16 * k2, "tangle")
+        hyps = ctx.search(ctx.system(side, 16 * k2), "tangle")
         hyp_count += len(hyps)
         if not hyps:
             continue

@@ -5,7 +5,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from sepdual import from_edges
+from probes import PROBES
+from sepdual import from_edges, verify
 
 
 @pytest.fixture
@@ -40,3 +41,11 @@ def two_blocks():
 def path3():
     """Path x1 - y1 - x2 - y2: three edges, no ties anywhere."""
     return from_edges([("x1", "y1"), ("x2", "y1"), ("x2", "y2")])
+
+
+@pytest.fixture
+def probes(monkeypatch):
+    """The rows of ``probes.PROBES``, in ``verify.ALL_THEOREMS`` for one test."""
+    for probe in PROBES:
+        monkeypatch.setitem(verify.ALL_THEOREMS, probe.theorem, probe.body)
+    return PROBES

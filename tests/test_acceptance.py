@@ -28,9 +28,11 @@ from sepdual import (
     kernel_basis,
     norm_squared,
     order_edge,
+    order_partition,
     order_side,
     order_side_edge_form,
     orientation_to_chain,
+    shift_partition,
     shift_side,
     structural_submodularity_check,
     sup,
@@ -126,6 +128,10 @@ def test_criterion_2_order_identities():
                 # the induced edge separation sandwich
                 oe = order_edge(g, sep_to_edges(g, s, side))
                 assert o.doubled <= oe.doubled <= 2 * o.doubled
+            # the partition shift never increases the partition order
+            for s in enumerate_seps(ground, "partitions_only"):
+                assert (order_partition(g, shift_partition(g, s, side), other)
+                        <= order_partition(g, s, side))
         if g.n_edges <= 10:
             for s in enumerate_seps(g.edges):
                 oe = order_edge(g, s)

@@ -234,6 +234,23 @@ def test_verify_exit_code_on_counterexample(capsys, monkeypatch):
     assert code == 1
 
 
+def test_verify_exit_code_on_a_real_counterexample(capsys, probes):
+    """The first probe fails on this graph: the run reports the one
+    counterexample and exits 1."""
+    probe = probes[0]
+    assert probe.graph == "random-4x2-p05-s102" and probe.k2 == 2
+    code, out, err = run_cli(capsys, "verify", "--generator", "random",
+                             "--nx", "4", "--ny", "2", "--p", "0.5",
+                             "--seed", "102", "--k2", "2",
+                             "--theorem", probe.theorem)
+    assert code == 1 and err == ""
+    report = json.loads(out)
+    assert report["summary"]["counterexamples"] == 1
+    (case,) = report["cases"]
+    assert case["outcome"] == "counterexample"
+    assert case["witness"]["kind"] == probe.witness["kind"]
+
+
 def test_verify_deterministic_bytes(tmp_path, capsys):
     outs = []
     for i in range(2):

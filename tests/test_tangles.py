@@ -31,11 +31,10 @@ from sepdual import (
     gen_planted,
     gen_random,
     is_regular_profile,
-    restrict,
 )
 from sepdual.orders import UNIVERSES, order2_of, universe_context
 from sepdual.tangles import DEFAULT_MEMBER_CAP, kept_images, kept_system, max_order2
-from sepdual.verify import even_cycle, run_corpus, run_theorem
+from sepdual.verify import corpus, even_cycle, run_corpus, run_theorem
 
 
 def test_build_system_k33(k33):
@@ -190,7 +189,7 @@ def _hand_built_system(rng):
             if a | b == full and (a, b) <= (b, a) and (a, b) != (full, full):
                 seps.add(Sep(a, b))
     members = tuple(rng.sample(sorted(seps), min(len(seps), rng.randint(2, 6))))
-    return g, LowOrderSystem.from_members("x", 1, g.x, members)
+    return g, LowOrderSystem.from_members("x", g.x, members)
 
 
 def test_search_matches_naive_on_hand_built_systems():
@@ -218,12 +217,19 @@ def test_tangles_are_regular_profiles(k33, path3, two_blocks):
 def test_restrict(k33):
     sys3 = build_system(k33, "x", 3)
     o = enumerate_tangles(k33, "x", 3, kind="regular_profile")[0]
-    assert restrict(o, 3).forward == o.forward
-    r0 = restrict(o, HalfInt(0))
+    assert o.system.members == sys3.members
+    assert o.restrict(3).forward == o.forward
+    r0 = o.restrict(HalfInt(0))
     assert len(r0.forward) == 0
-    r1 = restrict(o, HalfInt(2))
+    r1 = o.restrict(HalfInt(2))
     assert r1.system.members == (Sep(0, 0b111),)
     assert check_profile(r1).ok
+    # the threshold is a query: S_2 has the same 4 members as S_3 ...
+    assert o.restrict(HalfInt(4)) == o and hash(o.restrict(2)) == hash(o)
+    # ... and S_{7/2} has more, which an orientation of 4 members cannot give
+    assert len(build_system(k33, "x", HalfInt(7))) == 10
+    with pytest.raises(ValueError, match="10 members, more than the 4"):
+        o.restrict(HalfInt(7))
 
 
 def test_restriction_of_tangle_is_tangle(path3, k22):
@@ -231,6 +237,44 @@ def test_restriction_of_tangle_is_tangle(path3, k22):
         for o in enumerate_tangles(g, "x", HalfInt(4)):
             for k2 in (1, 2, 3):
                 assert check_tangle(o.restrict(HalfInt(k2))).ok
+
+
+def test_restrictions_are_the_results_of_the_smaller_system():
+    """A system is its universe's prefix, so every result at k2 restricts,
+    without error, to every j2 whose prefix is no longer, and the restriction
+    equals (and hashes like) a result of the search at j2; a longer prefix
+    raises."""
+    graphs = dict(corpus())
+    checked = raised = 0
+    for name in ("k33", "cycle8", "blocks-2-3", "random-3x3-p07-s105",
+                 "random-4x4-p05-s126"):
+        g = graphs[name]
+        # every universe within the ground caps
+        for universe in [u for u in UNIVERSES if u != "e" or g.n_edges <= 10]:
+            top = max_order2(g, universe)
+            counts = [len(build_system(g, universe, HalfInt(j2)))
+                      for j2 in range(top + 3)]
+            for kind in ("tangle", "regular_profile"):
+                for k2 in range(1, top + 3):
+                    try:
+                        found = enumerate_tangles(g, universe, HalfInt(k2), kind)
+                    except CapExceeded:
+                        continue
+                    for j2, count in enumerate(counts):
+                        if count > counts[k2]:
+                            for o in found:
+                                with pytest.raises(ValueError):
+                                    o.restrict(HalfInt(j2))
+                                raised += 1
+                            continue
+                        below = enumerate_tangles(g, universe, HalfInt(j2), kind)
+                        for o in found:
+                            r = o.restrict(HalfInt(j2))
+                            same = [t for t in below if t == r]
+                            assert len(same) == 1, (name, universe, kind, k2, j2)
+                            assert hash(same[0]) == hash(r) and r in set(below)
+                            checked += 1
+    assert checked >= 1000 and raised >= 100
 
 
 def test_profile_checks(k33):
@@ -389,6 +433,12 @@ def _scanned(g, universe):
     return space is not None and space.keys is not None
 
 
+def _prefix(system, k):
+    """The system of ``system``'s universe at threshold k, read through the
+    restriction of an orientation of ``system``."""
+    return Orientation(system, (True,) * len(system)).restrict(k).system
+
+
 def test_systems_are_slices_of_one_scan(m2, k22, k33, path3):
     for g in (m2, k22, k33, path3):
         for universe in UNIVERSES:
@@ -402,7 +452,7 @@ def test_systems_are_slices_of_one_scan(m2, k22, k33, path3):
                 assert sys.orders2 == largest.orders2[:n]
                 assert all(o < k2 for o in sys.orders2)
                 assert n == len(largest) or largest.orders2[n] >= k2
-                sub = largest.restricted(HalfInt(k2))
+                sub = _prefix(largest, HalfInt(k2))
                 assert sub.members == sys.members
                 assert sub.orders2 == sys.orders2
 
@@ -545,8 +595,11 @@ def test_memo_keyed_by_universe_keeps_systems_only_through_kept_system(k33):
         assert sorted(space.record) == [(n, "regular_profile"), (n, "tangle")]
     sys = kept_system(k33, "e", 3)
     assert kept_system(k33, "e", 3) is sys
-    assert k33._cache["e", 3] is sys and sys.space is k33._cache["e"]
-    assert sorted(map(str, k33._cache)) == sorted([*UNIVERSES, str(("e", 3))])
+    # a kept system is keyed by its member count: S_{3/2} and S_2 are one
+    assert len(sys) == len(build_system(k33, "e", HalfInt(4))) == 10
+    assert kept_system(k33, "e", 4) is sys
+    assert k33._cache["e", 10] is sys and sys.space is k33._cache["e"]
+    assert sorted(map(str, k33._cache)) == sorted([*UNIVERSES, str(("e", 10))])
     assert sys.members == build_system(k33, "e", HalfInt(3)).members
     with pytest.raises(ValueError):
         max_order2(k33, "z")
@@ -574,10 +627,11 @@ def test_large_universe_is_counted_and_listed_only_as_far_as_read():
     space = g._cache["e"]
     assert not space.small
     thresholds = (1, 2, 3, 4, 6, 8, 16, 24, 32)
+    counts = [1, 1, 11, 11, 216, 1316, 28188, 29524, 29524]
+    # systems are kept per member count, one for each count asked for
     assert {key[1] for key in g._cache
-            if isinstance(key, tuple) and key[0] == "e"} == set(thresholds)
-    assert ([space.count_below(k2) for k2 in thresholds]
-            == [1, 1, 11, 11, 216, 1316, 28188, 29524, 29524])
+            if isinstance(key, tuple) and key[0] == "e"} == set(counts)
+    assert [space.count_below(k2) for k2 in thresholds] == counts
     assert len(space.keys) < 29524
     masks, ground, _ = universe_context(g, "e")
     full = _kernels.scan_members(masks, ground.n)
@@ -657,7 +711,7 @@ def test_universe_context_looked_up_once_per_universe(monkeypatch):
             for k2 in range(1, 6):
                 systems = [build_system(g, universe, HalfInt(k2)),
                            kept_system(g, universe, k2)]
-                systems.append(systems[0].restricted(HalfInt(k2 - 1)))
+                systems.append(_prefix(systems[0], HalfInt(k2 - 1)))
                 assert all(s.space is g._cache[universe] for s in systems)
                 max_order2(g, universe)
                 for kind in ("tangle", "regular_profile"):

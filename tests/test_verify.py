@@ -69,6 +69,21 @@ def test_degenerate_outcome_on_tiny_graph():
     assert "whole universe" in case.note
 
 
+@pytest.mark.parametrize("index", range(3), ids=["shift_tangle-f1",
+                                                  "partition_shift-f2",
+                                                  "profile_shift-f1"])
+def test_lowered_factor_probe_is_a_counterexample(index, probes):
+    """With one factor lowered, a corpus case fails with no hint recorded:
+    the verifier labels it ``counterexample`` and reports the witness that
+    failed."""
+    probe = probes[index]
+    g = dict(corpus())[probe.graph]
+    case = run_theorem(probe.theorem, g, probe.k2, probe.graph)
+    assert case.outcome == "counterexample" and case.note == ""
+    assert case.hypothesis_count >= 1 and not case.vacuous
+    assert {key: case.witness[key] for key in probe.witness} == probe.witness
+
+
 def test_isolated_vertex_degenerate_edges_to_vtx():
     g = from_edges([("x1", "y1")], x_labels=["x1", "x2"], y_labels=["y1"])
     case = run_theorem("edges_to_vtx", g, 1, "pendant")
@@ -215,24 +230,35 @@ def test_kept_search_never_skips_a_smaller_cap(caps):
 
 
 def test_search_results_belong_to_the_system_asked_for():
-    """Two thresholds share a member count; the second is answered from the
-    first's search, yet its orientations are of its own S_k, so restricting
-    them works up to the threshold asked for."""
+    """Two thresholds share a member count, so they share one kept system;
+    the second is answered from the first's search, yet its orientations are
+    of the system asked for, and they restrict to every threshold up to the
+    one asked for and past it while the prefix is no longer."""
     g = complete(4, 4)
-    # S_k over x has 5 members at doubled thresholds 5 to 8
+    # S_k over x has 5 members at doubled thresholds 5 to 8, and 15 at 9
     assert {len(kept_system(g, "x", k2)) for k2 in (5, 8)} == {5}
+    assert kept_system(g, "x", 5) is kept_system(g, "x", 8)
+    assert len(build_system(g, "x", HalfInt(9))) == 15
     ctx = verify._Ctx(g, DEFAULT_MEMBER_CAP)
     for kind in ("tangle", "regular_profile"):
-        for search in (lambda k2: ctx.search("x", k2, kind),
-                       lambda k2: enumerate_tangles(g, "x", HalfInt(k2), kind)):
+        for search in (lambda sys: ctx.search(sys, kind),
+                       lambda sys: enumerate_tangles(g, "x", None, kind, system=sys)):
             for k2 in (5, 8):
-                found = search(k2)
-                assert found
-                for o in found:
-                    assert o.system.k2 == k2
-                    for j2 in range(k2 + 1):
-                        assert len(o.restrict(HalfInt(j2)).forward) == len(
-                            build_system(g, "x", HalfInt(j2)))
+                for sys in (kept_system(g, "x", k2), build_system(g, "x", HalfInt(k2))):
+                    found = search(sys)
+                    assert found and all(o.system is sys for o in found)
+        for k2 in (5, 8):
+            found = enumerate_tangles(g, "x", HalfInt(k2), kind)
+            assert found
+            for o in found:
+                assert o.system.space is kept_system(g, "x", k2).space
+                assert len(o.system) == len(build_system(g, "x", HalfInt(k2)))
+                for j2 in range(k2 + 1):
+                    assert len(o.restrict(HalfInt(j2)).forward) == len(
+                        build_system(g, "x", HalfInt(j2)))
+                assert o.restrict(HalfInt(8)) == o
+                with pytest.raises(ValueError):
+                    o.restrict(HalfInt(9))
 
 
 def test_reused_search_leaves_pushforward_unchanged():
@@ -342,7 +368,7 @@ def test_steps_read_from_the_tables_match_the_set_based_map():
                     try:
                         hyp_sys = ctx.system(universe, factor * k2)
                         systems = [ctx.system(u, f * k2) for _, u, f, _ in leg.steps]
-                        hyps = ctx.search(universe, factor * k2, kind)
+                        hyps = ctx.search(hyp_sys, kind)
                     except CapExceeded:
                         continue
                     if not hyps:
