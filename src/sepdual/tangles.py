@@ -16,15 +16,18 @@ A consequence worth knowing: every tangle is a regular profile.
 
 Enumeration is exhaustive backtracking over members sorted by order, with
 incremental violation pruning; violations are monotone under extension, so
-pruned subtrees can contain no result.  The search keeps, beside the chosen
-orientations, exactly what the next member is tested against: the set
-``pair_unions`` of the distinct unions of first sides of chosen pairs for
-tangles; for regular profiles the set ``picked`` of chosen orientations and
-the set ``closes`` of the inverted suprema of chosen pairs (pairs taken
-with repetition).  Adding an orientation pushes its entries that are not
-held yet, backtracking pops exactly those, so a test costs O(|chosen|) on
-masks; ``check_tangle`` and ``check_profile`` stay the reference the search
-is tested against.
+pruned subtrees can contain no result.  The search is one loop per kind
+over an explicit stack, one level per member, so no recursion limit bounds
+its depth.  Beside the chosen orientations it keeps exactly what the next
+member is tested against, pairs taken with repetition.  For tangles that is,
+per ground element, the bitset of the chosen pairs whose union of first
+sides holds it, so a test ANDs at most one bitset per element outside the
+member's first side.  For regular profiles it is the set ``picked`` of
+chosen orientations and the set ``closes`` of the inverted suprema of chosen
+pairs; adding an orientation adds the entries not held yet, backtracking
+removes exactly those, and a test costs O(|chosen|) on masks.
+``check_tangle`` and ``check_profile`` stay the reference the search is
+tested against.
 
 Kept state: all that is kept about one (graph, universe) is one
 ``_Universe`` at ``g._cache[name]``, and the systems kept through
@@ -33,9 +36,10 @@ only this module touches them, and only it calls the kernel's scan and
 count.  A ``_Universe`` holds the universe's context (masks, ground set,
 partition flag), looked up once; the cumulative member counts by order; a
 prefix of the kernel's sorted int keys, kept as an array of 64-bit ints; one
-int object per mask and one decoded prefix of plain ``(a, b)`` int pairs,
-which the garbage collector stops tracking; the prefix record; the top
-order; and the image tables below, of plain pairs too.  It refers to no
+int object per mask decoded and one decoded prefix of plain ``(a, b)`` int
+pairs, which the garbage collector stops tracking; the prefix record; the
+top order; the image tables below, of plain pairs too; and the elements in
+and outside each first side a tangle search has tested.  It refers to no
 system and not to the graph, so a dropped graph is freed by reference
 counting; a kept system refers to its ``_Universe``, which is why systems
 are kept on the graph and not there.
@@ -126,16 +130,19 @@ class _Universe:
     the kernel's keys ``order2 << 2n | a << n | b``, extended by ``listed``:
     the whole scan for a universe of at most ``LIST_MAX`` members, else the
     members below a threshold, as far as reads needed.  ``pool`` holds one
-    int object per mask and ``pairs`` the members decoded so far, the
+    int object per mask decoded and ``pairs`` the members decoded so far, the
     longest prefix any system read.  ``record`` is the prefix record and
     ``max2`` the top order, once asked for.  ``images`` maps a destination
     universe to the images of ``pairs[:len(list)]`` under the canonical map
     there: one ``(image of member, image of its inverse)`` entry per member,
-    as plain int pairs.
+    as plain int pairs.  ``sides`` maps each first side a tangle search has
+    tested to the tuples of the elements in it and outside it, shared by
+    every search of the universe.
     """
 
     __slots__ = ("name", "masks", "ground", "partitions_only", "small",
-                 "cumulative", "keys", "pool", "pairs", "record", "max2", "images")
+                 "cumulative", "keys", "pool", "pairs", "record", "max2", "images",
+                 "sides")
 
     def __init__(self, name: str, context):
         self.name = name
@@ -145,10 +152,12 @@ class _Universe:
         # 3^n ordered separations but (full, full), two orientations a member
         members = (1 << n - 1 if n else 0) if self.partitions_only else (3 ** n - 1) // 2
         self.small = members <= LIST_MAX
-        self.cumulative = self.keys = self.pool = self.max2 = None
+        self.cumulative = self.keys = self.max2 = None
+        self.pool = {}  # mask -> its one int object, for the masks decoded
         self.pairs: tuple[tuple[int, int], ...] = ()
         self.record = {}  # (member count, kind) -> forward tuples of the results
         self.images = {}  # dest universe -> [(image of member, of its inverse)]
+        self.sides = {}  # first side -> (elements in it, elements outside it)
 
     @classmethod
     def of(cls, g: BipartiteGraph, name: str) -> "_Universe":
@@ -230,15 +239,14 @@ class _Universe:
         decoded prefix as far as needed, so every system shares its pairs."""
         pairs = self.pairs
         if len(pairs) < count:
-            n, full, pool = self.ground.n, self.ground.full, self.pool
-            if pool is None:
-                # (3^n - 1)/2 separations over only 2^n masks; a partition's
-                # masks occur once each, so a range will do
-                pool = self.pool = (range(full + 1) if self.partitions_only
-                                    else list(range(full + 1)))
+            n, full = self.ground.n, self.ground.full
+            # (3^n - 1)/2 separations over 2^n masks, so pairs share their
+            # ints; only the masks decoded are pooled, never all 2^n
+            pool = self.pool.setdefault
             pairs = self.pairs = pairs + tuple([
-                (pool[k >> n & full], pool[k & full])
-                for k in self.listed(count)[len(pairs):count]])
+                (pool(a, a), pool(b, b))
+                for k in self.listed(count)[len(pairs):count]
+                for a, b in ((k >> n & full, k & full),)])
         return pairs[:count]
 
 
@@ -513,121 +521,194 @@ def _search(system: LowOrderSystem, kind: str, m: int,
     """The ``forward`` tuples of the results of ``system``, in search order,
     resumed at member m from ``seeds``, the results of the first m members.
 
-    Search state.  ``chosen`` lists the orientations picked so far as plain
-    ``(a, b)`` pairs: each member is tried as itself and as its inverse
-    ``(b, a)``, built inline, so the search makes no ``Sep``.  For tangles,
-    ``pair_unions`` is the set of ``t.a | u.a`` over chosen multisets {t, u}
-    of size at most 2.  For regular profiles, ``picked`` is the set of
-    chosen orientations and ``closes`` the set of
-    ``inverse(sup(t, u)) = (t.b & u.b, t.a | u.a)`` over chosen multisets
-    {t, u}.  Invariant: ``push(s)`` adds s and those of the |chosen| + 1
-    entries pairing s with a chosen member or with itself that the set does
-    not hold yet, and returns them as a token; ``pop(token)`` removes
-    exactly those, so after each ``pop`` the state equals the one before the
-    matching ``push`` (pushes and pops nest).  Every test of ``ok_to_add(s)``
-    then touches only pairs involving s, O(|chosen|) work on plain masks.
-    One order test per chosen t suffices for condition (i) of
-    ``check_profile``: inversion reverses the order, so ``inverse(t) <= s``
-    and ``inverse(s) <= t`` are the same condition.
+    Both kinds walk the same tree without recursion: level i orients member
+    i, ``tried[i]`` counts the orientations tried there (forward first, then
+    the inverse ``(b, a)``, built inline, so the search makes no ``Sep``), a
+    passing orientation is pushed and the walk goes down a level, and a
+    level with both tried goes back up one, undoing the push above it.  So
+    the depth is the number of chosen members, and the state after going
+    back up equals the state before the matching push.
 
-    Resume.  Seeds are replayed as pushes without tests, popping back only
-    to the first member where a seed differs from the one before, so a
+    Resume.  Seeds are replayed as pushes without tests, undoing pushes only
+    back to the first member where a seed differs from the one before, so a
     resume pushes no more than a search from member 0 would.
     """
-    members = system.members
-    n = len(members)
-    full = system.ground.full
+    if kind == "tangle":
+        found = _search_tangles(system.members, system.ground, system.space.sides,
+                                m, seeds)
+    else:
+        found = _search_profiles(system.members, system.ground, m, seeds)
+    return tuple(found)
+
+
+def _search_tangles(members, ground, sides, m, seeds) -> list[tuple[bool, ...]]:
+    """The tangle search of ``_search``, on per-element bit slices.
+
+    A union slot is a pair of chosen members, repetition allowed, numbered
+    in push order: the push at level i appends the i + 1 slots (j, i) for
+    j < i, then (i, i), at ``base = i(i + 1)/2``.  ``has[e]`` is the bitset
+    of the slots whose union of first sides holds element e, and ``ch[e]``
+    the bitset of the chosen positions whose first side holds e.  A member s
+    fails iff it points away from everything (``s.a == full``) or some slot
+    holds every element outside ``s.a``: iff the AND of ``has[e]`` over those
+    e, started from ``live``, the slots below ``base``, is nonzero.  That is
+    at most n big-int ANDs, stopping at the first zero.
+
+    Going back up moves nothing: the level fixes ``base``, and the bits at or
+    above it, left by undone pushes, are stale.  One overwrite on push is
+    enough because no test reads a stale bit: a test ANDs from ``live``, the
+    slots below its level's ``base``, and the push at level i makes slots
+    ``base .. base + i`` exact for every element, ORing in the whole block
+    for e in ``s.a`` and, for any other e, replacing every bit from ``base``
+    up with ``ch[e]`` shifted.  So every slot below the next level's base is
+    exact.  Likewise a push reads ``ch[e]`` only below position i and
+    rewrites it up to i.  ``sides`` maps a first side to the elements in it
+    and outside it; it is the universe's, shared by its searches.
+    """
+    n, full, width = len(members), ground.full, ground.n
     results: list[tuple[bool, ...]] = []
     forward = [True] * n
+    tried = [0] * (n + 1)
+    has = [0] * width
+    ch = [0] * width
+
+    def split(sa: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        parts = sides[sa] = (tuple([e for e in range(width) if sa >> e & 1]),
+                             tuple([e for e in range(width) if not sa >> e & 1]))
+        return parts
+
+    def push(i: int, inside: tuple[int, ...], outside: tuple[int, ...]) -> None:
+        base = i * (i + 1) >> 1
+        live = (1 << base) - 1
+        below = (1 << i) - 1
+        block = (2 << i) - 1 << base
+        for e in inside:
+            ch[e] = ch[e] & below | 1 << i
+            has[e] |= block
+        for e in outside:
+            c = ch[e] = ch[e] & below
+            has[e] = has[e] & live | c << base
+
+    pushed = 0  # levels of the last seed whose push stands
+    for seed in seeds:
+        d = 0
+        while d < pushed and seed[d] == forward[d]:
+            d += 1
+        for i in range(d, m):
+            a, b = members[i]
+            forward[i] = val = seed[i]
+            sa = a if val else b
+            push(i, *(sides.get(sa) or split(sa)))
+        pushed = i = m
+        tried[m] = 0
+        while True:
+            if i < n and tried[i] < 2:
+                t = tried[i]
+                tried[i] = t + 1
+                sa = members[i][t]
+                if sa == full:
+                    continue
+                inside, outside = sides.get(sa) or split(sa)
+                acc = (1 << (i * (i + 1) >> 1)) - 1
+                for e in outside:
+                    acc &= has[e]
+                    if not acc:
+                        break
+                else:
+                    continue
+                forward[i] = not t
+                push(i, inside, outside)
+                i += 1
+                tried[i] = 0
+                continue
+            if i == n:
+                results.append(tuple(forward))
+            i -= 1
+            if i < m:
+                break
+    return results
+
+
+def _search_profiles(members, ground, m, seeds) -> list[tuple[bool, ...]]:
+    """The regular-profile search of ``_search``.
+
+    ``chosen`` lists the chosen orientations, ``picked`` holds them as a
+    set, and ``closes`` holds ``inverse(sup(t, u)) = (t.b & u.b, t.a | u.a)``
+    over chosen multisets {t, u}.  Each node builds the set ``thirds`` of the
+    inverted suprema of s with each chosen t and with itself once: s fails
+    if it is irregular, if a chosen pair closes on it (``s in closes``), if
+    it points away from a chosen t, if a pair {t, s} closes on s or on a
+    chosen member (``s in thirds``, ``thirds & picked``).  One order test per
+    chosen t suffices for condition (i) of ``check_profile``: inversion
+    reverses the order, so ``inverse(t) <= s`` and ``inverse(s) <= t`` are
+    the same condition.  A push adds to ``closes`` the entries of ``thirds``
+    it does not hold yet and keeps them as the level's token; going back up
+    removes exactly those.  So a node costs O(|chosen|) on plain masks.
+    """
+    n, full = len(members), ground.full
+    results: list[tuple[bool, ...]] = []
+    forward = [True] * n
+    tried = [0] * (n + 1)
     chosen: list[tuple[int, int]] = []
+    picked: set[tuple[int, int]] = set()
+    closes: set[tuple[int, int]] = set()
+    tokens: list[set[tuple[int, int]]] = []  # per level, what its push added
 
-    if kind == "tangle":
-        # pair_unions holds a|b over all chosen multisets of size <= 2
-        pair_unions: set[int] = set()
+    def push(s: tuple[int, int], thirds: set[tuple[int, int]]) -> None:
+        added = thirds - closes
+        closes.update(added)
+        picked.add(s)
+        chosen.append(s)
+        tokens.append(added)
 
-        def ok_to_add(s: tuple[int, int]) -> bool:
-            sa = s[0]
-            if sa == full:
-                return False
-            for u in pair_unions:
-                if u | sa == full:
-                    return False
-            return True
+    def pop() -> None:
+        closes.difference_update(tokens.pop())
+        picked.remove(chosen.pop())
 
-        def push(s: tuple[int, int]) -> set[int]:
-            sa = s[0]
-            added = {ta | sa for ta, _ in chosen}
-            added.add(sa)
-            added -= pair_unions
-            pair_unions.update(added)
-            chosen.append(s)
-            return added
-
-        def pop(added: set[int]) -> None:
-            pair_unions.difference_update(added)
-            chosen.pop()
-
-    else:
-        picked: set[tuple[int, int]] = set()
-        closes: set[tuple[int, int]] = set()
-
-        def ok_to_add(s: tuple[int, int]) -> bool:
-            sa, sb = s
-            # s is irregular; the pair {s, s} closes on a chosen
-            # separation; a chosen pair closes on s
-            if sa == full or (sb, sa) in picked or s in closes:
-                return False
-            for ta, tb in chosen:
-                # leq(inverse(t), s), the same test as leq(inverse(s), t)
-                if tb & ~sa == 0 and sb & ~ta == 0:
-                    return False
-                # the pair {t, s} closes on a chosen separation or on s
-                third = (tb & sb, ta | sa)
-                if third in picked or third == s:
-                    return False
-            return True
-
-        def push(s: tuple[int, int]) -> set[tuple[int, int]]:
-            sa, sb = s
-            added = {(tb & sb, ta | sa) for ta, tb in chosen}
-            added.add((sb, sa))
-            added -= closes
-            closes.update(added)
-            picked.add(s)
-            chosen.append(s)
-            return added
-
-        def pop(added: set[tuple[int, int]]) -> None:
-            closes.difference_update(added)
-            picked.remove(chosen.pop())
-
-    def rec(i: int) -> None:
-        if i == n:
-            results.append(tuple(forward))
-            return
-        member = members[i]
-        a, b = member
-        for val, s in ((True, member), (False, (b, a))):
-            if ok_to_add(s):
-                forward[i] = val
-                token = push(s)
-                rec(i + 1)
-                pop(token)
-
-    tokens = []  # push tokens of the replayed seed, one per prefix member
     for seed in seeds:
         d = 0
         while d < len(tokens) and seed[d] == forward[d]:
             d += 1
         while len(tokens) > d:
-            pop(tokens.pop())
+            pop()
         for i in range(d, m):
             a, b = member = members[i]
             forward[i] = val = seed[i]
-            tokens.append(push(member if val else (b, a)))
-        rec(m)
-    del rec  # it refers to itself; unbound, the search leaves no cycle behind
-    return tuple(results)
+            sa, sb = s = member if val else (b, a)
+            thirds = {(tb & sb, ta | sa) for ta, tb in chosen}
+            thirds.add((sb, sa))
+            push(s, thirds)
+        i = m
+        tried[m] = 0
+        while True:
+            if i < n and tried[i] < 2:
+                t = tried[i]
+                tried[i] = t + 1
+                a, b = member = members[i]
+                sa, sb = s = (b, a) if t else member
+                if sa == full or s in closes:
+                    continue
+                out_a = ~sa
+                for ta, tb in chosen:
+                    # leq(inverse(t), s), the same test as leq(inverse(s), t)
+                    if tb & out_a == 0 and sb & ~ta == 0:
+                        break
+                else:
+                    thirds = {(tb & sb, ta | sa) for ta, tb in chosen}
+                    thirds.add((sb, sa))
+                    if s not in thirds and thirds.isdisjoint(picked):
+                        forward[i] = not t
+                        push(s, thirds)
+                        i += 1
+                        tried[i] = 0
+                continue
+            if i == n:
+                results.append(tuple(forward))
+            i -= 1
+            if i < m:
+                break
+            pop()
+    return results
 
 
 def kept_images(g: BipartiteGraph, universe: str, dest: str,

@@ -3,7 +3,8 @@
 Everything here works on label sets and Fractions with per-vertex loops,
 sharing no code path with the package's bitmask kernels, except
 ``enumerate_seps``, which lists every separation of a ground set as masks
-for the tests to sweep.
+for the tests to sweep, and ``recursive_search``, the earlier recursive
+tangle and profile search, which the iterative one is tested against.
 """
 
 from fractions import Fraction
@@ -142,3 +143,127 @@ def enumerate_seps(ground, mode="all_separations", cap=None):
                 m = (m - 1) & a
     else:
         raise ValueError(f"unknown enumeration mode {mode!r}")
+
+
+def recursive_search(system, kind, m, seeds: tuple[tuple[bool, ...], ...]) -> tuple[tuple[bool, ...], ...]:
+    """The reference for ``tangles._search``, with the same arguments and
+    results, written as plain recursion on sets of masks: one level per
+    member, so only for systems well within the recursion limit.  The
+    ``forward`` tuples of the results of ``system``, in search order,
+    resumed at member m from ``seeds``, the results of the first m members.
+
+    Search state.  ``chosen`` lists the orientations picked so far as plain
+    ``(a, b)`` pairs: each member is tried as itself and as its inverse
+    ``(b, a)``, built inline, so the search makes no ``Sep``.  For tangles,
+    ``pair_unions`` is the set of ``t.a | u.a`` over chosen multisets {t, u}
+    of size at most 2.  For regular profiles, ``picked`` is the set of
+    chosen orientations and ``closes`` the set of
+    ``inverse(sup(t, u)) = (t.b & u.b, t.a | u.a)`` over chosen multisets
+    {t, u}.  Invariant: ``push(s)`` adds s and those of the |chosen| + 1
+    entries pairing s with a chosen member or with itself that the set does
+    not hold yet, and returns them as a token; ``pop(token)`` removes
+    exactly those, so after each ``pop`` the state equals the one before the
+    matching ``push`` (pushes and pops nest).  Every test of ``ok_to_add(s)``
+    then touches only pairs involving s, O(|chosen|) work on plain masks.
+    One order test per chosen t suffices for condition (i) of
+    ``check_profile``: inversion reverses the order, so ``inverse(t) <= s``
+    and ``inverse(s) <= t`` are the same condition.
+
+    Resume.  Seeds are replayed as pushes without tests, popping back only
+    to the first member where a seed differs from the one before, so a
+    resume pushes no more than a search from member 0 would.
+    """
+    members = system.members
+    n = len(members)
+    full = system.ground.full
+    results: list[tuple[bool, ...]] = []
+    forward = [True] * n
+    chosen: list[tuple[int, int]] = []
+
+    if kind == "tangle":
+        # pair_unions holds a|b over all chosen multisets of size <= 2
+        pair_unions: set[int] = set()
+
+        def ok_to_add(s: tuple[int, int]) -> bool:
+            sa = s[0]
+            if sa == full:
+                return False
+            for u in pair_unions:
+                if u | sa == full:
+                    return False
+            return True
+
+        def push(s: tuple[int, int]) -> set[int]:
+            sa = s[0]
+            added = {ta | sa for ta, _ in chosen}
+            added.add(sa)
+            added -= pair_unions
+            pair_unions.update(added)
+            chosen.append(s)
+            return added
+
+        def pop(added: set[int]) -> None:
+            pair_unions.difference_update(added)
+            chosen.pop()
+
+    else:
+        picked: set[tuple[int, int]] = set()
+        closes: set[tuple[int, int]] = set()
+
+        def ok_to_add(s: tuple[int, int]) -> bool:
+            sa, sb = s
+            # s is irregular; the pair {s, s} closes on a chosen
+            # separation; a chosen pair closes on s
+            if sa == full or (sb, sa) in picked or s in closes:
+                return False
+            for ta, tb in chosen:
+                # leq(inverse(t), s), the same test as leq(inverse(s), t)
+                if tb & ~sa == 0 and sb & ~ta == 0:
+                    return False
+                # the pair {t, s} closes on a chosen separation or on s
+                third = (tb & sb, ta | sa)
+                if third in picked or third == s:
+                    return False
+            return True
+
+        def push(s: tuple[int, int]) -> set[tuple[int, int]]:
+            sa, sb = s
+            added = {(tb & sb, ta | sa) for ta, tb in chosen}
+            added.add((sb, sa))
+            added -= closes
+            closes.update(added)
+            picked.add(s)
+            chosen.append(s)
+            return added
+
+        def pop(added: set[tuple[int, int]]) -> None:
+            closes.difference_update(added)
+            picked.remove(chosen.pop())
+
+    def rec(i: int) -> None:
+        if i == n:
+            results.append(tuple(forward))
+            return
+        member = members[i]
+        a, b = member
+        for val, s in ((True, member), (False, (b, a))):
+            if ok_to_add(s):
+                forward[i] = val
+                token = push(s)
+                rec(i + 1)
+                pop(token)
+
+    tokens = []  # push tokens of the replayed seed, one per prefix member
+    for seed in seeds:
+        d = 0
+        while d < len(tokens) and seed[d] == forward[d]:
+            d += 1
+        while len(tokens) > d:
+            pop(tokens.pop())
+        for i in range(d, m):
+            a, b = member = members[i]
+            forward[i] = val = seed[i]
+            tokens.append(push(member if val else (b, a)))
+        rec(m)
+    del rec  # it refers to itself; unbound, the search leaves no cycle behind
+    return tuple(results)

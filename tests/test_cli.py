@@ -191,6 +191,19 @@ def test_tangles_counts(capsys):
     assert json.loads(out)["count"] == 0
 
 
+def test_tangles_search_deeper_than_the_recursion_limit(capsys):
+    """1,751 members, one search level each: the one tangle of the block,
+    found without a traceback."""
+    code, out, err = run_cli(capsys, "tangles", "--generator", "planted",
+                             "--blocks", "4x5", "--in-p", "1.0", "--cross-p", "0.0",
+                             "--seed", "7", "--universe", "e", "--k2", "7",
+                             "--ground-cap", "20", "--member-cap", "100000")
+    assert code == 0 and "Traceback" not in err
+    data = json.loads(out)
+    assert data["count"] == 1
+    assert len(data["tangles"][0]["members"]) == 1751
+
+
 def test_tangles_planted_partitions(capsys):
     code, out, _ = run_cli(capsys, "tangles", "--generator", "planted",
                            "--blocks", "3x3,3x3", "--seed", "7",

@@ -10,6 +10,10 @@ it; ``bigraph.py`` may declare the slot and set it to a new dict.
 One path enumerates S_k: no module but ``tangles.py`` names the kernel's
 scan or count, ``_kernels.scan_members`` and ``_kernels.order_counts``
 (the kernel module defines them, which names neither).
+
+Interpreter state: no module, ``__init__`` included, raises the recursion
+limit or stops the garbage collector (``sys.setrecursionlimit``,
+``gc.disable``, ``gc.freeze``).
 """
 
 import ast
@@ -119,3 +123,34 @@ def test_scan_check_sees_a_call_and_an_import():
         "def f(masks):\n"
         "    return _kernels.scan_members(masks, 3)\n")
     assert sorted(n.lineno for n in _scan_uses(tree)) == [1, 3]
+
+
+STATE_CALLS = {("sys", "setrecursionlimit"), ("gc", "disable"), ("gc", "freeze")}
+
+
+def _state_calls(tree):
+    """Every node naming ``sys.setrecursionlimit``, ``gc.disable`` or
+    ``gc.freeze``, as an attribute or an imported name."""
+    return [n for n in ast.walk(tree)
+            if (isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                and (n.value.id, n.attr) in STATE_CALLS)
+            or (isinstance(n, ast.ImportFrom)
+                and any((n.module, a.name) in STATE_CALLS for a in n.names))]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")),
+                         ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_no_module_changes_interpreter_limits(path):
+    """A search deeper than the recursion limit must not need it raised,
+    and the collector stays on."""
+    tree = ast.parse(path.read_text(), str(path))
+    uses = _state_calls(tree)
+    assert not uses, f"changes interpreter state at lines {sorted(n.lineno for n in uses)}"
+
+
+def test_interpreter_limit_check_sees_a_call_and_an_import():
+    tree = ast.parse(
+        "import sys\n"
+        "from gc import disable\n"
+        "sys.setrecursionlimit(10**6)\n")
+    assert sorted(n.lineno for n in _state_calls(tree)) == [2, 3]

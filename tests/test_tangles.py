@@ -2,6 +2,9 @@
 
 import gc
 import random
+import sys
+import tracemalloc
+from itertools import combinations
 
 import pytest
 
@@ -11,6 +14,7 @@ from oracles import (
     order_edge_oracle,
     order_partition_oracle,
     order_side_oracle,
+    recursive_search,
 )
 from sepdual import _kernels, tangles
 from sepdual import (
@@ -787,3 +791,129 @@ def test_resumed_search_equals_fresh_search(seed, monkeypatch):
                                           enumerate_orientations(sys) if ok(o)]
                         assert got == naive[key], (order, key)
     assert sum(m > 0 for m in prefixes) >= 20  # resumed from a non-empty prefix
+
+
+def test_decoding_pools_only_the_masks_it_decodes():
+    """A 20-edge universe has 2^20 masks; decoding its 1,751 members of
+    order below 7/2 allocates for the masks they use, not for all of them."""
+    g = gen_planted([(4, 5)], 1.0, 0.0, 7)
+    sys7 = build_system(g, "e", HalfInt(7), cap=20)
+    assert (g.n_edges, len(sys7)) == (20, 1751)
+    sys7.space.listed(len(sys7))  # the scan is not what is measured
+    tracemalloc.start()
+    try:
+        members = sys7.members
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(members) == 1751
+    assert peak < 4 * 2**20, f"decoding peaked at {peak} bytes"
+    assert len(sys7.space.pool) <= 2 * 1751
+
+
+def _deep_system():
+    """1,251 canonical members over 25 elements: every separation (a, b)
+    with at most 2 elements in a.  Each member (c, full) points to c, since
+    its inverse points away from everything, and those cover the at most two
+    elements an inverse (b, a) misses: as a tangle's triple (b, {e}, {f}), as
+    a profile's corner, since the inverted supremum of (b, a) and ({e},
+    full) is the chosen (a, full).  So the one tangle and the one regular
+    profile point every member to its small side."""
+    ground = GroundSet(range(25))
+    full = ground.full
+    members, small_first = [], []
+    for size in (0, 1, 2):
+        for elements in combinations(range(25), size):
+            a = sum(1 << e for e in elements)
+            for kept in range(1 << size):  # the elements of a that b holds
+                b = full ^ a | sum(1 << e for j, e in enumerate(elements)
+                                   if kept >> j & 1)
+                members.append((a, b) if a <= b else (b, a))
+                small_first.append(a <= b)
+    return LowOrderSystem.from_members("x", ground, members), tuple(small_first)
+
+
+@pytest.mark.parametrize("kind", ["tangle", "regular_profile"])
+def test_search_deeper_than_the_recursion_limit(kind):
+    system, small_first = _deep_system()
+    assert len(system) == 1251 > sys.getrecursionlimit()
+    found = enumerate_tangles(None, "x", 0, kind, member_cap=len(system),
+                              system=system)
+    assert [o.forward for o in found] == [small_first]
+
+
+def _corpus_universes():
+    """(name, graph, ``_Universe``) of every corpus universe within the
+    default ground caps."""
+    for name, g in corpus():
+        for universe in UNIVERSES:
+            space = tangles._Universe.of(g, universe)
+            try:
+                space.check_ground_cap()
+            except CapExceeded:
+                continue
+            yield name, g, space
+
+
+def _orders(values, rng):
+    """Ascending, descending and shuffled, so that searches resume from the
+    prefix record in every way it can be filled."""
+    values = list(values)
+    return values, values[::-1], rng.sample(values, len(values))
+
+
+def _with_both_searches(monkeypatch, run, prefixes):
+    """``run()`` under the package's search, then under the recursive
+    reference ``oracles.recursive_search``; each search's resume point is
+    appended to ``prefixes``."""
+    got = []
+    for search in (tangles._search, recursive_search):
+        monkeypatch.setattr(tangles, "_search",
+                            lambda *args, search=search: prefixes.append(args[2])
+                            or search(*args))
+        got.append(run())
+    monkeypatch.undo()
+    return got
+
+
+@pytest.mark.parametrize("kind", ["tangle", "regular_profile"])
+def test_search_equals_recursive_reference_on_corpus(kind, monkeypatch):
+    """Every corpus universe at every threshold of at most 128 members, in
+    three threshold orders: the same results in the same order as the
+    reference."""
+    rng, prefixes = random.Random(17), []
+    for name, g, space in _corpus_universes():
+        cumulative = space.counts()
+        k2s = [k2 for k2 in range(1, len(cumulative)) if cumulative[k2] <= 128]
+        for order in _orders(k2s, rng):
+            def run():
+                h = _copy(g)
+                return [[o.forward for o in enumerate_tangles(
+                    h, space.name, HalfInt(k2), kind, member_cap=128)]
+                    for k2 in order]
+            new, reference = _with_both_searches(monkeypatch, run, prefixes)
+            assert new == reference, (name, space.name, order)
+    assert sum(m > 0 for m in prefixes) >= 100  # resumed from a non-empty prefix
+
+
+@pytest.mark.parametrize("kind", ["tangle", "regular_profile"])
+def test_search_equals_recursive_reference_in_shuffled_order(kind, monkeypatch):
+    """A scanned system starts with (∅, full), whose union slots add
+    nothing to a tangle test; in shuffled order any member comes first.  So
+    for every corpus universe, its first members (at most 32) shuffled and
+    searched at every prefix length, in three orders: the same results as
+    the reference."""
+    rng, prefixes = random.Random(17), []
+    for name, g, space in _corpus_universes():
+        count = max(c for c in space.counts() if c <= 32)
+        members = rng.sample(space.members(count), count)
+        for order in _orders(range(1, count + 1), rng):
+            def run():
+                shuffled = LowOrderSystem.from_members(space.name, space.ground,
+                                                       members).space
+                return [[o.forward for o in enumerate_tangles(
+                    None, space.name, 0, kind, member_cap=32,
+                    system=LowOrderSystem(shuffled, c))] for c in order]
+            new, reference = _with_both_searches(monkeypatch, run, prefixes)
+            assert new == reference, (name, space.name, members, order)
+    assert sum(m > 0 for m in prefixes) >= 100
