@@ -8,7 +8,9 @@ inner product and decider search.
 
 __version__ = "0.1.0"
 
-from ._kernels import BACKEND as KERNEL_BACKEND
+#: The bit kernels (``sepdual._kernels``) have one implementation, in pure Python.
+KERNEL_BACKEND = "pure"
+
 from .bigraph import (
     BipartiteGraph,
     IncidenceRecord,
@@ -57,7 +59,6 @@ from .separations import (
     inverse,
     leq,
     make_sep,
-    render,
     sup,
 )
 from .shifts import (

@@ -6,13 +6,12 @@ evaluation, majority shifts, the separation scan over a small ground set,
 and the count of that scan's members by order.  ``masks`` is always a
 sequence of bitmasks over the same ground as the separation sides ``a`` and
 ``b`` (neighbourhoods for side orders, incident-edge sets for edge orders).
-They are pure Python; the rest of the package looks them up here, and only
+They are pure Python and have no second backend, so they live in this one
+flat module.  The rest of the package looks them up here, and only
 ``tangles`` calls the scan and the count.
 """
 
 from __future__ import annotations
-
-BACKEND = "pure"
 
 
 def order2(masks, a: int, b: int) -> int:

@@ -176,23 +176,29 @@ def read_transactions_csv(lines: Iterable[str]) -> BipartiteGraph:
     """Parse a two-column CSV with header ``group,member``.
 
     An empty input yields the empty graph; malformed rows raise
-    :class:`ParseError` carrying the 1-based line number.
+    :class:`ParseError` carrying the 1-based line number (the row's last
+    line, when a quoted field spans lines).
     """
     reader = csv.reader(lines)
     records = []
     header_seen = False
-    for lineno, row in enumerate(reader, start=1):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        fields = [f.strip() for f in row]
-        if not header_seen:
-            if [f.lower() for f in fields] != ["group", "member"]:
-                raise ParseError("expected header 'group,member'", line=lineno)
-            header_seen = True
-            continue
-        if len(fields) != 2 or not fields[0] or not fields[1]:
-            raise ParseError(f"expected two fields, got {row!r}", line=lineno)
-        records.append(IncidenceRecord(group_id=fields[0], member_id=fields[1]))
+    try:
+        for row in reader:
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            fields = [f.strip() for f in row]
+            if not header_seen:
+                if [f.lower() for f in fields] != ["group", "member"]:
+                    raise ParseError("expected header 'group,member'",
+                                     line=reader.line_num)
+                header_seen = True
+                continue
+            if len(fields) != 2 or not fields[0] or not fields[1]:
+                raise ParseError(f"expected two fields, got {row!r}",
+                                 line=reader.line_num)
+            records.append(IncidenceRecord(group_id=fields[0], member_id=fields[1]))
+    except csv.Error as exc:  # e.g. a field over the csv module's size limit
+        raise ParseError(str(exc), line=reader.line_num) from None
     return from_transactions(records)
 
 

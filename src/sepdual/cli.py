@@ -102,7 +102,8 @@ def _read_input(path: Path):
             return read_transactions_csv(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+        # RecursionError: JSON nested deeper than the decoder can follow
         raise ParseError(f"malformed input {path}: {exc!r}") from None
 
 

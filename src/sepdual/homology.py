@@ -132,9 +132,6 @@ class BoundaryMatrix:
         by = self.boundary(y)
         return sum(p * q for p, q in zip(bx, by))
 
-    def to_dict(self) -> dict:
-        return {"n": self.n, "m": self.m, "rows": self.rows()}
-
 
 def norm_squared(n: int, s: Sep) -> int:
     """Squared norm of a single separation: n - |middle|."""
@@ -254,12 +251,16 @@ def _normalize_constraint(coeffs, rhs):
     return tuple(coeffs), rhs
 
 
-def _fm_feasible(constraints: list[tuple[tuple[int, ...], int]], nvars: int,
-                 size_limit: int = 20000) -> Optional[bool]:
+#: Fourier-Motzkin gives up past this many live constraints.
+_FM_SIZE_LIMIT = 20000
+
+
+def _fm_feasible(constraints: list[tuple[tuple[int, ...], int]],
+                 nvars: int) -> Optional[bool]:
     """Exact rational feasibility of {c·mu >= rhs} by variable elimination.
 
     Returns True/False, or None when the intermediate constraint count blows
-    past ``size_limit`` (caller falls back to bounded search alone).
+    past ``_FM_SIZE_LIMIT`` (caller falls back to bounded search alone).
     """
     cons = set()
     for coeffs, rhs in constraints:
@@ -284,7 +285,7 @@ def _fm_feasible(constraints: list[tuple[tuple[int, ...], int]], nvars: int,
                     continue
                 keep.add(_normalize_constraint(coeffs, rhs))
         cons = keep
-        if len(cons) > size_limit:
+        if len(cons) > _FM_SIZE_LIMIT:
             return None
     return all(rhs <= 0 for _, rhs in cons)
 

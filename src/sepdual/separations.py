@@ -25,10 +25,6 @@ from typing import NamedTuple
 from .errors import CoverViolation
 from .groundset import GroundSet
 
-#: Enumeration caps; 3**n growth makes silently large runs pathological.
-DEFAULT_SEP_CAP = 12
-DEFAULT_PARTITION_CAP = 20
-
 
 class Sep(NamedTuple):
     """An oriented separation: sides as bitmasks over a fixed ground set."""
@@ -49,7 +45,7 @@ def make_sep(ground: GroundSet, a: int, b: int) -> Sep:
     ground.check(a)
     ground.check(b)
     if a | b != ground.full:
-        missing = ground.members(ground.full & ~(a | b))
+        missing = ground.names(ground.full & ~(a | b))
         raise CoverViolation(f"sides do not cover the ground set; missing {missing}")
     return Sep(a, b)
 
@@ -88,10 +84,3 @@ def sep_labels(ground: GroundSet, s: Sep) -> dict:
     """A separation in reports: the labels of each side, ``{"a": ..., "b": ...}``."""
     a, b = s
     return {"a": ground.names(a), "b": ground.names(b)}
-
-
-def render(ground: GroundSet, s: Sep) -> str:
-    """Human-readable form of a separation using ground-set labels."""
-    a, b = s
-    fmt = lambda m: "{" + ",".join(map(str, ground.members(m))) + "}"
-    return f"({fmt(a)},{fmt(b)})"

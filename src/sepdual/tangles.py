@@ -92,6 +92,7 @@ member 0.
 
 from __future__ import annotations
 
+import itertools
 import json
 from array import array
 from bisect import bisect_left
@@ -102,17 +103,13 @@ from . import _kernels
 from .bigraph import BipartiteGraph
 from .errors import CapExceeded
 from .orders import HalfInt, as_halfint, universe_context
-from .separations import (
-    DEFAULT_PARTITION_CAP,
-    DEFAULT_SEP_CAP,
-    Sep,
-    inverse,
-    leq,
-    sep_labels,
-    sup,
-)
+from .separations import Sep, inverse, leq, sep_labels, sup
 from .shifts import universe_map
 
+#: Ground-set caps by universe; 3**n growth makes silently large scans
+#: pathological.
+DEFAULT_SEP_CAP = 12
+DEFAULT_PARTITION_CAP = 20
 DEFAULT_EDGE_CAP = 10
 DEFAULT_MEMBER_CAP = 24
 #: A universe of at most this many members is listed in full on first need;
@@ -402,7 +399,6 @@ class Orientation:
 class TangleReport:
     """Outcome of a consistency check, with a literal witness on failure."""
 
-    is_orientation: bool
     kind: str  # tangle | profile | regular_profile | none
     violation: tuple[Sep, ...] | None = None
     clause: str | None = None
@@ -428,10 +424,9 @@ def check_tangle(o: Orientation) -> TangleReport:
             aij = ai | firsts[j]
             for l in range(j, n):
                 if aij | firsts[l] == full:
-                    return TangleReport(True, "none",
-                                        (chosen[i], chosen[j], chosen[l]),
+                    return TangleReport("none", (chosen[i], chosen[j], chosen[l]),
                                         "cover_triple")
-    return TangleReport(True, "tangle")
+    return TangleReport("tangle")
 
 
 def check_profile(o: Orientation) -> TangleReport:
@@ -447,15 +442,15 @@ def check_profile(o: Orientation) -> TangleReport:
     for i in range(n):
         for j in range(n):
             if i != j and leq(inverse(chosen[i]), chosen[j]):
-                return TangleReport(True, "none",
-                                    (chosen[i], chosen[j]), "consistency_pair")
+                return TangleReport("none", (chosen[i], chosen[j]),
+                                    "consistency_pair")
     for i in range(n):
         for j in range(i, n):
             third = inverse(sup(chosen[i], chosen[j]))
             if third in picked:
-                return TangleReport(True, "none",
-                                    (chosen[i], chosen[j], third), "corner_triple")
-    return TangleReport(True, "profile")
+                return TangleReport("none", (chosen[i], chosen[j], third),
+                                    "corner_triple")
+    return TangleReport("profile")
 
 
 def check_regular(o: Orientation) -> bool:
@@ -470,18 +465,8 @@ def is_regular_profile(o: Orientation) -> bool:
 
 def enumerate_orientations(system: LowOrderSystem) -> Iterator[Orientation]:
     """All 2^n orientations, forward-first per member; the naive generator."""
-    n = system.count
-    forward = [True] * n
-
-    def rec(i):
-        if i == n:
-            yield Orientation(system, tuple(forward))
-            return
-        for val in (True, False):
-            forward[i] = val
-            yield from rec(i + 1)
-
-    yield from rec(0)
+    for forward in itertools.product((True, False), repeat=system.count):
+        yield Orientation(system, forward)
 
 
 def enumerate_tangles(g: BipartiteGraph, universe: str, k,

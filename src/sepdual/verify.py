@@ -131,44 +131,35 @@ def _revalidate_corner(ground, triple) -> bool:
 
 
 def _set_map(g: BipartiteGraph, source: str, dest: str, s: Sep) -> Sep:
-    """Recompute a universe map by explicit label counting."""
-    a, b = s
-    if _OTHER.get(source) == dest:
-        partition = source[0] == "b"
-        src = g.x if source[-1] == "x" else g.y
-        dst = g.y if source[-1] == "x" else g.x
-        a_labels = {src.labels[i] for i in range(src.n) if a >> i & 1}
-        b_labels = {src.labels[i] for i in range(src.n) if b >> i & 1}
-        c = d = 0
-        for j, v in enumerate(dst.labels):
-            nbrs = {src.labels[i] for i in range(src.n)
-                    if g.neighbor_mask(v) >> i & 1}
-            ca = len(nbrs & a_labels)
-            cb = len(nbrs & b_labels)
-            if ca >= cb:
-                c |= 1 << j
-            if (ca < cb) if partition else (ca <= cb):
-                d |= 1 << j
-        return Sep(c, d)
+    """Recompute a universe map by explicit label counting.
+
+    Each destination element votes over the source labels it is incident
+    with: its neighbours, or its incident edges when the source is ``e``.  It
+    goes to each side that holds at least as many of them as the other, so a
+    tie goes to both sides, or to the first side alone between ``bx`` and
+    ``by``.
+    """
     if source == "e" and dest in ("x", "y"):
-        ground = g.x if dest == "x" else g.y
-        c = d = 0
-        for j in range(ground.n):
-            ca = cb = 0
-            for ei, (xi, yi) in enumerate(g.endpoints):
-                vid = xi if dest == "x" else yi
-                if vid != j:
-                    continue
-                if a >> ei & 1:
-                    ca += 1
-                if b >> ei & 1:
-                    cb += 1
-            if ca >= cb:
-                c |= 1 << j
-            if ca <= cb:
-                d |= 1 << j
-        return Sep(c, d)
-    raise ValueError(f"no set-based map from {source!r} to {dest!r}")
+        src, dst = g.edges, g.x if dest == "x" else g.y
+        voters = {v: set() for v in dst.labels}
+        end = 0 if dest == "x" else 1
+        for edge in g.edges.labels:
+            voters[edge[end]].add(edge)
+    elif _OTHER.get(source) == dest:
+        src, dst = (g.x, g.y) if source[-1] == "x" else (g.y, g.x)
+        voters = {v: set(src.members(g.neighbor_mask(v))) for v in dst.labels}
+    else:
+        raise ValueError(f"no set-based map from {source!r} to {dest!r}")
+    a, b = (set(src.members(m)) for m in s)
+    first_only = source[0] == "b"
+    c = d = 0
+    for j, v in enumerate(dst.labels):
+        ca, cb = len(voters[v] & a), len(voters[v] & b)
+        if ca >= cb:
+            c |= 1 << j
+        if ca < cb or (ca == cb and not first_only):
+            d |= 1 << j
+    return Sep(c, d)
 
 
 # -- shared checking machinery ----------------------------------------------
@@ -493,38 +484,28 @@ def _random_spec(i: int) -> tuple[str, tuple]:
     return name, (nx, ny, p, seed)
 
 
-def corpus_specs() -> list[tuple[str, str, tuple]]:
+def corpus_specs() -> list[tuple[str, Callable, tuple]]:
     """The fixed 50-graph corpus: (name, builder, args)."""
-    specs: list[tuple[str, str, tuple]] = [
-        ("m2", "matching", (2,)),
-        ("m3", "matching", (3,)),
-        ("k22", "complete", (2, 2)),
-        ("k33", "complete", (3, 3)),
-        ("k44", "complete", (4, 4)),
-        ("k55", "complete", (5, 5)),
-        ("cycle8", "even_cycle", (4,)),
-        ("cycle10", "even_cycle", (5,)),
-        ("blocks-2x2", "planted", ([(2, 2), (2, 2)], 1.0, 0.0, 7)),
-        ("blocks-2-3", "planted", ([(2, 2), (3, 3)], 1.0, 0.0, 7)),
+    specs: list[tuple[str, Callable, tuple]] = [
+        ("m2", matching, (2,)),
+        ("m3", matching, (3,)),
+        ("k22", complete, (2, 2)),
+        ("k33", complete, (3, 3)),
+        ("k44", complete, (4, 4)),
+        ("k55", complete, (5, 5)),
+        ("cycle8", even_cycle, (4,)),
+        ("cycle10", even_cycle, (5,)),
+        ("blocks-2x2", gen_planted, ([(2, 2), (2, 2)], 1.0, 0.0, 7)),
+        ("blocks-2-3", gen_planted, ([(2, 2), (3, 3)], 1.0, 0.0, 7)),
     ]
     for i in range(40):
         name, args = _random_spec(i)
-        specs.append((name, "random", args))
+        specs.append((name, gen_random, args))
     return specs
 
 
-_BUILDERS = {
-    "matching": matching,
-    "complete": complete,
-    "even_cycle": even_cycle,
-    "planted": gen_planted,
-    "random": gen_random,
-}
-
-
 def corpus() -> list[tuple[str, BipartiteGraph]]:
-    return [(name, _BUILDERS[builder](*args))
-            for name, builder, args in corpus_specs()]
+    return [(name, builder(*args)) for name, builder, args in corpus_specs()]
 
 
 def run_corpus(k2_grid: Iterable[int] = K2_GRID,

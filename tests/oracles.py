@@ -10,7 +10,7 @@ tangle and profile search, which the iterative one is tested against.
 from fractions import Fraction
 
 from sepdual import CapExceeded, Sep
-from sepdual.separations import DEFAULT_PARTITION_CAP, DEFAULT_SEP_CAP
+from sepdual.tangles import DEFAULT_PARTITION_CAP, DEFAULT_SEP_CAP
 
 
 def graph_dicts(g):

@@ -59,6 +59,9 @@ def test_csv_roundtrip_and_parse_errors():
     with pytest.raises(ParseError) as exc:
         read_transactions_csv(io.StringIO("group,member\np1,a\nbroken\n"))
     assert exc.value.line == 3
+    with pytest.raises(ParseError) as exc:  # a quoted field spans lines 2-3
+        read_transactions_csv(io.StringIO('group,member\np1,"a\nb"\nbroken\n'))
+    assert exc.value.line == 4
     with pytest.raises(ParseError) as exc:
         read_transactions_csv(io.StringIO("wrong,header\n"))
     assert exc.value.line == 1

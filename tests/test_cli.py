@@ -369,18 +369,27 @@ def test_cap_exceeded_exit(capsys):
      "--blocks is not read by --generator random"),
     (("tangles", "--generator", "planted", "--p", "0.3", "--k2", "1"),
      "--p is not read by --generator planted"),
+    # input the parsers themselves refuse: a field over the csv module's
+    # limit, and JSON nested deeper than the decoder recurses
+    (("order", "--input", "{long_csv}", "--a", "a", "--b", "b"),
+     "line 2: field larger than field limit"),
+    (("order", "--input", "{deep_json}", "--a", "x1", "--b", "x2"), "deep.json"),
 ], ids=["blocks", "k2", "missing-input", "bad-json", "theorem", "p", "nx",
         "verify-member-cap", "tangles-member-cap", "ground-cap",
         "enumerate-format", "order-format", "cap-seps", "decider-bound",
         "corpus-input", "corpus-name", "input-seed", "input-generator",
-        "random-blocks", "planted-p"])
+        "random-blocks", "planted-p", "long-csv-field", "deep-json"])
 def test_input_fault_is_usage_error(argv, named, tmp_path, capsys):
     bad_json = tmp_path / "g.json"
     bad_json.write_text('{"x": ["x1"], ')
     good_csv = tmp_path / "tx.csv"
     good_csv.write_text("group,member\np1,a\np1,b\np2,b\n")
+    long_csv = tmp_path / "long.csv"
+    long_csv.write_text("group,member\np1," + "a" * 200_000 + "\n")
+    deep_json = tmp_path / "deep.json"
+    deep_json.write_text("[" * 100_000)
     argv = [a.format(missing=tmp_path / "absent.csv", bad_json=bad_json,
-                     good_csv=good_csv)
+                     good_csv=good_csv, long_csv=long_csv, deep_json=deep_json)
             for a in argv]
     try:
         code = main(argv)

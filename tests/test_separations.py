@@ -20,7 +20,6 @@ from sepdual import (
     leq,
     make_sep,
     order_of,
-    render,
     shift_partition,
     shift_side,
     sup,
@@ -46,6 +45,12 @@ def test_make_sep_small_separation():
 def test_make_sep_cover_violation():
     with pytest.raises(CoverViolation):
         make_sep(V2, 0b01, 0b01)
+
+
+def test_make_sep_cover_violation_names_edges_as_reports_do():
+    edges = GroundSet([("x1", "y1"), ("x1", "y3")])
+    with pytest.raises(CoverViolation, match=r"missing \['x1--y3'\]$"):
+        make_sep(edges, 0b01, 0b01)
 
 
 def test_inverse_involution():
@@ -160,10 +165,6 @@ def test_sup_is_least_upper_bound(pair):
     lo = inf(r, s)
     assert leq(r, hi) and leq(s, hi)
     assert leq(lo, r) and leq(lo, s)
-
-
-def test_render():
-    assert render(V2, Sep(0b01, 0b10)) == "({v1},{v2})"
 
 
 def _outcome(fn, *args):

@@ -14,6 +14,11 @@ scan or count, ``_kernels.scan_members`` and ``_kernels.order_counts``
 Interpreter state: no module, ``__init__`` included, raises the recursion
 limit or stops the garbage collector (``sys.setrecursionlimit``,
 ``gc.disable``, ``gc.freeze``).
+
+No recursion limit: no function calls itself by name (or a method through
+``self`` or ``cls``), so no depth grows with a member count.  The one
+exception is ``homology.find_decider``'s ``rec``, whose depth is the size of
+the ground set.
 """
 
 import ast
@@ -154,3 +159,55 @@ def test_interpreter_limit_check_sees_a_call_and_an_import():
         "from gc import disable\n"
         "sys.setrecursionlimit(10**6)\n")
     assert sorted(n.lineno for n in _state_calls(tree)) == [2, 3]
+
+
+#: (module, qualified name) of the functions allowed to call themselves
+SELF_CALLS_ALLOWED = {("homology.py", "find_decider.rec")}
+
+
+def _calls_itself(fn):
+    return any(isinstance(n, ast.Call)
+               and (getattr(n.func, "id", None) == fn.name
+                    or (getattr(n.func, "attr", None) == fn.name
+                        and getattr(n.func.value, "id", None) in ("self", "cls")))
+               for n in ast.walk(fn))
+
+
+def _self_callers(tree):
+    """Qualified names of the functions that call themselves by name."""
+    found, todo = [], [(tree, "")]
+    while todo:
+        node, prefix = todo.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if _calls_itself(child):
+                    found.append(prefix + child.name)
+                todo.append((child, prefix + child.name + "."))
+            elif isinstance(child, ast.ClassDef):
+                todo.append((child, prefix + child.name + "."))
+            else:
+                todo.append((child, prefix))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")),
+                         ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_no_function_calls_itself(path):
+    tree = ast.parse(path.read_text(), str(path))
+    found = [name for name in _self_callers(tree)
+             if (path.name, name) not in SELF_CALLS_ALLOWED]
+    assert not found, f"calls itself: {found}"
+
+
+def test_self_call_check_sees_a_nested_function_and_a_method():
+    tree = ast.parse(
+        "def outer(n):\n"
+        "    def rec(i):\n"
+        "        return [] if i == n else [i] + rec(i + 1)\n"
+        "    return rec(0)\n"
+        "class C:\n"
+        "    def walk(self, node):\n"
+        "        return [self.walk(c) for c in node]\n"
+        "    def flat(self, node):\n"
+        "        return self.walk(node)\n")
+    assert _self_callers(tree) == ["C.walk", "outer.rec"]

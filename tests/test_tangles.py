@@ -842,6 +842,23 @@ def test_search_deeper_than_the_recursion_limit(kind):
     assert [o.forward for o in found] == [small_first]
 
 
+def test_naive_generator_deeper_than_the_recursion_limit():
+    system, _ = _deep_system()
+    first = next(enumerate_orientations(system))
+    assert first.system is system
+    assert first.forward == (True,) * 1251
+
+
+def test_naive_generator_order():
+    """Member 0 varies slowest, and each member is oriented forward first."""
+    ground = GroundSet(range(2))
+    system = LowOrderSystem.from_members("x", ground, [(0, 3), (1, 3), (2, 3)])
+    T, F = True, False
+    assert [o.forward for o in enumerate_orientations(system)] == [
+        (T, T, T), (T, T, F), (T, F, T), (T, F, F),
+        (F, T, T), (F, T, F), (F, F, T), (F, F, F)]
+
+
 def _corpus_universes():
     """(name, graph, ``_Universe``) of every corpus universe within the
     default ground caps."""

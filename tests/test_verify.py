@@ -7,10 +7,10 @@ import pytest
 import sepdual.verify as verify
 from sepdual import (CapExceeded, HalfInt, Sep, _kernels, build_system,
                      enumerate_tangles, from_edges, gen_random)
-from sepdual.separations import DEFAULT_PARTITION_CAP, DEFAULT_SEP_CAP
 from sepdual.shifts import universe_map
-from sepdual.tangles import (DEFAULT_EDGE_CAP, DEFAULT_MEMBER_CAP, LowOrderSystem,
-                             kept_system)
+from sepdual.tangles import (DEFAULT_EDGE_CAP, DEFAULT_MEMBER_CAP,
+                             DEFAULT_PARTITION_CAP, DEFAULT_SEP_CAP,
+                             LowOrderSystem, kept_system)
 from sepdual.verify import (
     ALL_THEOREMS,
     TheoremCase,
