@@ -162,8 +162,23 @@ def from_edges(pairs: Iterable[tuple], x_labels: Sequence | None = None,
 
 
 def from_dict(data: dict) -> BipartiteGraph:
-    return BipartiteGraph(data["x"], data["y"],
-                          [tuple(e) for e in data["edges"]])
+    """The graph of a ``to_dict`` dump: lists ``x`` and ``y`` of labels and
+    a list ``edges`` of (x label, y label) pairs.  Labels are read through
+    ``str``, as ``to_dict`` writes them, so a graph loads exactly when its
+    dump does.  Any other shape raises :class:`ParseError`."""
+    if not isinstance(data, dict):
+        raise ParseError(f"graph JSON must be an object, got {type(data).__name__}")
+    for key in ("x", "y", "edges"):
+        value = data.get(key)
+        if not isinstance(value, (list, tuple)):
+            raise ParseError(f"graph JSON needs a list {key!r}, got "
+                             f"{type(value).__name__}")
+    edges = []
+    for e in data["edges"]:
+        if not isinstance(e, (list, tuple)) or len(e) != 2:
+            raise ParseError(f"edge {e!r} is not two labels")
+        edges.append((str(e[0]), str(e[1])))
+    return BipartiteGraph(list(map(str, data["x"])), list(map(str, data["y"])), edges)
 
 
 def from_transactions(records: Iterable[IncidenceRecord]) -> BipartiteGraph:

@@ -97,12 +97,13 @@ def _parse_blocks(text: str) -> list[tuple[int, int]]:
 def _read_input(path: Path):
     try:
         if path.suffix == ".json":
-            return from_dict(json.loads(path.read_text(encoding="utf-8")))
-        with open(path, newline="", encoding="utf-8") as fh:
+            return from_dict(json.loads(path.read_text(encoding="utf-8-sig")))
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             return read_transactions_csv(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
-    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: undecodable text, bad JSON or duplicate labels;
         # RecursionError: JSON nested deeper than the decoder can follow
         raise ParseError(f"malformed input {path}: {exc!r}") from None
 

@@ -16,18 +16,21 @@ A consequence worth knowing: every tangle is a regular profile.
 
 Enumeration is exhaustive backtracking over members sorted by order, with
 incremental violation pruning; violations are monotone under extension, so
-pruned subtrees can contain no result.  The search is one loop per kind
-over an explicit stack, one level per member, so no recursion limit bounds
-its depth.  Beside the chosen orientations it keeps exactly what the next
-member is tested against, pairs taken with repetition.  For tangles that is,
-per ground element, the bitset of the chosen pairs whose union of first
-sides holds it, so a test ANDs at most one bitset per element outside the
-member's first side.  For regular profiles it is the set ``picked`` of
-chosen orientations and the set ``closes`` of the inverted suprema of chosen
-pairs; adding an orientation adds the entries not held yet, backtracking
-removes exactly those, and a test costs O(|chosen|) on masks.
-``check_tangle`` and ``check_profile`` stay the reference the search is
-tested against.
+pruned subtrees can contain no result.  Both kinds share one walk,
+``_search``, a loop over an explicit stack with one level per member, so no
+recursion limit bounds its depth.  A kind supplies only two steps: ``place``
+tests an orientation against the chosen ones and pushes it if it passes,
+and ``undo`` pops the last push.  Beside the chosen orientations a kind
+keeps exactly what the next member is tested against, pairs taken with
+repetition.  For tangles that is, per ground element, the bitset of the
+chosen pairs whose union of first sides holds it, so a test ANDs at most
+one bitset per element outside the member's first side; ``undo`` does
+nothing, as a push overwrites every bit a later test reads.  For regular
+profiles it is the set ``picked`` of chosen orientations and the set
+``closes`` of the inverted suprema of chosen pairs; a push adds the entries
+not held yet, ``undo`` removes exactly those, and a test costs O(|chosen|)
+on masks.  ``check_tangle`` and ``check_profile`` stay the reference the
+search is tested against.
 
 Kept state: all that is kept about one (graph, universe) is one
 ``_Universe`` at ``g._cache[name]``, and the systems kept through
@@ -506,43 +509,74 @@ def _search(system: LowOrderSystem, kind: str, m: int,
     """The ``forward`` tuples of the results of ``system``, in search order,
     resumed at member m from ``seeds``, the results of the first m members.
 
-    Both kinds walk the same tree without recursion: level i orients member
-    i, ``tried[i]`` counts the orientations tried there (forward first, then
-    the inverse ``(b, a)``, built inline, so the search makes no ``Sep``), a
-    passing orientation is pushed and the walk goes down a level, and a
-    level with both tried goes back up one, undoing the push above it.  So
-    the depth is the number of chosen members, and the state after going
-    back up equals the state before the matching push.
+    One walk for both kinds, without recursion: level i orients member i,
+    ``tried[i]`` counts the orientations tried there (t = 0 forward, then
+    t = 1 the inverse), ``place(i, t, True)`` pushes the orientation if it
+    passes and the walk goes down a level, and a level with both tried goes
+    back up one, calling ``undo()`` to pop the push above it.  So the depth
+    is the number of chosen members, and the state after going back up
+    equals the state before the matching push.  The kind supplies ``place``
+    and ``undo``, built per search by ``_tangle_steps`` or
+    ``_profile_steps``.
 
-    Resume.  Seeds are replayed as pushes without tests, undoing pushes only
-    back to the first member where a seed differs from the one before, so a
-    resume pushes no more than a search from member 0 would.
+    Resume.  Seeds are replayed by ``place(i, t, False)``, which pushes
+    without testing, undoing pushes only back to the first member where a
+    seed differs from the one before, so a resume pushes no more than a
+    search from member 0 would.
     """
-    if kind == "tangle":
-        found = _search_tangles(system.members, system.ground, system.space.sides,
-                                m, seeds)
-    else:
-        found = _search_profiles(system.members, system.ground, m, seeds)
-    return tuple(found)
+    n = system.count
+    place, undo = (_tangle_steps if kind == "tangle" else _profile_steps)(system)
+    results: list[tuple[bool, ...]] = []
+    forward = [True] * n
+    tried = [0] * (n + 1)
+    pushed = 0  # levels of the last seed whose push stands
+    for seed in seeds:
+        d = 0
+        while d < pushed and seed[d] == forward[d]:
+            d += 1
+        for _ in range(d, pushed):
+            undo()
+        for i in range(d, m):
+            forward[i] = val = seed[i]
+            place(i, not val, False)
+        pushed = i = m
+        tried[m] = 0
+        while True:
+            if i < n and tried[i] < 2:
+                t = tried[i]
+                tried[i] = t + 1
+                if place(i, t, True):
+                    forward[i] = not t
+                    i += 1
+                    tried[i] = 0
+                continue
+            if i == n:
+                results.append(tuple(forward))
+            i -= 1
+            if i < m:
+                break
+            undo()
+    return tuple(results)
 
 
-def _search_tangles(members, ground, sides, m, seeds) -> list[tuple[bool, ...]]:
-    """The tangle search of ``_search``, on per-element bit slices.
+def _tangle_steps(system: LowOrderSystem):
+    """The tangle steps of ``_search``, on per-element bit slices.
 
     A union slot is a pair of chosen members, repetition allowed, numbered
     in push order: the push at level i appends the i + 1 slots (j, i) for
     j < i, then (i, i), at ``base = i(i + 1)/2``.  ``has[e]`` is the bitset
     of the slots whose union of first sides holds element e, and ``ch[e]``
     the bitset of the chosen positions whose first side holds e.  A member s
-    fails iff it points away from everything (``s.a == full``) or some slot
-    holds every element outside ``s.a``: iff the AND of ``has[e]`` over those
-    e, started from ``live``, the slots below ``base``, is nonzero.  That is
-    at most n big-int ANDs, stopping at the first zero.
+    fails iff some slot holds every element outside ``s.a``, or no element
+    is outside it (``s.a == full``, so (s, s, s) covers): iff the AND of
+    ``has[e]`` over those e, started from ``live``, the slots below
+    ``base``, never reaches zero.  That is at most n big-int ANDs, stopping
+    at the first zero.
 
-    Going back up moves nothing: the level fixes ``base``, and the bits at or
-    above it, left by undone pushes, are stale.  One overwrite on push is
-    enough because no test reads a stale bit: a test ANDs from ``live``, the
-    slots below its level's ``base``, and the push at level i makes slots
+    ``undo`` does nothing: the level fixes ``base``, and the bits at or above
+    it, left by undone pushes, are stale.  One overwrite on push is enough
+    because no test reads a stale bit: a test ANDs from ``live``, the slots
+    below its level's ``base``, and the push at level i makes slots
     ``base .. base + i`` exact for every element, ORing in the whole block
     for e in ``s.a`` and, for any other e, replacing every bit from ``base``
     up with ``ch[e]`` shifted.  So every slot below the next level's base is
@@ -550,21 +584,27 @@ def _search_tangles(members, ground, sides, m, seeds) -> list[tuple[bool, ...]]:
     rewrites it up to i.  ``sides`` maps a first side to the elements in it
     and outside it; it is the universe's, shared by its searches.
     """
-    n, full, width = len(members), ground.full, ground.n
-    results: list[tuple[bool, ...]] = []
-    forward = [True] * n
-    tried = [0] * (n + 1)
+    members, sides, width = system.members, system.space.sides, system.ground.n
     has = [0] * width
     ch = [0] * width
 
-    def split(sa: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        parts = sides[sa] = (tuple([e for e in range(width) if sa >> e & 1]),
-                             tuple([e for e in range(width) if not sa >> e & 1]))
-        return parts
-
-    def push(i: int, inside: tuple[int, ...], outside: tuple[int, ...]) -> None:
+    def place(i: int, t: int, test: bool) -> bool:
+        sa = members[i][t]
+        parts = sides.get(sa)
+        if parts is None:
+            parts = sides[sa] = (tuple([e for e in range(width) if sa >> e & 1]),
+                                 tuple([e for e in range(width) if not sa >> e & 1]))
+        inside, outside = parts
         base = i * (i + 1) >> 1
         live = (1 << base) - 1
+        if test:
+            acc = live
+            for e in outside:
+                acc &= has[e]
+                if not acc:
+                    break
+            else:
+                return False
         below = (1 << i) - 1
         block = (2 << i) - 1 << base
         for e in inside:
@@ -573,53 +613,20 @@ def _search_tangles(members, ground, sides, m, seeds) -> list[tuple[bool, ...]]:
         for e in outside:
             c = ch[e] = ch[e] & below
             has[e] = has[e] & live | c << base
+        return True
 
-    pushed = 0  # levels of the last seed whose push stands
-    for seed in seeds:
-        d = 0
-        while d < pushed and seed[d] == forward[d]:
-            d += 1
-        for i in range(d, m):
-            a, b = members[i]
-            forward[i] = val = seed[i]
-            sa = a if val else b
-            push(i, *(sides.get(sa) or split(sa)))
-        pushed = i = m
-        tried[m] = 0
-        while True:
-            if i < n and tried[i] < 2:
-                t = tried[i]
-                tried[i] = t + 1
-                sa = members[i][t]
-                if sa == full:
-                    continue
-                inside, outside = sides.get(sa) or split(sa)
-                acc = (1 << (i * (i + 1) >> 1)) - 1
-                for e in outside:
-                    acc &= has[e]
-                    if not acc:
-                        break
-                else:
-                    continue
-                forward[i] = not t
-                push(i, inside, outside)
-                i += 1
-                tried[i] = 0
-                continue
-            if i == n:
-                results.append(tuple(forward))
-            i -= 1
-            if i < m:
-                break
-    return results
+    def undo() -> None:
+        pass
+
+    return place, undo
 
 
-def _search_profiles(members, ground, m, seeds) -> list[tuple[bool, ...]]:
-    """The regular-profile search of ``_search``.
+def _profile_steps(system: LowOrderSystem):
+    """The regular-profile steps of ``_search``.
 
     ``chosen`` lists the chosen orientations, ``picked`` holds them as a
     set, and ``closes`` holds ``inverse(sup(t, u)) = (t.b & u.b, t.a | u.a)``
-    over chosen multisets {t, u}.  Each node builds the set ``thirds`` of the
+    over chosen multisets {t, u}.  ``place`` builds the set ``thirds`` of the
     inverted suprema of s with each chosen t and with itself once: s fails
     if it is irregular, if a chosen pair closes on it (``s in closes``), if
     it points away from a chosen t, if a pair {t, s} closes on s or on a
@@ -627,73 +634,42 @@ def _search_profiles(members, ground, m, seeds) -> list[tuple[bool, ...]]:
     chosen t suffices for condition (i) of ``check_profile``: inversion
     reverses the order, so ``inverse(t) <= s`` and ``inverse(s) <= t`` are
     the same condition.  A push adds to ``closes`` the entries of ``thirds``
-    it does not hold yet and keeps them as the level's token; going back up
+    it does not hold yet and keeps them as the level's token; ``undo``
     removes exactly those.  So a node costs O(|chosen|) on plain masks.
     """
-    n, full = len(members), ground.full
-    results: list[tuple[bool, ...]] = []
-    forward = [True] * n
-    tried = [0] * (n + 1)
+    members, full = system.members, system.ground.full
     chosen: list[tuple[int, int]] = []
     picked: set[tuple[int, int]] = set()
     closes: set[tuple[int, int]] = set()
     tokens: list[set[tuple[int, int]]] = []  # per level, what its push added
 
-    def push(s: tuple[int, int], thirds: set[tuple[int, int]]) -> None:
+    def place(i: int, t: int, test: bool) -> bool:
+        a, b = member = members[i]
+        sa, sb = s = (b, a) if t else member
+        if test:
+            if sa == full or s in closes:
+                return False
+            out_a = ~sa
+            for ta, tb in chosen:
+                # leq(inverse(t), s), the same test as leq(inverse(s), t)
+                if tb & out_a == 0 and sb & ~ta == 0:
+                    return False
+        thirds = {(tb & sb, ta | sa) for ta, tb in chosen}
+        thirds.add((sb, sa))
+        if test and (s in thirds or not thirds.isdisjoint(picked)):
+            return False
         added = thirds - closes
         closes.update(added)
         picked.add(s)
         chosen.append(s)
         tokens.append(added)
+        return True
 
-    def pop() -> None:
+    def undo() -> None:
         closes.difference_update(tokens.pop())
         picked.remove(chosen.pop())
 
-    for seed in seeds:
-        d = 0
-        while d < len(tokens) and seed[d] == forward[d]:
-            d += 1
-        while len(tokens) > d:
-            pop()
-        for i in range(d, m):
-            a, b = member = members[i]
-            forward[i] = val = seed[i]
-            sa, sb = s = member if val else (b, a)
-            thirds = {(tb & sb, ta | sa) for ta, tb in chosen}
-            thirds.add((sb, sa))
-            push(s, thirds)
-        i = m
-        tried[m] = 0
-        while True:
-            if i < n and tried[i] < 2:
-                t = tried[i]
-                tried[i] = t + 1
-                a, b = member = members[i]
-                sa, sb = s = (b, a) if t else member
-                if sa == full or s in closes:
-                    continue
-                out_a = ~sa
-                for ta, tb in chosen:
-                    # leq(inverse(t), s), the same test as leq(inverse(s), t)
-                    if tb & out_a == 0 and sb & ~ta == 0:
-                        break
-                else:
-                    thirds = {(tb & sb, ta | sa) for ta, tb in chosen}
-                    thirds.add((sb, sa))
-                    if s not in thirds and thirds.isdisjoint(picked):
-                        forward[i] = not t
-                        push(s, thirds)
-                        i += 1
-                        tried[i] = 0
-                continue
-            if i == n:
-                results.append(tuple(forward))
-            i -= 1
-            if i < m:
-                break
-            pop()
-    return results
+    return place, undo
 
 
 def kept_images(g: BipartiteGraph, universe: str, dest: str,

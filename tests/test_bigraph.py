@@ -81,6 +81,31 @@ def test_dump_roundtrip():
     assert h.to_dict() == g.to_dict()
 
 
+def test_from_dict_reads_labels_as_dumped():
+    """Labels are read through ``str``, as ``to_dict`` writes them: numbers
+    load as the labels their dump holds, and a number and a string that
+    print alike clash at once instead of on re-reading the dump."""
+    g = from_dict({"x": [1, 2], "y": [10], "edges": [[1, 10], [2, 10]]})
+    assert g.x.labels == ("1", "2") and g.y.labels == ("10",)
+    assert from_dict(g.to_dict()).to_dict() == g.to_dict()
+    with pytest.raises(LabelClash, match=r"labels on both sides: \['1'\]"):
+        from_dict({"x": [1], "y": ["1"], "edges": [[1, "1"]]})
+
+
+@pytest.mark.parametrize("data, named", [
+    ({"x": "ab", "y": ["p"], "edges": []}, "list 'x', got str"),
+    ({"x": ["a"], "y": {"p": 1}, "edges": []}, "list 'y', got dict"),
+    ({"x": ["a"], "y": ["p"]}, "list 'edges', got NoneType"),
+    ({"x": ["a"], "y": ["p"], "edges": [["a", "p", "q"]]}, "is not two labels"),
+    ({"x": ["a"], "y": ["p"], "edges": ["ap"]}, "is not two labels"),
+    (["a", "p"], "must be an object"),
+], ids=["side-string", "side-dict", "no-edges", "edge-triple", "edge-string",
+        "not-object"])
+def test_from_dict_refuses_other_shapes(data, named):
+    with pytest.raises(ParseError, match=named):
+        from_dict(data)
+
+
 def test_neighbor_count(k22, m2, k33):
     assert k22.neighbor_count("y1", k22.x.mask(["x1"])) == 1
     assert m2.neighbor_count("y1", m2.x.mask(["x2"])) == 0

@@ -52,6 +52,36 @@ def test_ingest_empty_csv(tmp_path, capsys):
     assert "|X|=0 |Y|=0 |E|=0" in out
 
 
+@pytest.mark.parametrize("name, text", [
+    ("tx.csv", "group,member\np1,a\np1,b\np2,b\n"),
+    ("g.json", json.dumps({"x": ["a", "b"], "y": ["p1", "p2"],
+                           "edges": [["a", "p1"], ["b", "p1"], ["b", "p2"]]})),
+], ids=["csv", "json"])
+def test_ingest_reads_a_byte_order_mark(name, text, tmp_path, capsys):
+    """Spreadsheet exports start a UTF-8 file with a byte-order mark."""
+    path = tmp_path / name
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    code, out, err = run_cli(capsys, "ingest", "--input", str(path))
+    assert code == 0, err
+    assert "|X|=2 |Y|=2 |E|=3" in out
+
+
+def test_ingest_numeric_labels_round_trip(tmp_path, capsys):
+    """A graph with numeric labels loads as the dump ``--out`` writes for
+    it, so the dump reads back to itself."""
+    src = tmp_path / "g.json"
+    src.write_text(json.dumps({"x": [1, 2], "y": [10, 20],
+                               "edges": [[1, 10], [2, 10], [2, 20]]}))
+    dumps = [tmp_path / "once.json", tmp_path / "twice.json"]
+    for read, dump in zip([src, dumps[0]], dumps):
+        code, out, err = run_cli(capsys, "ingest", "--input", str(read),
+                                 "--out", str(dump))
+        assert code == 0, err
+        assert "|X|=2 |Y|=2 |E|=3" in out
+    assert json.loads(dumps[0].read_text())["x"] == ["1", "2"]
+    assert dumps[0].read_text() == dumps[1].read_text()
+
+
 def test_ingest_malformed_row(tmp_path, capsys):
     csv = tmp_path / "bad.csv"
     csv.write_text("group,member\np1,a\nonly-one-field\n")
@@ -191,13 +221,15 @@ def test_tangles_counts(capsys):
     assert json.loads(out)["count"] == 0
 
 
-def test_tangles_search_deeper_than_the_recursion_limit(capsys):
-    """1,751 members, one search level each: the one tangle of the block,
-    found without a traceback."""
+@pytest.mark.parametrize("kind", ["tangle", "profile"])
+def test_tangles_search_deeper_than_the_recursion_limit(kind, capsys):
+    """1,751 members, one search level each: the one tangle (or regular
+    profile) of the block, found without a traceback."""
     code, out, err = run_cli(capsys, "tangles", "--generator", "planted",
                              "--blocks", "4x5", "--in-p", "1.0", "--cross-p", "0.0",
                              "--seed", "7", "--universe", "e", "--k2", "7",
-                             "--ground-cap", "20", "--member-cap", "100000")
+                             "--ground-cap", "20", "--member-cap", "100000",
+                             "--kind", kind)
     assert code == 0 and "Traceback" not in err
     data = json.loads(out)
     assert data["count"] == 1
@@ -374,11 +406,16 @@ def test_cap_exceeded_exit(capsys):
     (("order", "--input", "{long_csv}", "--a", "a", "--b", "b"),
      "line 2: field larger than field limit"),
     (("order", "--input", "{deep_json}", "--a", "x1", "--b", "x2"), "deep.json"),
+    # graph JSON of another shape than a dump, and labels that clash once
+    # read through str, as the dump would write them
+    (("ingest", "--input", "{string_side_json}"), "needs a list 'x', got str"),
+    (("ingest", "--input", "{clash_json}"), "labels on both sides: ['1']"),
 ], ids=["blocks", "k2", "missing-input", "bad-json", "theorem", "p", "nx",
         "verify-member-cap", "tangles-member-cap", "ground-cap",
         "enumerate-format", "order-format", "cap-seps", "decider-bound",
         "corpus-input", "corpus-name", "input-seed", "input-generator",
-        "random-blocks", "planted-p", "long-csv-field", "deep-json"])
+        "random-blocks", "planted-p", "long-csv-field", "deep-json",
+        "string-side-json", "clash-json"])
 def test_input_fault_is_usage_error(argv, named, tmp_path, capsys):
     bad_json = tmp_path / "g.json"
     bad_json.write_text('{"x": ["x1"], ')
@@ -388,8 +425,13 @@ def test_input_fault_is_usage_error(argv, named, tmp_path, capsys):
     long_csv.write_text("group,member\np1," + "a" * 200_000 + "\n")
     deep_json = tmp_path / "deep.json"
     deep_json.write_text("[" * 100_000)
+    string_side_json = tmp_path / "side.json"
+    string_side_json.write_text('{"x": "ab", "y": ["p"], "edges": []}')
+    clash_json = tmp_path / "clash.json"
+    clash_json.write_text('{"x": [1], "y": ["1"], "edges": [[1, "1"]]}')
     argv = [a.format(missing=tmp_path / "absent.csv", bad_json=bad_json,
-                     good_csv=good_csv, long_csv=long_csv, deep_json=deep_json)
+                     good_csv=good_csv, long_csv=long_csv, deep_json=deep_json,
+                     string_side_json=string_side_json, clash_json=clash_json)
             for a in argv]
     try:
         code = main(argv)

@@ -212,10 +212,27 @@ def test_search_matches_naive_on_hand_built_systems():
 
 
 def test_tangles_are_regular_profiles(k33, path3, two_blocks):
-    for g, universe in ((k33, "x"), (path3, "x"), (two_blocks, "bx")):
-        for k2 in (1, 2, 3):
-            for o in enumerate_tangles(g, universe, HalfInt(k2)):
-                assert is_regular_profile(o)
+    """Every tangle is a regular profile: on three fixtures and on every
+    corpus universe, at every threshold within the member cap, the tangle
+    search finds exactly the regular profiles that pass ``check_tangle``,
+    in the same order.  So both step kinds of the one walk agree."""
+    cases = [(k33, "x"), (path3, "x"), (two_blocks, "bx")]
+    cases += [(g, space.name) for _, g, space in _corpus_universes()]
+    thresholds = fewer = 0  # thresholds searched; those with a non-tangle profile
+    for g, universe in cases:
+        cumulative = tangles._Universe.of(g, universe).counts()
+        for k2 in range(1, len(cumulative)):
+            if cumulative[k2] > DEFAULT_MEMBER_CAP:
+                break
+            found = enumerate_tangles(g, universe, HalfInt(k2))
+            profiles = enumerate_tangles(g, universe, HalfInt(k2), "regular_profile")
+            assert all(is_regular_profile(o) for o in found)
+            assert ([o.forward for o in found]
+                    == [o.forward for o in profiles if check_tangle(o).ok]), (
+                        universe, k2)
+            thresholds += 1
+            fewer += len(found) < len(profiles)
+    assert thresholds >= 1000 and fewer >= 100
 
 
 def test_restrict(k33):
