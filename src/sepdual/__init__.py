@@ -46,10 +46,7 @@ from .homology import (
 )
 from .orders import (
     HalfInt,
-    order_edge,
     order_of,
-    order_partition,
-    order_side,
     order_side_edge_form,
 )
 from .separations import (

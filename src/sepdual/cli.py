@@ -6,7 +6,9 @@ float parsing is involved.  The universe name alone picks the shift map
 (``shifts.universe_map``; ``shift --to`` defaults to the other side, and to
 ``x`` from ``e``) and the default ``--ground-cap`` (set in ``tangles``).
 Reports are deterministic JSON: same config and seed, byte-identical output;
-``tangles`` and ``verify`` can print a CSV summary instead.
+``tangles`` and ``verify`` can print a CSV summary instead.  ``order`` and
+``shift`` read ``--a``/``--b`` through ``GroundSet.named``, exactly as
+reports print labels.
 
 Exit codes: 0 success/verified, 1 violated invariant or counterexample,
 2 usage or parse error.
@@ -139,16 +141,13 @@ def _load_graph(args):
     return g, {"generator": args.generator, **opts}
 
 
-def _parse_side(g, universe, text):
-    _, ground, _ = universe_context(g, universe)
-    labels = []
-    for item in filter(None, (t.strip() for t in text.split(","))):
-        if universe == "e":
-            xl, _, yl = item.partition("--")
-            labels.append((xl, yl))
-        else:
-            labels.append(item)
-    return ground.mask(labels)
+def _read_sep(g, args):
+    """The separation that ``--a`` and ``--b`` name: comma-separated labels,
+    each read back exactly as reports print it (``GroundSet.named``)."""
+    _, ground, _ = universe_context(g, args.universe)
+    a, b = (ground.named(filter(None, (t.strip() for t in text.split(","))))
+            for text in (args.a, args.b))
+    return make_sep(ground, a, b)
 
 
 def _emit(args, text: str) -> None:
@@ -212,9 +211,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_order(args) -> int:
     g, source = _load_graph(args)
-    _, ground, _ = universe_context(g, args.universe)
-    s = make_sep(ground, _parse_side(g, args.universe, args.a),
-                 _parse_side(g, args.universe, args.b))
+    s = _read_sep(g, args)
     value = order_of(g, args.universe, s)
     payload = {"order2": value.doubled, "order": str(value)}
     if args.universe in ("x", "y"):
@@ -230,9 +227,7 @@ def cmd_shift(args) -> int:
     g, source = _load_graph(args)
     dest = args.to or ("x" if args.universe == "e" else _OTHER[args.universe])
     shift = universe_map(g, args.universe, dest)
-    _, ground, _ = universe_context(g, args.universe)
-    s = make_sep(ground, _parse_side(g, args.universe, args.a),
-                 _parse_side(g, args.universe, args.b))
+    s = _read_sep(g, args)
     _, dest_ground, _ = universe_context(g, dest)
     payload = {**sep_labels(dest_ground, shift(s)), "universe": dest}
     config = {"source": source, "universe": args.universe, "a": args.a,

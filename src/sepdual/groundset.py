@@ -3,7 +3,8 @@
 Every subset of a ground set is represented as a plain ``int`` bitmask:
 bit ``i`` is the element at position ``i`` of the label order.  All
 combinatorial code in this package works on such masks; a :class:`GroundSet`
-is the bridge between opaque labels and mask positions.
+is the bridge between opaque labels and mask positions.  Labels print
+through :meth:`GroundSet.names` alone, which :meth:`GroundSet.named` inverts.
 """
 
 from __future__ import annotations
@@ -52,6 +53,27 @@ class GroundSet:
         return [f"{lab[0]}--{lab[1]}"
                 if isinstance(lab, tuple) and len(lab) == 2 else str(lab)
                 for lab in self.members(mask)]
+
+    def named(self, names: Iterable[str]) -> int:
+        """Bitmask of the labels that :meth:`names` prints as ``names``.
+
+        A name is matched whole against the printed labels, never split, so
+        an edge whose labels contain ``--`` reads back as printed.  A name
+        that no label prints, or that two labels print, raises SideMismatch.
+        """
+        printed: dict[str, list[int]] = {}
+        for i, name in enumerate(self.names(self.full)):
+            printed.setdefault(name, []).append(i)
+        m = 0
+        for name in names:
+            found = printed.get(name, ())
+            if not found:
+                raise SideMismatch(f"label {name!r} not in ground set")
+            if len(found) > 1:
+                raise SideMismatch(f"label {name!r} is printed by "
+                                   f"{len(found)} labels of the ground set")
+            m |= 1 << found[0]
+        return m
 
     def check(self, mask: int) -> None:
         """Validate that a mask fits this ground set."""

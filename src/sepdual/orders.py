@@ -118,18 +118,6 @@ def _validate(ground, s: Sep) -> tuple[int, int]:
     return a, b
 
 
-def order2_of(g: BipartiteGraph, universe: str, a: int, b: int) -> int:
-    """Doubled order of (a, b) over a universe, without validating the sides."""
-    masks, _, _ = universe_context(g, universe)
-    return _kernels.order2(masks, a, b)
-
-
-def _side(side: str) -> str:
-    if side not in ("x", "y"):
-        raise SideMismatch(f"side must be 'x' or 'y', got {side!r}")
-    return side
-
-
 def order_of(g: BipartiteGraph, universe: str, s: Sep) -> HalfInt:
     """Order of ``s`` under the given universe's order function.
 
@@ -142,32 +130,19 @@ def order_of(g: BipartiteGraph, universe: str, s: Sep) -> HalfInt:
     return HalfInt(_kernels.order2(masks, a, b))
 
 
-def order_side(g: BipartiteGraph, s: Sep, side: str) -> HalfInt:
-    """Order of a separation of side ``side`` ("x" or "y")."""
-    return order_of(g, _side(side), s)
-
-
-def order_edge(g: BipartiteGraph, s: Sep) -> HalfInt:
-    """Order of a separation of the edge set."""
-    return order_of(g, "e", s)
-
-
-def order_partition(g: BipartiteGraph, s: Sep, side: str) -> HalfInt:
-    """Partition order (integer-valued); rejects non-partitions."""
-    return order_of(g, "b" + _side(side), s)
-
-
 def order_side_edge_form(g: BipartiteGraph, s: Sep, side: str) -> HalfInt:
     """Side order recomputed through edge counts across the majority shift.
 
-    Independent route to the same value as :func:`order_side`:
+    Independent route to the same value as ``order_of(g, side, s)``:
     |E(C,B)| + |E(D,A)| - |E(C∩D, all)|/2 - |E(opposite, A∩B)|/2
     - |E(C∩D, A∩B)|/2, where (C,D) is the shift of (A,B).  The last term is
     needed for exact equality: a tied vertex appears in both of the first
     two counts, so its middle neighbours would otherwise enter one half too
     often.  Used as a built-in cross-check.
     """
-    masks, ground, _ = universe_context(g, _side(side))
+    if side not in ("x", "y"):
+        raise SideMismatch(f"side must be 'x' or 'y', got {side!r}")
+    masks, ground, _ = universe_context(g, side)
     a, b = _validate(ground, s)
     c, d = _kernels.shift2(masks, a, b)
     ab = a & b

@@ -69,7 +69,10 @@ members are decoded on first read by extending the shared prefix, so all
 systems of a universe share the same pair objects and a system that nobody
 reads (one whose search trips the member cap, say) is never decoded.
 ``Sep`` is built only where a separation leaves the module
-(``Orientation.choices`` and the witnesses of the checks).
+(``Orientation.choices`` and the witnesses of the checks).  An
+orientation's chosen set, ``Orientation.as_set``, is a frozenset of plain
+pairs built once per orientation; membership tests, the verifier's
+hypothesis families and ``homology.orientation_to_chain`` all read it.
 
 Image tables: a member's image under one map of one graph never changes, so
 ``kept_images`` keeps, per destination universe, the list of (image of the
@@ -276,13 +279,12 @@ class LowOrderSystem:
     keeps refers back to it.
     """
 
-    __slots__ = ("space", "count", "_members", "_index")
+    __slots__ = ("space", "count", "_members")
 
     def __init__(self, space: _Universe, count: int):
         self.space = space
         self.count = count
         self._members = None
-        self._index = None
 
     @classmethod
     def from_members(cls, universe: str, ground, members) -> "LowOrderSystem":
@@ -313,13 +315,6 @@ class LowOrderSystem:
         s2 = 2 * self.space.ground.n
         return tuple([k >> s2 for k in self.space.listed(self.count)[:self.count]])
 
-    @property
-    def index(self) -> dict[tuple[int, int], int]:
-        """Position of each member, built on first use."""
-        if self._index is None:
-            self._index = {s: i for i, s in enumerate(self.members)}
-        return self._index
-
     def __len__(self) -> int:
         return self.count
 
@@ -341,28 +336,30 @@ def build_system(g: BipartiteGraph, universe: str, k,
 class Orientation:
     """A choice of one orientation for every member of a system."""
 
-    __slots__ = ("system", "forward")
+    __slots__ = ("system", "forward", "_chosen")
 
     def __init__(self, system: LowOrderSystem, forward: tuple[bool, ...]):
         if len(forward) != system.count:
             raise ValueError("one choice per member required")
         self.system = system
         self.forward = tuple(forward)
+        self._chosen = None
 
     def choices(self) -> tuple[Sep, ...]:
         return tuple([Sep(a, b) if f else Sep(b, a)
                       for (a, b), f in zip(self.system.members, self.forward)])
 
-    def as_set(self) -> frozenset[Sep]:
-        return frozenset(self.choices())
+    def as_set(self) -> frozenset[tuple[int, int]]:
+        """The chosen orientations as plain ``(a, b)`` pairs, built on first
+        use and kept: the one chosen set that membership, the verifier's
+        families and the homology chains read."""
+        if self._chosen is None:
+            self._chosen = frozenset([m if f else (m[1], m[0]) for m, f
+                                      in zip(self.system.members, self.forward)])
+        return self._chosen
 
     def __contains__(self, s: Sep) -> bool:
-        a, b = s
-        forward = a <= b
-        i = self.system.index.get((a, b) if forward else (b, a))
-        if i is None:
-            return False
-        return self.forward[i] == forward
+        return s in self.as_set()
 
     def __eq__(self, other) -> bool:
         # a system is a prefix of its universe, so the choices fix the system

@@ -19,7 +19,10 @@ A case can end four ways:
 Every witness is re-validated on label sets, without the mask kernels.  A
 totality witness (a member the shifted family orients neither way or both
 ways) is re-checked by recomputing the map in the direction of its step:
-members pulled back to the hypothesis, or the hypothesis pushed forward.
+members pulled back to the hypothesis, or the hypothesis pushed forward.  A
+push-forward escape is re-checked by recomputing the member's image and the
+way back, and a containment witness (``not_subset``) by comparing its label
+sets with those of the hypothesis's choices.
 
 The shipped corpus is a fixed list of generators and seeds, so reports are
 bit-reproducible.
@@ -211,19 +214,19 @@ def _conclusion_failure(system, status, member, orientation, want):
     return None
 
 
+def _label_sides(ground, s) -> tuple[frozenset, frozenset]:
+    return frozenset(ground.members(s[0])), frozenset(ground.members(s[1]))
+
+
 def _subset_violation(tau, elements, ground):
     for s in elements:
         if s not in tau:
-            if s in tau.as_set():  # re-check through the explicit choice list
+            # re-check on label sets against tau's explicit choices
+            if _label_sides(ground, s) in {_label_sides(ground, c)
+                                           for c in tau.choices()}:
                 raise AssertionError("witness failed independent re-validation")
             return {"kind": "not_subset", "member": sep_labels(ground, s)}
     return None
-
-
-def _family(tau: Orientation) -> set:
-    """The orientations tau chooses, as plain pairs."""
-    return {m if f else (m[1], m[0])
-            for m, f in zip(tau.system.members, tau.forward)}
 
 
 def _pull(images, sources, family, members) -> set:
@@ -333,7 +336,7 @@ def _run_legs(g, ctx, k2, kind, legs):
         plan = _plan(g, leg, hyp_sys, systems)
         sys = systems[-1]
         for tau in hyps:
-            family = tau_set = _family(tau)
+            family = tau_set = tau.as_set()
             for step, images, sources, targets in plan:
                 family = step(images, sources, family, targets)
             if len(systems) == 2:
@@ -389,12 +392,16 @@ def _pushforward_containment(g, ctx, k2):
         images = kept_images(g, side, other, len(low))
         back = universe_map(g, other, side)
         for tau in hyps:
-            tset = _family(tau)
+            tset = tau.as_set()
             for m, f, (m_there, inv_there) in zip(tau.system.members, tau.forward,
                                                   images):
                 t = m_there if f else inv_there
                 if back(t) not in tset:
                     s = m if f else (m[1], m[0])
+                    if (_set_map(g, side, other, s) != t
+                            or _set_map(g, other, side, t) in tset):
+                        raise AssertionError(
+                            "witness failed independent re-validation")
                     other_ground = universe_context(g, other)[1]
                     fail = {"kind": "pushforward_escape", "side": side,
                             "member": sep_labels(low.ground, s),

@@ -27,9 +27,7 @@ from sepdual import (
     inverse,
     kernel_basis,
     norm_squared,
-    order_edge,
-    order_partition,
-    order_side,
+    order_of,
     order_side_edge_form,
     orientation_to_chain,
     shift_partition,
@@ -42,7 +40,6 @@ from sepdual import (
 )
 from sepdual.groundset import GroundSet
 from sepdual.homology import disc_lines_perpendicular, validate_decider
-from sepdual.orders import order2_of
 from sepdual.verify import corpus, report_json, run_corpus
 from sepdual.bigraph import block_masks
 
@@ -89,12 +86,12 @@ def test_criterion_1_submodularity():
     ]
     for g in small:
         for universe in ("x", "y"):
-            o2 = lambda a, b: order2_of(g, universe, a, b)
+            o2 = lambda a, b: order_of(g, universe, (a, b)).doubled
             seps = list(enumerate_seps(g.x if universe == "x" else g.y))
             for r, s in itertools.product(seps, repeat=2):
                 assert _submod2(o2, r, s)
         if g.n_edges <= 3:
-            o2 = lambda a, b: order2_of(g, "e", a, b)
+            o2 = lambda a, b: order_of(g, "e", (a, b)).doubled
             seps = list(enumerate_seps(g.edges))
             for r, s in itertools.product(seps, repeat=2):
                 assert _submod2(o2, r, s)
@@ -103,7 +100,7 @@ def test_criterion_1_submodularity():
         g = gen_random(2 + i % 5, 2 + (i // 5) % 5 + (i % 2), 0.35 + 0.03 * i,
                        seed=500 + i)
         for universe, ground in (("x", g.x), ("y", g.y), ("e", g.edges)):
-            o2 = lambda a, b: order2_of(g, universe, a, b)
+            o2 = lambda a, b: order_of(g, universe, (a, b)).doubled
             rng = random.Random(1000 + i)
             for _ in range(10_000 // 2):
                 r = _random_sep(rng, ground.n)
@@ -120,24 +117,24 @@ def test_criterion_2_order_identities():
             ground = g.x if side == "x" else g.y
             other = "y" if side == "x" else "x"
             for s in enumerate_seps(ground):
-                o = order_side(g, s, side)
+                o = order_of(g, side, s)
                 # edge-count identity, exact
                 assert order_side_edge_form(g, s, side) == o
                 # shifting never increases the order
-                assert order_side(g, shift_side(g, s, side), other) <= o
+                assert order_of(g, other, shift_side(g, s, side)) <= o
                 # the induced edge separation sandwich
-                oe = order_edge(g, sep_to_edges(g, s, side))
+                oe = order_of(g, "e", sep_to_edges(g, s, side))
                 assert o.doubled <= oe.doubled <= 2 * o.doubled
             # the partition shift never increases the partition order
             for s in enumerate_seps(ground, "partitions_only"):
-                assert (order_partition(g, shift_partition(g, s, side), other)
-                        <= order_partition(g, s, side))
+                assert (order_of(g, "b" + other, shift_partition(g, s, side))
+                        <= order_of(g, "b" + side, s))
         if g.n_edges <= 10:
             for s in enumerate_seps(g.edges):
-                oe = order_edge(g, s)
+                oe = order_of(g, "e", s)
                 for target in ("x", "y"):
                     back = edges_to_side(g, s, target)
-                    assert order_side(g, back, target) <= oe
+                    assert order_of(g, target, back) <= oe
     _stamp("criterion-2 order identities", t0, 120)
 
 

@@ -187,6 +187,28 @@ def test_shift_edges_to_side(capsys):
     assert data["a"] == ["y1"] and data["b"] == ["y2"]
 
 
+def test_edge_names_read_back_as_printed(tmp_path, capsys):
+    """Every edge that ``enumerate`` prints is read back by ``order`` and
+    ``shift``, although its member label contains ``--``."""
+    csv = tmp_path / "tx.csv"
+    csv.write_text("group,member\ng1,a--b\ng1,c\ng2,a--b\ng2,c--d\n")
+    code, out, err = run_cli(capsys, "enumerate", "--input", str(csv),
+                             "--universe", "e", "--k2", "100")
+    assert code == 0, err
+    members = json.loads(out)["members"]
+    assert {n for m in members for n in m["a"] + m["b"]} == {
+        "a--b--g1", "c--g1", "a--b--g2", "c--d--g2"}
+    for m in members:
+        sides = ("--a", ",".join(m["a"]), "--b", ",".join(m["b"]))
+        code, out, err = run_cli(capsys, "order", "--input", str(csv),
+                                 "--universe", "e", *sides)
+        assert code == 0, err
+        assert json.loads(out)["order2"] == m["order2"]
+        code, _, err = run_cli(capsys, "shift", "--input", str(csv),
+                               "--universe", "e", *sides)
+        assert code == 0, err
+
+
 def test_tangles_csv_summary(capsys):
     code, out, _ = run_cli(capsys, "tangles", "--generator", "random",
                            "--nx", "3", "--ny", "3", "--p", "1.0",
@@ -410,12 +432,18 @@ def test_cap_exceeded_exit(capsys):
     # read through str, as the dump would write them
     (("ingest", "--input", "{string_side_json}"), "needs a list 'x', got str"),
     (("ingest", "--input", "{clash_json}"), "labels on both sides: ['1']"),
+    # the edges (a--b, g1) and (a, b--g1) both print as a--b--g1
+    (("order", "--input", "{twice_csv}", "--universe", "e", "--a", "a--b--g1",
+      "--b", "a--b--g1"), "'a--b--g1' is printed by 2 labels"),
+    (("shift", "--input", "{twice_csv}", "--universe", "e", "--a", "a--b--g1",
+      "--b", "a--b--g1"), "'a--b--g1' is printed by 2 labels"),
 ], ids=["blocks", "k2", "missing-input", "bad-json", "theorem", "p", "nx",
         "verify-member-cap", "tangles-member-cap", "ground-cap",
         "enumerate-format", "order-format", "cap-seps", "decider-bound",
         "corpus-input", "corpus-name", "input-seed", "input-generator",
         "random-blocks", "planted-p", "long-csv-field", "deep-json",
-        "string-side-json", "clash-json"])
+        "string-side-json", "clash-json", "order-name-printed-twice",
+        "shift-name-printed-twice"])
 def test_input_fault_is_usage_error(argv, named, tmp_path, capsys):
     bad_json = tmp_path / "g.json"
     bad_json.write_text('{"x": ["x1"], ')
@@ -429,9 +457,12 @@ def test_input_fault_is_usage_error(argv, named, tmp_path, capsys):
     string_side_json.write_text('{"x": "ab", "y": ["p"], "edges": []}')
     clash_json = tmp_path / "clash.json"
     clash_json.write_text('{"x": [1], "y": ["1"], "edges": [[1, "1"]]}')
+    twice_csv = tmp_path / "twice.csv"
+    twice_csv.write_text("group,member\ng1,a--b\nb--g1,a\n")
     argv = [a.format(missing=tmp_path / "absent.csv", bad_json=bad_json,
                      good_csv=good_csv, long_csv=long_csv, deep_json=deep_json,
-                     string_side_json=string_side_json, clash_json=clash_json)
+                     string_side_json=string_side_json, clash_json=clash_json,
+                     twice_csv=twice_csv)
             for a in argv]
     try:
         code = main(argv)

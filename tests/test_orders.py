@@ -17,10 +17,7 @@ from sepdual import (
     gen_random,
     inf,
     inverse,
-    order_edge,
     order_of,
-    order_partition,
-    order_side,
     order_side_edge_form,
     sup,
 )
@@ -68,10 +65,10 @@ class TestHalfInt:
 
 def test_order_side_frozen_values(m2, k22, k33):
     # derived from the per-vertex counting oracle
-    assert order_side(m2, Sep(0b01, 0b10), "x") == HalfInt(0)
-    assert order_side(k22, Sep(0b01, 0b10), "x") == HalfInt.whole(2)
-    assert order_side(k33, Sep(0, 0b111), "x") == HalfInt(0)
-    assert order_side(k33, Sep(0b001, 0b111), "x") == HalfInt(3)  # 3/2
+    assert order_of(m2, "x", Sep(0b01, 0b10)) == HalfInt(0)
+    assert order_of(k22, "x", Sep(0b01, 0b10)) == HalfInt.whole(2)
+    assert order_of(k33, "x", Sep(0, 0b111)) == HalfInt(0)
+    assert order_of(k33, "x", Sep(0b001, 0b111)) == HalfInt(3)  # 3/2
 
 
 def test_order_side_matches_oracle_everywhere(m2, k22, k33, path3):
@@ -79,13 +76,13 @@ def test_order_side_matches_oracle_everywhere(m2, k22, k33, path3):
         for s in enumerate_seps(g.x):
             A, B = sep_sets(g.x, s)
             expected = order_side_oracle(g, A, B, "x")
-            assert Fraction(order_side(g, s, "x").doubled, 2) == expected
+            assert Fraction(order_of(g, "x", s).doubled, 2) == expected
 
 
 def test_order_side_symmetry(k33, path3):
     for g in (k33, path3):
         for s in enumerate_seps(g.x):
-            assert order_side(g, s, "x") == order_side(g, inverse(s), "x")
+            assert order_of(g, "x", s) == order_of(g, "x", inverse(s))
 
 
 def test_edge_form_identity(m2, k22, k33, path3):
@@ -93,7 +90,7 @@ def test_edge_form_identity(m2, k22, k33, path3):
         for side in ("x", "y"):
             ground = g.x if side == "x" else g.y
             for s in enumerate_seps(ground):
-                assert order_side_edge_form(g, s, side) == order_side(g, s, side)
+                assert order_side_edge_form(g, s, side) == order_of(g, side, s)
 
 
 def test_edge_form_frozen_examples(m2, k22, k33):
@@ -105,9 +102,9 @@ def test_edge_form_frozen_examples(m2, k22, k33):
 def test_order_edge_values(m2):
     e = m2.edges
     s = Sep(e.mask([("x1", "y1")]), e.mask([("x2", "y2")]))
-    assert order_edge(m2, s) == HalfInt(0)
-    assert order_edge(m2, Sep(e.full, e.full)) == HalfInt.whole(m2.n_edges)
-    assert order_edge(m2, Sep(0, e.full)) == HalfInt(0)
+    assert order_of(m2, "e", s) == HalfInt(0)
+    assert order_of(m2, "e", Sep(e.full, e.full)) == HalfInt.whole(m2.n_edges)
+    assert order_of(m2, "e", Sep(0, e.full)) == HalfInt(0)
 
 
 def test_order_edge_matches_oracle(m2, path3):
@@ -115,30 +112,31 @@ def test_order_edge_matches_oracle(m2, path3):
         for s in enumerate_seps(g.edges):
             C = set(g.edges.members(s.a))
             D = set(g.edges.members(s.b))
-            assert Fraction(order_edge(g, s).doubled, 2) == order_edge_oracle(g, C, D)
+            expected = order_edge_oracle(g, C, D)
+            assert Fraction(order_of(g, "e", s).doubled, 2) == expected
 
 
 def test_order_partition(k22, two_blocks):
-    assert order_partition(k22, Sep(0b01, 0b10), "x") == HalfInt.whole(2)
-    assert order_partition(k22, Sep(0, k22.x.full), "x") == HalfInt(0)
+    assert order_of(k22, "bx", Sep(0b01, 0b10)) == HalfInt.whole(2)
+    assert order_of(k22, "bx", Sep(0, k22.x.full)) == HalfInt(0)
     blk = 0b000111
     rest = two_blocks.x.full ^ blk
-    assert order_partition(two_blocks, Sep(blk, rest), "x") == HalfInt(0)
+    assert order_of(two_blocks, "bx", Sep(blk, rest)) == HalfInt(0)
     with pytest.raises(NotAPartition):
-        order_partition(k22, Sep(0b01, 0b11), "x")
+        order_of(k22, "bx", Sep(0b01, 0b11))
 
 
 def test_order_partition_consistent_with_side(k33, path3):
     for g in (k33, path3):
         for s in enumerate_seps(g.x, "partitions_only"):
-            assert order_partition(g, s, "x") == order_side(g, s, "x")
+            assert order_of(g, "bx", s) == order_of(g, "x", s)
 
 
 def test_maximum_at_top(k33, m2, path3):
     for g in (k33, m2, path3):
-        top = order_side(g, Sep(g.x.full, g.x.full), "x")
+        top = order_of(g, "x", Sep(g.x.full, g.x.full))
         for s in enumerate_seps(g.x):
-            assert order_side(g, s, "x") <= top
+            assert order_of(g, "x", s) <= top
 
 
 def test_order_of_dispatch(k22):
@@ -148,7 +146,7 @@ def test_order_of_dispatch(k22):
 
 
 def _submodular_ok(g, side, r, s):
-    o = lambda t: order_side(g, t, side).doubled
+    o = lambda t: order_of(g, side, t).doubled
     if o(sup(r, s)) + o(inf(r, s)) > o(r) + o(s):
         return False
     # corner convention from the proof: cross r with the inverse of s
@@ -164,7 +162,7 @@ def test_submodularity_exhaustive_small(m2, k22, path3):
 
 
 def test_edge_submodularity_exhaustive_m2(m2):
-    o = lambda t: order_edge(m2, t).doubled
+    o = lambda t: order_of(m2, "e", t).doubled
     seps = list(enumerate_seps(m2.edges))
     for r, s in itertools.product(seps, repeat=2):
         assert o(sup(r, s)) + o(inf(r, s)) <= o(r) + o(s)
@@ -189,7 +187,7 @@ def test_mask_validation(k22):
     from sepdual import SideMismatch
 
     with pytest.raises(SideMismatch):
-        order_side(k22, Sep(1 << 9, k22.x.full), "x")
+        order_of(k22, "x", Sep(1 << 9, k22.x.full))
 
 
 def test_order2_empty_masks():

@@ -13,6 +13,7 @@ from sepdual import (
     GroundSet,
     Sep,
     SepdualError,
+    SideMismatch,
     canonical,
     from_edges,
     inf,
@@ -51,6 +52,18 @@ def test_make_sep_cover_violation_names_edges_as_reports_do():
     edges = GroundSet([("x1", "y1"), ("x1", "y3")])
     with pytest.raises(CoverViolation, match=r"missing \['x1--y3'\]$"):
         make_sep(edges, 0b01, 0b01)
+
+
+def test_names_read_back_exactly_as_printed():
+    edges = GroundSet([("a--b", "g1"), ("c", "g1"), ("c", "d--g1")])
+    for mask in range(edges.full + 1):
+        assert edges.named(edges.names(mask)) == mask
+    with pytest.raises(SideMismatch, match="'a--b' not in ground set"):
+        edges.named(["a--b"])
+    doubled = GroundSet([("a--b", "g1"), ("a", "b--g1"), ("c", "g1")])
+    assert doubled.named(["c--g1"]) == 0b100
+    with pytest.raises(SideMismatch, match="'a--b--g1' is printed by 2"):
+        doubled.named(["a--b--g1"])
 
 
 def test_inverse_involution():

@@ -18,8 +18,7 @@ from sepdual import (
     move_edge_over,
     move_edge_to_middle,
     normalize_edge_sep,
-    order_edge,
-    order_side,
+    order_of,
     sep_to_edges,
     shift_partition,
     shift_side,
@@ -127,12 +126,10 @@ def test_round_trip_isolated_discrepancy():
 
 
 def test_partition_shift_order_never_increases(m2, k22, k33, path3):
-    from sepdual import order_partition
-
     for g in (m2, k22, k33, path3):
         for s in enumerate_seps(g.x, "partitions_only"):
             t = shift_partition(g, s, "x")
-            assert order_partition(g, t, "y") <= order_partition(g, s, "x")
+            assert order_of(g, "by", t) <= order_of(g, "bx", s)
 
 
 def test_shift_order_never_increases(m2, k22, k33, path3):
@@ -142,14 +139,14 @@ def test_shift_order_never_increases(m2, k22, k33, path3):
             other = "y" if side == "x" else "x"
             for s in enumerate_seps(ground):
                 shifted = shift_side(g, s, side)
-                assert order_side(g, shifted, other) <= order_side(g, s, side)
+                assert order_of(g, other, shifted) <= order_of(g, side, s)
 
 
 def test_order_sandwich(m2, k22, k33, path3):
     for g in (m2, k22, k33, path3):
         for s in enumerate_seps(g.x):
-            ox2 = order_side(g, s, "x").doubled
-            oe2 = order_edge(g, sep_to_edges(g, s, "x")).doubled
+            ox2 = order_of(g, "x", s).doubled
+            oe2 = order_of(g, "e", sep_to_edges(g, s, "x")).doubled
             assert ox2 <= oe2 <= 2 * ox2
 
 
@@ -157,7 +154,7 @@ def test_edge_shift_order_never_increases(m2, k22, path3):
     for g in (m2, k22, path3):
         for s in enumerate_seps(g.edges):
             back = edges_to_side(g, s, "x")
-            assert order_side(g, back, "x") <= order_edge(g, s)
+            assert order_of(g, "x", back) <= order_of(g, "e", s)
 
 
 def test_edge_shift_monotone(m2, path3):
@@ -236,7 +233,7 @@ def test_pull_back_materialize(m2):
     to_y = universe_map(m2, "x", "y")
     one = {Sep(0b01, 0b10)}
     low = {s for s in enumerate_seps(m2.x)
-           if order_side(m2, s, "x").doubled < 1 and to_y(s) in one}
+           if order_of(m2, "x", s).doubled < 1 and to_y(s) in one}
     assert low == {Sep(0b01, 0b10)}
 
 
@@ -280,7 +277,7 @@ def test_move_edge_over_properties(k22, path3):
             for ei, (xi, _) in enumerate(g.endpoints):
                 if strict >> xi & 1:
                     out = move_edge_over(g, s, ei)
-                    assert order_edge(g, out) <= order_edge(g, s)
+                    assert order_of(g, "e", out) <= order_of(g, "e", s)
                     assert edges_to_side(g, out, "x") == shifted
 
 
@@ -301,7 +298,7 @@ def test_move_edge_to_middle_properties(k22, path3):
             for ei, (xi, _) in enumerate(g.endpoints):
                 if shifted.a >> xi & 1:
                     out = move_edge_to_middle(g, s, ei)
-                    assert order_edge(g, out) <= order_edge(g, s)
+                    assert order_of(g, "e", out) <= order_of(g, "e", s)
                     assert leq(shifted, edges_to_side(g, out, "x"))
 
 
@@ -310,7 +307,7 @@ def test_shift_properties_random():
 
     from hypothesis import given, settings
     from hypothesis import strategies as st
-    from sepdual import gen_random, order_side
+    from sepdual import gen_random
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6), st.data())
@@ -323,10 +320,10 @@ def test_shift_properties_random():
         b = (full ^ a) | data.draw(st.integers(min_value=0, max_value=full))
         s = Sep(a, b)
         assert shift_side(g, inverse(s), "x") == inverse(shift_side(g, s, "x"))
-        assert order_side(g, s, "x") == order_side(g, inverse(s), "x")
+        assert order_of(g, "x", s) == order_of(g, "x", inverse(s))
         shifted = shift_side(g, s, "x")
         assert shifted.a | shifted.b == g.y.full
-        assert order_side(g, shifted, "y") <= order_side(g, s, "x")
+        assert order_of(g, "y", shifted) <= order_of(g, "x", s)
 
     prop()
 
@@ -343,7 +340,7 @@ def test_normalize_properties(m2, k22, path3):
         for s in enumerate_seps(g.edges):
             out = normalize_edge_sep(g, s)
             assert edges_to_side(g, out, "x") == edges_to_side(g, s, "x")
-            assert order_edge(g, out) <= order_edge(g, s)
+            assert order_of(g, "e", out) <= order_of(g, "e", s)
             shifted = edges_to_side(g, s, "x")
             strict_c = shifted.a & ~shifted.b
             strict_d = shifted.b & ~shifted.a

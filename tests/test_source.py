@@ -19,14 +19,19 @@ No recursion limit: no function calls itself by name (or a method through
 ``self`` or ``cls``), so no depth grows with a member count.  The one
 exception is ``homology.find_decider``'s ``rec``, whose depth is the size of
 the ground set.
+
+The README's library sketch, its ``python`` block, runs as written, so a
+retired name cannot linger in it.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sepdual"
+README = PACKAGE.parent.parent / "README.md"
 MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p != PACKAGE / "__init__.py")
 
 
@@ -211,3 +216,10 @@ def test_self_call_check_sees_a_nested_function_and_a_method():
         "    def flat(self, node):\n"
         "        return self.walk(node)\n")
     assert _self_callers(tree) == ["C.walk", "outer.rec"]
+
+
+def test_readme_python_block_runs():
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(),
+                        re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {})

@@ -36,7 +36,7 @@ from sepdual import (
     gen_random,
     is_regular_profile,
 )
-from sepdual.orders import UNIVERSES, order2_of, universe_context
+from sepdual.orders import UNIVERSES, order_of, universe_context
 from sepdual.tangles import DEFAULT_MEMBER_CAP, kept_images, kept_system, max_order2
 from sepdual.verify import corpus, even_cycle, run_corpus, run_theorem
 
@@ -499,7 +499,7 @@ def test_max_order2_of_partition_universes(m2, k22, k33, path3, two_blocks):
     for g in (m2, k22, k33, path3, two_blocks):
         for universe, ground in (("bx", g.x), ("by", g.y)):
             assert max_order2(g, universe) == max(
-                order2_of(g, universe, s.a, s.b)
+                order_of(g, universe, s).doubled
                 for s in enumerate_seps(ground, "partitions_only"))
 
 

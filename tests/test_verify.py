@@ -5,8 +5,9 @@ import gc
 import pytest
 
 import sepdual.verify as verify
-from sepdual import (CapExceeded, HalfInt, Sep, _kernels, build_system,
-                     enumerate_tangles, from_edges, gen_random)
+from sepdual import (CapExceeded, GroundSet, HalfInt, Orientation, Sep,
+                     TangleReport, _kernels, build_system, enumerate_tangles,
+                     from_edges, gen_random)
 from sepdual.shifts import universe_map
 from sepdual.tangles import (DEFAULT_EDGE_CAP, DEFAULT_MEMBER_CAP,
                              DEFAULT_PARTITION_CAP, DEFAULT_SEP_CAP,
@@ -116,6 +117,99 @@ def test_push_leg_totality_witness_is_revalidated(monkeypatch):
     monkeypatch.setattr(verify, "_set_map", lambda g, source, dest, s: wrong)
     with pytest.raises(AssertionError, match="re-validation"):
         run_theorem("edges_to_vtx", g, 1, "random-2x2-p03-s100")
+
+
+@pytest.mark.parametrize("k2", range(1, 7))
+def test_pushforward_escape_is_revalidated(k2):
+    """One vertex a side and no edge: the member (∅, X) shifts to (Y, Y) and
+    back to the top separation, which tau does not hold."""
+    case = run_theorem("pushforward_containment", gen_random(1, 1, 0.3, 0), k2)
+    assert case.outcome == "degenerate" and "whole universe" in case.note
+    assert case.witness == {"kind": "pushforward_escape", "side": "x",
+                            "member": {"a": [], "b": ["x1"]},
+                            "image": {"a": ["y1"], "b": ["y1"]}}
+
+
+def test_corrupted_pushforward_image_fails_revalidation(monkeypatch):
+    # the true image of (∅, X) is (Y, Y); the table claims (∅, Y)
+    monkeypatch.setattr(verify, "kept_images",
+                        lambda g, source, dest, count: [((0, 1), (1, 0))])
+    with pytest.raises(AssertionError, match="re-validation"):
+        run_theorem("pushforward_containment", gen_random(1, 1, 0.3, 0), 1)
+
+
+def test_corrupted_pushforward_way_back_fails_revalidation(monkeypatch):
+    g = from_edges([("x1", "y1")])
+    assert run_theorem("pushforward_containment", g, 1).hypothesis_count == 2
+    # a way back that sends every image to the top escapes every tau
+    monkeypatch.setattr(verify, "universe_map",
+                        lambda g, source, dest: lambda s: (1, 1))
+    with pytest.raises(AssertionError, match="re-validation"):
+        run_theorem("pushforward_containment", g, 1)
+
+
+#: Separations of the ground set {a, b, c} as masks: bit 0 is a.
+A, BC, AB, C, ABC = 0b001, 0b110, 0b011, 0b100, 0b111
+
+
+def _abc(*members):
+    return LowOrderSystem.from_members("x", GroundSet("abc"), members)
+
+
+def _labels(a, b):
+    return {"a": sorted("abc"[i] for i in range(3) if a >> i & 1),
+            "b": sorted("abc"[i] for i in range(3) if b >> i & 1)}
+
+
+@pytest.mark.parametrize("members, family, want, witness", [
+    ([(A, BC)], set(), "tangle",
+     {"kind": "not_total", "member": _labels(A, BC)}),
+    ([(A, BC)], {(A, BC), (BC, A)}, "tangle",
+     {"kind": "both_orientations", "member": _labels(A, BC)}),
+    ([(A, ABC)], {(ABC, A)}, "regular_profile",
+     {"kind": "not_regular", "member": _labels(ABC, A)}),
+    # (A, BC) inverted lies below (AB, BC): the two point away from each other
+    ([(A, BC), (AB, BC)], {(BC, A), (AB, BC)}, "regular_profile",
+     {"kind": "consistency_pair", "witness": [_labels(BC, A), _labels(AB, BC)]}),
+    ([(A, BC), (0b010, 0b101)], {(BC, A), (0b101, 0b010)}, "tangle",
+     {"kind": "cover_triple",
+      "triple": [_labels(BC, A), _labels(BC, A), _labels(0b101, 0b010)]}),
+], ids=["not_total", "both_orientations", "not_regular", "consistency_pair",
+        "cover_triple"])
+def test_witness_branches_on_hand_built_systems(members, family, want, witness):
+    system = _abc(*members)
+    status, member, orientation = verify._orient_from(system, family)
+    assert verify._conclusion_failure(system, status, member, orientation,
+                                      want) == witness
+
+
+@pytest.mark.parametrize("check, want, report", [
+    ("check_profile", "regular_profile",
+     TangleReport("none", (Sep(A, BC), Sep(A, BC)), "consistency_pair")),
+    ("check_profile", "regular_profile",
+     TangleReport("none", (Sep(A, BC), Sep(A, BC), Sep(A, BC)), "corner_triple")),
+    ("check_tangle", "tangle",
+     TangleReport("none", (Sep(A, BC), Sep(A, BC), Sep(A, BC)), "cover_triple")),
+], ids=["consistency_pair", "corner_triple", "cover_triple"])
+def test_corrupted_check_witness_fails_revalidation(check, want, report,
+                                                    monkeypatch):
+    system = _abc((A, BC))
+    monkeypatch.setattr(verify, check, lambda o: report)
+    status, member, orientation = verify._orient_from(system, {(A, BC)})
+    with pytest.raises(AssertionError, match="re-validation"):
+        verify._conclusion_failure(system, status, member, orientation, want)
+
+
+def test_not_subset_witness_and_its_revalidation(monkeypatch):
+    tau = Orientation(_abc((A, BC), (AB, C)), (True, False))
+    ground = tau.system.ground
+    assert verify._subset_violation(tau, [(A, BC), (C, AB)], ground) is None
+    assert verify._subset_violation(tau, [(A, BC), (AB, C)], ground) == {
+        "kind": "not_subset", "member": _labels(AB, C)}
+    # a membership test that misses a chosen pair is caught on label sets
+    monkeypatch.setattr(Orientation, "__contains__", lambda self, s: False)
+    with pytest.raises(AssertionError, match="re-validation"):
+        verify._subset_violation(tau, [(C, AB)], ground)
 
 
 #: The universe of the first system each theorem asks for: the hypothesis
