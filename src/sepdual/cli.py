@@ -25,7 +25,7 @@ from pathlib import Path
 from . import __version__
 from .bigraph import (check_duality_wellformedness, from_dict, gen_planted,
                       gen_random, read_transactions_csv)
-from .errors import ParseError, SepdualError
+from .errors import ParseError, SepdualError, SideMismatch
 from .homology import (BoundaryMatrix, find_decider, kernel_basis,
                        orientation_to_chain, tangle_kernel_check,
                        validate_decider)
@@ -143,8 +143,17 @@ def _load_graph(args):
 
 def _read_sep(g, args):
     """The separation that ``--a`` and ``--b`` name: comma-separated labels,
-    each read back exactly as reports print it (``GroundSet.named``)."""
+    each read back exactly as reports print it (``GroundSet.named``).
+
+    The sides must cover the ground set, so a ground set with a label that
+    the split cannot return (empty, with a comma, or with spaces at an end)
+    is refused before any name is read.
+    """
     _, ground, _ = universe_context(g, args.universe)
+    for name in ground.names(ground.full):
+        if not name or "," in name or name != name.strip():
+            raise SideMismatch(f"label {name!r} cannot be named in --a/--b, "
+                               "which are split at commas and stripped of spaces")
     a, b = (ground.named(filter(None, (t.strip() for t in text.split(","))))
             for text in (args.a, args.b))
     return make_sep(ground, a, b)

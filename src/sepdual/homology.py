@@ -3,10 +3,11 @@
 A fixed antisymmetric list S of oriented separations of an n-set spans the
 1-chains; the ground elements span the 0-chains.  The boundary of a
 separation (A,B) assigns -1 to A\\B, +1 to B\\A and 0 to the middle, giving
-an n x |S| matrix with entries in {-1,0,1}.  Coboundaries act by the
-transpose; reinterpreting coefficient vectors as homomorphism values gives
-the chain/cochain isomorphisms, and the duality check below verifies the
-resulting commutation coefficient by coefficient instead of assuming it.
+an n x |S| matrix with entries in {-1,0,1}, read from the separations once.
+Coboundaries act by the transpose; reinterpreting coefficient vectors as
+homomorphism values gives the chain/cochain isomorphisms, and the duality
+check below evaluates both maps on unit vectors and compares them
+coefficient by coefficient instead of assuming that they agree.
 
 All linear algebra is integer- or rational-exact (stdlib fractions); no
 floating point enters any verdict.
@@ -20,7 +21,7 @@ order: <s,s> = n - |middle(s)|.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import InversePairPresent
@@ -41,6 +42,12 @@ class BoundaryMatrix:
     duplicate-free; a self-inverse entry (A,A) is allowed and contributes a
     zero column.  Only the strict sides enter the boundary, so pairs that do
     not cover the ground set are accepted too (they act as hypergraph edges).
+
+    The signs are read from the separations once, into ``columns``: column j
+    holds, for each ground element i, ``(b >> i & 1) - (a >> i & 1)`` where
+    (a, b) is separation j.  The boundary of a chain is the combination of
+    these columns, the coboundary of a cochain its pairing with each one;
+    ``entry``, ``rows`` and ``find_decider`` read the same table.
     """
 
     def __init__(self, n: int, seps: Sequence[Sep]):
@@ -54,6 +61,8 @@ class BoundaryMatrix:
             seen.add(s)
         self.n = n
         self.seps = tuple(seps)
+        self.columns = tuple(tuple((b >> i & 1) - (a >> i & 1) for i in range(n))
+                             for a, b in self.seps)
 
     @property
     def m(self) -> int:
@@ -61,76 +70,46 @@ class BoundaryMatrix:
 
     def entry(self, i: int, j: int) -> int:
         """Coefficient of ground element i in the boundary of separation j."""
-        a, b = self.seps[j]
-        bit = 1 << i
-        if a & ~b & bit:
-            return -1
-        if b & ~a & bit:
-            return 1
-        return 0
+        return self.columns[j][i]
 
     def rows(self) -> list[list[int]]:
-        return [[self.entry(i, j) for j in range(self.m)] for i in range(self.n)]
+        return [[col[i] for col in self.columns] for i in range(self.n)]
 
     def boundary(self, x: Sequence[int]) -> list[int]:
         """Boundary of the 1-chain with coefficient vector ``x``."""
         if len(x) != self.m:
             raise ValueError("chain length does not match the separation list")
-        out = [0] * self.n
-        for j, coeff in enumerate(x):
-            if coeff == 0:
-                continue
-            a, b = self.seps[j]
-            neg = a & ~b
-            pos = b & ~a
-            for i in range(self.n):
-                bit = 1 << i
-                if pos & bit:
-                    out[i] += coeff
-                elif neg & bit:
-                    out[i] -= coeff
-        return out
+        return [sum(c * col[i] for c, col in zip(x, self.columns))
+                for i in range(self.n)]
 
     def coboundary(self, phi: Sequence[int]) -> list[int]:
         """Coboundary of a 0-cochain: the 1-cochain s -> phi(boundary(s))."""
         if len(phi) != self.n:
             raise ValueError("cochain length does not match the ground set")
-        out = []
-        for j in range(self.m):
-            a, b = self.seps[j]
-            neg = a & ~b
-            pos = b & ~a
-            acc = 0
-            for i in range(self.n):
-                bit = 1 << i
-                if pos & bit:
-                    acc += phi[i]
-                elif neg & bit:
-                    acc -= phi[i]
-            out.append(acc)
-        return out
+        return [sum(p * v for p, v in zip(phi, col)) for col in self.columns]
 
     def check_vs_duality(self) -> bool:
         """Coefficientwise duality of boundary and coboundary.
 
-        For every ground element v and separation s, the coefficient of v in
-        boundary(s) must equal the coefficient of s in the chain obtained by
-        sending v through cochain-reinterpretation, coboundary, and back.
-        The composition is evaluated for real rather than assumed.
+        The two maps are evaluated, not the table compared with itself: for
+        every ground element v and separation s, the value on s of the
+        coboundary of the unit cochain at v must equal the coefficient of v
+        in the boundary of the unit chain at s.
         """
-        for i in range(self.n):
-            phi_v = [1 if i == k else 0 for k in range(self.n)]
-            through = self.coboundary(phi_v)  # values of delta(gamma(v)) on S
-            for j in range(self.m):
-                if through[j] != self.entry(i, j):
-                    return False
-        return True
+        through = [self.coboundary(_unit(i, self.n)) for i in range(self.n)]
+        down = [self.boundary(_unit(j, self.m)) for j in range(self.m)]
+        return all(through[i][j] == down[j][i]
+                   for i in range(self.n) for j in range(self.m))
 
     def inner_product(self, x: Sequence[int], y: Sequence[int]) -> int:
         """Dot product of the two boundaries; symmetric and bilinear."""
         bx = self.boundary(x)
         by = self.boundary(y)
         return sum(p * q for p, q in zip(bx, by))
+
+
+def _unit(i: int, size: int) -> list[int]:
+    return [int(k == i) for k in range(size)]
 
 
 def norm_squared(n: int, s: Sep) -> int:
@@ -172,13 +151,9 @@ def kernel_basis(B: BoundaryMatrix) -> list[list[int]]:
         vec[fc] = Fraction(1)
         for ri, pc in enumerate(pivots):
             vec[pc] = -rows[ri][fc]
-        denom = 1
-        for v in vec:
-            denom = denom * v.denominator // gcd(denom, v.denominator)
+        denom = lcm(*(v.denominator for v in vec))
         ints = [int(v * denom) for v in vec]
-        g = 0
-        for v in ints:
-            g = gcd(g, abs(v))
+        g = gcd(*ints)
         if g > 1:
             ints = [v // g for v in ints]
         lead = next((v for v in ints if v != 0), 1)
@@ -241,10 +216,7 @@ def structural_submodularity_check(n: int, seps: Iterable[Sep], k: int) -> bool:
 
 
 def _normalize_constraint(coeffs, rhs):
-    g = 0
-    for c in coeffs:
-        g = gcd(g, abs(c))
-    g = gcd(g, abs(rhs))
+    g = gcd(*coeffs, rhs)
     if g > 1:  # g divides every entry, so the division is exact
         coeffs = tuple(c // g for c in coeffs)
         rhs //= g
@@ -299,7 +271,9 @@ def find_decider(B: BoundaryMatrix, lam: Sequence[int],
     In componentwise mode (the primary reading) the weighting mu must give
     every separation a strictly positive signed boundary value:
     lam_s * (B^T mu)_s >= 1 for all s.  The scalar mode instead asks for
-    dot(B lam, mu) >= 1 only.  Entries are searched within |mu_v| <= bound
+    dot(B lam, mu) >= 1 only.  Both read the signs from ``B.columns``; in
+    both modes ``lam`` must have one entry per separation of ``B``, or
+    ValueError is raised.  Entries are searched within |mu_v| <= bound
     (default |S|), smallest absolute values first, after an exact rational
     feasibility pre-check that can rule out a witness at every bound.
 
@@ -311,33 +285,26 @@ def find_decider(B: BoundaryMatrix, lam: Sequence[int],
     n, m = B.n, B.m
     if bound is None:
         bound = max(m, 1)
+    if len(lam) != m:
+        raise ValueError("lambda length does not match the separation list")
     if mode == "componentwise":
-        if len(lam) != m:
-            raise ValueError("lambda length does not match the separation list")
-        rows = B.rows()
-        cons = [
-            (tuple(lam[j] * rows[i][j] for i in range(n)), 1)
-            for j in range(m)
-        ]
+        cons = [(tuple(sign * v for v in col), 1)
+                for sign, col in zip(lam, B.columns)]
     elif mode == "scalar":
-        w = [0] * n
-        for j, lj in enumerate(lam):
-            for i in range(n):
-                w[i] += lj * B.entry(i, j)
-        cons = [(tuple(w), 1)]
+        cons = [(tuple(B.boundary(lam)), 1)]
     else:
         raise ValueError(f"unknown decider mode {mode!r}")
     if constraint == "sum_one":
-        cons.append((tuple(1 for _ in range(n)), 1))
-        cons.append((tuple(-1 for _ in range(n)), -1))
+        cons.append(((1,) * n, 1))
+        cons.append(((-1,) * n, -1))
 
     fm_cons = list(cons)
     if constraint == "nonneg":
         for i in range(n):
-            fm_cons.append((tuple(1 if k == i else 0 for k in range(n)), 0))
+            fm_cons.append((tuple(_unit(i, n)), 0))
     elif constraint == "zero_one":
         for i in range(n):
-            unit = tuple(1 if k == i else 0 for k in range(n))
+            unit = tuple(_unit(i, n))
             fm_cons.append((unit, 0))
             fm_cons.append((tuple(-u for u in unit), -1))
     elif constraint not in (None, "sum_one"):

@@ -1,10 +1,12 @@
 """End-to-end CLI behaviour: subcommands, formats, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
 
 from sepdual.cli import main
+from test_acceptance import CORPUS_REPORT_SHA256
 
 
 def run_cli(capsys, *argv):
@@ -209,6 +211,48 @@ def test_edge_names_read_back_as_printed(tmp_path, capsys):
         assert code == 0, err
 
 
+#: graph JSON with a label that ``--a``/``--b`` cannot name, the names given
+#: for it, and the label as the error quotes it
+UNNAMEABLE = {
+    "comma": ({"x": ["a,b", " c"], "y": ["y1"],
+               "edges": [["a,b", "y1"], [" c", "y1"]]}, "a,b", " c", "'a,b'"),
+    "space": ({"x": ["a", " c"], "y": ["y1"],
+               "edges": [["a", "y1"], [" c", "y1"]]}, "a", " c", "' c'"),
+    "empty": ({"x": ["", "b"], "y": ["y1"],
+               "edges": [["", "y1"], ["b", "y1"]]}, "", "b", "''"),
+}
+
+
+@pytest.mark.parametrize("command", ["order", "shift"])
+@pytest.mark.parametrize("graph, a, b, quoted", UNNAMEABLE.values(),
+                         ids=list(UNNAMEABLE))
+def test_unnameable_label_is_refused(command, graph, a, b, quoted, tmp_path,
+                                     capsys):
+    """The sides must cover the ground set, so no separation of a ground set
+    with such a label can be named: one error line quotes the label."""
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(graph))
+    code, out, err = run_cli(capsys, command, "--input", str(path),
+                             "--a", a, "--b", b)
+    assert code == 2 and out == ""
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert f"label {quoted} cannot be named in --a/--b" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--k2", "2"),
+    ("tangles", "--k2", "2"),
+    ("verify", "--k2", "2", "--theorem", "shift_tangle"),
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("graph", [v[0] for v in UNNAMEABLE.values()],
+                         ids=list(UNNAMEABLE))
+def test_unnameable_labels_still_load(argv, graph, tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(graph))
+    code, _, err = run_cli(capsys, *argv, "--input", str(path))
+    assert code == 0, err
+
+
 def test_tangles_csv_summary(capsys):
     code, out, _ = run_cli(capsys, "tangles", "--generator", "random",
                            "--nx", "3", "--ny", "3", "--p", "1.0",
@@ -328,6 +372,40 @@ def test_verify_deterministic_bytes(tmp_path, capsys):
         assert code == 0
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_verify_corpus_report_is_pinned(tmp_path, capsys):
+    path = tmp_path / "corpus.json"
+    code, out, err = run_cli(capsys, "verify", "--corpus", "--out", str(path))
+    assert code == 0 and out == "" and err == ""
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CORPUS_REPORT_SHA256
+
+
+HOMOLOGY_4X4 = ("homology", "--generator", "random", "--nx", "4", "--ny", "4",
+               "--p", "0.6", "--seed", "5", "--universe", "x", "--k2", "3")
+
+#: sha256 of pinned CLI outputs, as criterion 8 pins the corpus report; a
+#: change to one must update its digest and explain why.  The homology
+#: reports have n 4, m 12, kernel_dim 8 and one decider.
+PINNED = {
+    "tangles-planted": (
+        ("tangles", "--generator", "planted", "--blocks", "3x3,3x3",
+         "--seed", "7", "--universe", "bx", "--k2", "2"),
+        "d966fdbb97b545861cbfe5b6a068d19974a41a4b1b7f460864092c68a52cf84a"),
+    "homology-componentwise": (
+        HOMOLOGY_4X4 + ("--decider-mode", "componentwise"),
+        "f0491aec39fbc40c044fb221561f168c40200e4cc09f2eca1dd5c3a23792c5b8"),
+    "homology-scalar": (
+        HOMOLOGY_4X4 + ("--decider-mode", "scalar"),
+        "cb159c5a5d7ebe821b000a30f893e7c52faf732cc8156010e2999268772cd362"),
+}
+
+
+@pytest.mark.parametrize("argv, digest", PINNED.values(), ids=list(PINNED))
+def test_pinned_output(argv, digest, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_homology_command(capsys):

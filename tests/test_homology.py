@@ -81,6 +81,40 @@ def test_check_vs_duality(k33, m2):
     assert BoundaryMatrix(3, []).check_vs_duality()
 
 
+def test_sign_table_by_columns():
+    B = BoundaryMatrix(3, [Sep(0b011, 0b110), Sep(0b001, 0b010)])
+    assert B.columns == ((-1, 0, 1), (-1, 1, 0))
+    assert B.rows() == [[-1, -1], [0, 1], [1, 0]]
+    assert B.entry(2, 0) == 1 and B.entry(2, 1) == 0
+    assert BoundaryMatrix(3, []).rows() == [[], [], []]
+
+
+def test_check_vs_duality_sees_a_flipped_sign(monkeypatch):
+    """The check evaluates both maps, so a coboundary that disagrees with
+    the boundary in one sign fails it."""
+    B = BoundaryMatrix(3, [Sep(0b011, 0b110), Sep(0b001, 0b010)])
+    assert B.check_vs_duality()
+    honest = BoundaryMatrix.coboundary
+
+    def flipped(self, phi):
+        out = honest(self, phi)
+        out[1] = -out[1]
+        return out
+
+    monkeypatch.setattr(BoundaryMatrix, "coboundary", flipped)
+    assert not B.check_vs_duality()
+
+
+def test_chain_and_cochain_lengths_are_checked():
+    B = BoundaryMatrix(3, [Sep(0b001, 0b110), Sep(0b011, 0b100)])
+    with pytest.raises(ValueError, match="^chain length"):
+        B.boundary([1])
+    with pytest.raises(ValueError, match="^chain length"):
+        B.inner_product([1, 0, 0], [1, 0])
+    with pytest.raises(ValueError, match="^cochain length"):
+        B.coboundary([1, 0])
+
+
 def test_inner_product_partition_values():
     n = 5
     full = (1 << n) - 1
@@ -303,6 +337,21 @@ def test_find_decider_constraints():
     assert mu is not None and sum(mu) == 1
     assert validate_decider(B, [1], mu)
 
+
+@pytest.mark.parametrize("lam", [[1], [1, 1, 1]], ids=["short", "long"])
+@pytest.mark.parametrize("mode", ["componentwise", "scalar"])
+def test_find_decider_checks_lambda_length(mode, lam):
+    B = BoundaryMatrix(3, [Sep(0b001, 0b110), Sep(0b011, 0b100)])
+    with pytest.raises(ValueError, match="lambda length"):
+        find_decider(B, lam, mode=mode)
+
+
+def test_find_decider_refuses_unknown_mode_and_constraint():
+    B = BoundaryMatrix(3, [Sep(0b001, 0b110)])
+    with pytest.raises(ValueError, match="unknown decider mode 'sum'"):
+        find_decider(B, [1], mode="sum")
+    with pytest.raises(ValueError, match="unknown decider constraint 'positive'"):
+        find_decider(B, [1], constraint="positive")
 
 
 @pytest.mark.parametrize("constraint", [None, "nonneg", "zero_one", "sum_one"])

@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 from oracles import enumerate_seps, order_edge_oracle, order_side_oracle, sep_sets
 from sepdual import _kernels
 from sepdual import (
+    CoverViolation,
     HalfInt,
     NotAPartition,
     Sep,
+    SideMismatch,
     gen_random,
     inf,
     inverse,
@@ -184,10 +186,18 @@ def test_submodularity_random(seed, data):
 
 
 def test_mask_validation(k22):
-    from sepdual import SideMismatch
-
     with pytest.raises(SideMismatch):
         order_of(k22, "x", Sep(1 << 9, k22.x.full))
+
+
+def test_order_of_refuses_sides_that_do_not_cover(k22):
+    with pytest.raises(CoverViolation, match="do not cover"):
+        order_of(k22, "x", Sep(0b01, 0))
+
+
+def test_edge_form_refuses_an_unknown_side(k22):
+    with pytest.raises(SideMismatch, match="side must be 'x' or 'y', got 'bx'"):
+        order_side_edge_form(k22, Sep(0b01, 0b10), "bx")
 
 
 def test_order2_empty_masks():

@@ -72,6 +72,15 @@ def test_shift_partition_is_partition(k33):
         assert shift_partition(k33, s, "x").is_partition()
 
 
+@pytest.mark.parametrize("shift, side", [
+    (shift_side, "bx"), (shift_partition, "e"), (sep_to_edges, "e"),
+    (edges_to_side, "e"),
+], ids=["shift_side", "shift_partition", "sep_to_edges", "edges_to_side"])
+def test_shift_refuses_an_unknown_side(k22, shift, side):
+    with pytest.raises(SideMismatch, match=f"must be 'x' or 'y', got {side!r}"):
+        shift(k22, Sep(0b01, 0b10), side)
+
+
 def test_sep_to_edges(m2, k22):
     e = m2.edges
     assert sep_to_edges(m2, Sep(0b01, 0b10), "x") == Sep(

@@ -22,6 +22,10 @@ the ground set.
 
 The README's library sketch, its ``python`` block, runs as written, so a
 retired name cannot linger in it.
+
+Replayable tests: no test file seeds a random generator from ``hash(...)``.
+Python salts str hashes per process, so such a seed draws other values on
+every run and a failure cannot be replayed.
 """
 
 import ast
@@ -216,6 +220,36 @@ def test_self_call_check_sees_a_nested_function_and_a_method():
         "    def flat(self, node):\n"
         "        return self.walk(node)\n")
     assert _self_callers(tree) == ["C.walk", "outer.rec"]
+
+
+TESTS = Path(__file__).resolve().parent
+
+
+def _hash_seeds(tree):
+    """Lines of the calls to ``Random(...)`` or ``seed(...)`` whose arguments
+    call ``hash``."""
+    return sorted(n.lineno for n in ast.walk(tree)
+                  if isinstance(n, ast.Call)
+                  and (getattr(n.func, "attr", None)
+                       or getattr(n.func, "id", None)) in ("Random", "seed")
+                  and any(isinstance(c, ast.Call)
+                          and getattr(c.func, "id", None) == "hash"
+                          for a in n.args for c in ast.walk(a)))
+
+
+@pytest.mark.parametrize("path", sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
+def test_no_test_seeds_from_hash(path):
+    lines = _hash_seeds(ast.parse(path.read_text(), str(path)))
+    assert not lines, f"seeds a random generator from hash() at lines {lines}"
+
+
+def test_hash_seed_check_sees_a_generator_and_a_seed():
+    tree = ast.parse(
+        "import random\n"
+        "rng = random.Random(hash(name) & 0xFFFF)\n"
+        "random.seed(hash('a'))\n"
+        "other = Random(7)\n")
+    assert _hash_seeds(tree) == [2, 3]
 
 
 def test_readme_python_block_runs():
