@@ -335,8 +335,10 @@ def build_parser() -> argparse.ArgumentParser:
     shift = command("shift", cmd_shift, "shift one separation across the duality")
     for p in (order, shift):
         p.add_argument("--universe", choices=UNIVERSES, default="x")
-        p.add_argument("--a", required=True, help="comma-separated labels")
-        p.add_argument("--b", required=True)
+        for flag in ("--a", "--b"):
+            p.add_argument(flag, required=True, metavar="LABELS",
+                           help=f"comma-separated labels; write {flag}=LABELS "
+                                "when they start with '-'")
     shift.add_argument("--to", choices=UNIVERSES,
                        help="target universe (default: the other side; x for e)")
 

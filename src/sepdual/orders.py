@@ -138,25 +138,27 @@ def order_side_edge_form(g: BipartiteGraph, s: Sep, side: str) -> HalfInt:
     - |E(C∩D, A∩B)|/2, where (C,D) is the shift of (A,B).  The last term is
     needed for exact equality: a tied vertex appears in both of the first
     two counts, so its middle neighbours would otherwise enter one half too
-    often.  Used as a built-in cross-check.
+    often.  One pass over the masks: each vertex's place in the shift is
+    read from |N(v)∩A| and |N(v)∩B| by the tie rule of ``shift_side`` (ties
+    in both C and D), and its edge counts are added in the same step.  Used
+    as a built-in cross-check.
     """
     if side not in ("x", "y"):
         raise SideMismatch(f"side must be 'x' or 'y', got {side!r}")
     masks, ground, _ = universe_context(g, side)
     a, b = _validate(ground, s)
-    c, d = _kernels.shift2(masks, a, b)
     ab = a & b
     e_c_b = e_d_a = e_mid = e_ab = e_tied_mid = 0
-    bit = 1
     for m in masks:
-        if c & bit:
-            e_c_b += (m & b).bit_count()
-        if d & bit:
-            e_d_a += (m & a).bit_count()
-        if c & d & bit:
+        ca = (m & a).bit_count()
+        cb = (m & b).bit_count()
+        cab = (m & ab).bit_count()
+        if ca >= cb:
+            e_c_b += cb
+        if ca <= cb:
+            e_d_a += ca
+        if ca == cb:
             e_mid += m.bit_count()
-            e_tied_mid += (m & ab).bit_count()
-        e_ab += (m & ab).bit_count()
-        bit <<= 1
+            e_tied_mid += cab
+        e_ab += cab
     return HalfInt(2 * e_c_b + 2 * e_d_a - e_mid - e_ab - e_tied_mid)
-

@@ -253,6 +253,20 @@ def test_unnameable_labels_still_load(argv, graph, tmp_path, capsys):
     assert code == 0, err
 
 
+def test_names_that_start_with_a_dash(tmp_path, capsys):
+    """``--a=LABELS`` names labels that start with ``-``: here the edges of
+    the empty x label, which print as ``--y1``."""
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(UNNAMEABLE["empty"][0]))
+    sides = ("--universe", "e", "--a=--y1", "--b=b--y1")
+    code, out, err = run_cli(capsys, "order", "--input", str(path), *sides)
+    assert code == 0, err
+    assert json.loads(out)["order2"] == 2
+    code, out, err = run_cli(capsys, "shift", "--input", str(path), *sides)
+    assert code == 0, err
+    assert (json.loads(out)["a"], json.loads(out)["b"]) == ([""], ["b"])
+
+
 def test_tangles_csv_summary(capsys):
     code, out, _ = run_cli(capsys, "tangles", "--generator", "random",
                            "--nx", "3", "--ny", "3", "--p", "1.0",

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from oracles import enumerate_seps, order_edge_oracle, order_side_oracle, sep_sets
 from sepdual import _kernels
 from sepdual import (
+    BipartiteGraph,
     CoverViolation,
     HalfInt,
     NotAPartition,
@@ -93,6 +94,47 @@ def test_edge_form_identity(m2, k22, k33, path3):
             ground = g.x if side == "x" else g.y
             for s in enumerate_seps(ground):
                 assert order_side_edge_form(g, s, side) == order_of(g, side, s)
+
+
+def test_edge_form_identity_at_queries_size():
+    """The edge form equals ``order_of`` at the sizes the queries benchmark
+    uses (16-32 vertices a side, 100-400 edges), on separations whose sides
+    overlap and on partitions.  The second graph keeps x0, x1 and y0 out of
+    every edge, so it has isolated vertices on both sides."""
+    rng = random.Random(23)
+    graphs = []
+    for nx, ny, m, isolated in ((16, 16, 100, False), (16, 32, 100, True),
+                                (24, 28, 250, False), (32, 32, 400, False)):
+        slots = [s for s in range(nx * ny)
+                 if not (isolated and (s // ny < 2 or s % ny == 0))]
+        edges = [(f"x{s // ny}", f"y{s % ny}") for s in rng.sample(slots, m)]
+        graphs.append(BipartiteGraph([f"x{i}" for i in range(nx)],
+                                     [f"y{j}" for j in range(ny)], edges))
+    assert 0 in graphs[1].adj_x and 0 in graphs[1].adj_y
+    tied = 0
+    for g in graphs:
+        for side in ("x", "y"):
+            full = (g.x if side == "x" else g.y).full
+            seps = []
+            for overlap in (3, 1):  # about 1 in 8, and 1 in 2, in both sides
+                for _ in range(40):
+                    first = rng.getrandbits(full.bit_length())
+                    both = full
+                    for _ in range(overlap):
+                        both &= rng.getrandbits(full.bit_length())
+                    seps.append(Sep(first | both, (full ^ first) | both))
+            for _ in range(40):
+                part = rng.getrandbits(full.bit_length())
+                seps.append(Sep(part, full ^ part))
+            masks = g.adj_y if side == "x" else g.adj_x
+            for s in seps:
+                want = order_of(g, side, s)
+                assert order_side_edge_form(g, s, side) == want
+                assert order_side_edge_form(g, inverse(s), side) == want
+                tied += sum(m != 0 and (m & s.a).bit_count() == (m & s.b).bit_count()
+                            for m in masks)
+    # the tie rule is exercised beyond the isolated vertices
+    assert tied > 1000
 
 
 def test_edge_form_frozen_examples(m2, k22, k33):
