@@ -11,8 +11,11 @@ of each vertex on the opposite side:
   over partitions only; it coincides with the side order there, because the
   middle term vanishes on partitions.
 
-All values lie in ½ℕ and are stored exactly as doubled integers; no floating
-point is involved anywhere, so threshold comparisons ("order < k") are exact.
+Since A ∪ B covers every N(v), the doubled order is also
+  sum_v |N(v)| - sum_v ||N(v)∩A| - |N(v)∩B||,
+and the majority shift reads the sign of the same imbalance.  All values lie
+in ½ℕ and are stored exactly as doubled integers; no floating point is
+involved anywhere, so threshold comparisons ("order < k") are exact.
 """
 
 from __future__ import annotations
@@ -127,7 +130,8 @@ def order_of(g: BipartiteGraph, universe: str, s: Sep) -> HalfInt:
     a, b = _validate(ground, s)
     if partitions_only and a & b:
         raise NotAPartition("partition order requires disjoint sides")
-    return HalfInt(_kernels.order2(masks, a, b))
+    total = 2 * g.n_edges if universe == "e" else g.n_edges  # sum of |m|
+    return HalfInt(_kernels.order2(masks, a, b, total))
 
 
 def order_side_edge_form(g: BipartiteGraph, s: Sep, side: str) -> HalfInt:
@@ -140,8 +144,9 @@ def order_side_edge_form(g: BipartiteGraph, s: Sep, side: str) -> HalfInt:
     two counts, so its middle neighbours would otherwise enter one half too
     often.  One pass over the masks: each vertex's place in the shift is
     read from |N(v)∩A| and |N(v)∩B| by the tie rule of ``shift_side`` (ties
-    in both C and D), and its edge counts are added in the same step.  Used
-    as a built-in cross-check.
+    in both C and D), and its edge counts are added in the same step.  A
+    built-in cross-check: it keeps its own three-count formula on purpose,
+    so that comparing it with ``order_of`` checks the imbalance kernel.
     """
     if side not in ("x", "y"):
         raise SideMismatch(f"side must be 'x' or 'y', got {side!r}")

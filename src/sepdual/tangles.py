@@ -209,8 +209,8 @@ class _Universe:
                 self.check_ground_cap()
                 self.max2 = max(len(self.counts()) - 2, 0)
             else:
-                full = self.ground.full
-                self.max2 = _kernels.order2(self.masks, full, full)
+                # (full, full) has no imbalance: its order is sum of |m|
+                self.max2 = sum(m.bit_count() for m in self.masks)
         return self.max2
 
     def listed(self, count: int) -> Sequence[int]:
@@ -256,11 +256,11 @@ class _Universe:
 def max_order2(g: BipartiteGraph, universe: str) -> int:
     """Doubled order of the largest separation of the universe.
 
-    For separation universes this is the top element (full, full); for
-    partition universes it is the maximum over all partitions, read off the
-    cumulative counts, so the ground set is held to the default cap of
-    ``build_system``.  Kept per universe; a separation universe is never
-    scanned or counted for it.
+    For separation universes this is the top element (full, full), of order
+    |E| on a side and 2|E| on the edges; for partition universes it is the
+    maximum over all partitions, read off the cumulative counts, so the
+    ground set is held to the default cap of ``build_system``.  Kept per
+    universe; a separation universe is never scanned or counted for it.
     """
     return _Universe.of(g, universe).top()
 

@@ -3,7 +3,8 @@
 Everything here works on label sets and Fractions with per-vertex loops,
 sharing no code path with the package's bitmask kernels, except
 ``enumerate_seps``, which lists every separation of a ground set as masks
-for the tests to sweep, and ``recursive_search``, the earlier recursive
+for the tests to sweep, ``order2_by_definition``, the doubled order of a
+mask list by its definition, and ``recursive_search``, the earlier recursive
 tangle and profile search, which the iterative one is tested against.
 """
 
@@ -58,6 +59,20 @@ def order_edge_oracle(g, C, D):
         na = len(inc & C)
         nb = len(inc & D)
         total += min(na, nb) - Fraction(len(inc & C & D), 2)
+    return total
+
+
+def order2_by_definition(masks, a, b):
+    """Doubled order by definition: the sum over masks of
+    2*min(|m∩a|, |m∩b|) - |m∩a∩b|, three counts per mask.  Unlike the
+    kernel, which reads only the imbalance |m∩a| - |m∩b|, it needs no cover
+    of the masks by a | b."""
+    total = 0
+    ab = a & b
+    for m in masks:
+        ca = (m & a).bit_count()
+        cb = (m & b).bit_count()
+        total += 2 * (ca if ca < cb else cb) - (m & ab).bit_count()
     return total
 
 

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import enumerate_seps, order_edge_oracle, order_side_oracle, sep_sets
+from oracles import (
+    enumerate_seps,
+    order2_by_definition,
+    order_edge_oracle,
+    order_side_oracle,
+    sep_sets,
+)
 from sepdual import _kernels
 from sepdual import (
     BipartiteGraph,
@@ -24,6 +30,8 @@ from sepdual import (
     order_side_edge_form,
     sup,
 )
+from sepdual.orders import UNIVERSES, universe_context
+from sepdual.verify import corpus, run_corpus
 
 
 class TestHalfInt:
@@ -243,4 +251,98 @@ def test_edge_form_refuses_an_unknown_side(k22):
 
 
 def test_order2_empty_masks():
-    assert _kernels.order2([], 5, 3) == 0
+    assert _kernels.order2([], 5, 3, 0) == 0
+
+
+def _covering_seps(rng, n):
+    """Separations of an n-set whose sides cover it: overlapping ones, about
+    1 in 8 and 1 in 2 elements in both sides, partitions, and the three
+    extremes (full, full), (full, 0) and (0, full)."""
+    full = (1 << n) - 1
+    seps = [(full, full), (full, 0), (0, full)]
+    for overlap in (3, 1, None):
+        for _ in range(6):
+            first = rng.getrandbits(n)
+            both = 0
+            if overlap is not None:
+                both = full
+                for _ in range(overlap):
+                    both &= rng.getrandbits(n)
+            seps.append((first | both, (full ^ first) | both))
+    return seps
+
+
+def test_order2_identity_matches_definition():
+    """The kernel's imbalance form equals the three-count definition on
+    covering sides: seeded mask lists over n = 0..12 and at queries size
+    (16-32 masks over 100-400 elements), with empty masks, elements in no
+    mask and repeated masks."""
+    rng = random.Random(2024)
+    shapes = [(n, rng.randrange(9)) for n in range(13) for _ in range(8)]
+    shapes += [(rng.randint(100, 400), rng.randint(16, 32)) for _ in range(16)]
+    seen = {"empty": 0, "unused": 0, "repeated": 0}
+    for trial, (n, count) in enumerate(shapes):
+        masks = [rng.getrandbits(n) for _ in range(count)]
+        if trial % 4 == 1 and n >= 100:  # sparse, like incident-edge sets
+            masks = [m & rng.getrandbits(n) & rng.getrandbits(n) for m in masks]
+        if trial % 4 == 2 and masks:
+            masks[rng.randrange(len(masks))] = 0
+        if trial % 4 == 3 and masks:
+            unused = rng.getrandbits(n)
+            masks = [m & ~unused for m in masks]
+            masks += masks[: rng.randrange(1, len(masks) + 1)]
+        union = 0
+        for m in masks:
+            union |= m
+        seen["empty"] += 0 in masks
+        seen["unused"] += union != (1 << n) - 1
+        seen["repeated"] += len(set(masks)) < len(masks)
+        total = sum(m.bit_count() for m in masks)
+        for a, b in _covering_seps(rng, n):
+            assert _kernels.order2(masks, a, b, total) == order2_by_definition(
+                masks, a, b), (n, masks, a, b)
+    assert min(seen.values()) >= 10, seen
+
+
+def _checked_order2(calls):
+    """``_kernels.order2`` behind a check of its precondition: the sides
+    cover every mask and ``total`` is the sum of the mask sizes."""
+    order2 = _kernels.order2
+
+    def checked(masks, a, b, total):
+        assert all(m & ~(a | b) == 0 for m in masks), (a, b)
+        assert total == sum(m.bit_count() for m in masks), total
+        calls.append(len(masks))
+        return order2(masks, a, b, total)
+
+    return checked
+
+
+def test_order2_callers_meet_the_cover_precondition(monkeypatch):
+    """Every caller passes covering sides and the total incidence: a corpus
+    run on three graphs, and ``order_of`` on the five universes of a
+    queries-size graph.  Non-covering sides are refused before the kernel."""
+    calls = []
+    monkeypatch.setattr(_kernels, "order2", _checked_order2(calls))
+    graphs = dict(corpus())
+    run_corpus(graphs=[(name, graphs[name])
+                       for name in ("k33", "cycle10", "blocks-2-3")])
+    g = gen_random(24, 28, 0.35, 24)
+    assert 100 <= g.n_edges <= 400
+    rng = random.Random(24)
+    before = len(calls)
+    for universe in UNIVERSES:
+        masks, ground, partitions_only = universe_context(g, universe)
+        n, full = ground.n, ground.full
+        seps = [(p, full ^ p) for p in (rng.getrandbits(n) for _ in range(6))]
+        if not partitions_only:
+            seps += _covering_seps(rng, n)
+        for a, b in seps:
+            assert order_of(g, universe, Sep(a, b)).doubled == order2_by_definition(
+                masks, a, b)
+        reached = len(calls)
+        for a, b in ((full ^ 1, full ^ 1), (full ^ 1, 0), (0, full >> 1)):
+            with pytest.raises(CoverViolation):
+                order_of(g, universe, Sep(a, b))
+        assert len(calls) == reached  # refused before the kernel
+    assert len(calls) - before == 2 * 6 + 3 * (6 + 3 + 18)

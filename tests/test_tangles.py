@@ -11,6 +11,7 @@ import pytest
 from oracles import (
     all_seps_of,
     enumerate_seps,
+    order2_by_definition,
     order_edge_oracle,
     order_partition_oracle,
     order_side_oracle,
@@ -377,7 +378,7 @@ def test_scan_sorted_and_complete():
 def _scan_by_definition(masks, n, partitions_only):
     mode = "partitions_only" if partitions_only else "all_separations"
     ground = GroundSet(range(n))
-    return sorted((_kernels.order2(masks, s.a, s.b), s.a, s.b)
+    return sorted((order2_by_definition(masks, s.a, s.b), s.a, s.b)
                   for s in enumerate_seps(ground, mode) if s.a < s.b)
 
 
@@ -526,9 +527,20 @@ def test_max_order2_evaluated_once_per_universe(k33, monkeypatch):
     for universe in UNIVERSES:
         first = max_order2(k33, universe)
         assert max_order2(k33, universe) == first
-    assert len(calls) == 3  # one top separation per separation universe
+    assert not calls  # the top separation's order is in closed form
+    assert [max_order2(k33, u) for u in ("x", "y", "e")] == [
+        k33.n_edges, k33.n_edges, 2 * k33.n_edges]
     assert not any(_scanned(k33, u) for u in ("x", "y", "e"))
     assert all(_scanned(k33, u) for u in ("bx", "by"))
+
+
+def test_max_order2_matches_definition_across_corpus():
+    for name, g in corpus():
+        for universe in ("x", "y", "e"):
+            masks, ground, _ = universe_context(g, universe)
+            full = ground.full
+            assert max_order2(g, universe) == order2_by_definition(
+                masks, full, full), (name, universe)
 
 
 def test_search_results_independent_of_call_order(m2, k22, k33, path3):
