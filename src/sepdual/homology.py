@@ -151,11 +151,11 @@ def kernel_basis(B: BoundaryMatrix) -> list[list[int]]:
         vec[fc] = Fraction(1)
         for ri, pc in enumerate(pivots):
             vec[pc] = -rows[ri][fc]
+        # already coprime: a prime p that misses denom misses the free entry,
+        # which scales from 1 to denom, and a prime with p^e exactly in denom
+        # misses an entry whose denominator holds p^e, so the gcd is 1
         denom = lcm(*(v.denominator for v in vec))
         ints = [int(v * denom) for v in vec]
-        g = gcd(*ints)
-        if g > 1:
-            ints = [v // g for v in ints]
         lead = next((v for v in ints if v != 0), 1)
         if lead < 0:
             ints = [-v for v in ints]

@@ -399,7 +399,7 @@ class Orientation:
 class TangleReport:
     """Outcome of a consistency check, with a literal witness on failure."""
 
-    kind: str  # tangle | profile | regular_profile | none
+    kind: str  # tangle | profile | none
     violation: tuple[Sep, ...] | None = None
     clause: str | None = None
 

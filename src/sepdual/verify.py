@@ -6,8 +6,7 @@ materialize the shifted family, and test the claimed conclusion literally.
 A case can end four ways:
 
 * verified       - every hypothesis object passed (vacuously when none exist)
-* counterexample - a violation with no side-condition hint recorded, with an
-                   independently re-validated witness
+* counterexample - a violation with no side-condition hint recorded
 * degenerate     - a violation in a case that recorded any side-condition
                    hint: a threshold so large that a system contains its
                    entire universe, or isolated vertices where an image-style
@@ -16,13 +15,18 @@ A case can end four ways:
                    only had to be recorded before the violation was found.
 * capped         - an enumeration exceeded its configured size cap
 
-Every witness is re-validated on label sets, without the mask kernels.  A
-totality witness (a member the shifted family orients neither way or both
-ways) is re-checked by recomputing the map in the direction of its step:
-members pulled back to the hypothesis, or the hypothesis pushed forward.  A
-push-forward escape is re-checked by recomputing the member's image and the
-way back, and a containment witness (``not_subset``) by comparing its label
-sets with those of the hypothesis's choices.
+Every witness is re-checked on label sets, without the mask kernels, before
+its case is reported; ``_witness`` raises when a re-check fails.  By kind:
+
+* not_total, both_orientations - the step's map, recomputed on the member
+  alone, links neither or both of its orientations to the family
+* not_regular, cover_triple - the first sides of the member, or of the
+  triple, cover the ground set
+* consistency_pair   - the inverse of the first member lies below the second
+* corner_triple      - the third is the inverse of the supremum of the others
+* not_subset         - no choice of the hypothesis has the member's sides
+* pushforward_escape - the recomputed image is the reported one, and its
+                       recomputed way back is not chosen by the hypothesis
 
 The shipped corpus is a fixed list of generators and seeds, so reports are
 bit-reproducible.
@@ -46,7 +50,6 @@ from .tangles import (
     LowOrderSystem,
     Orientation,
     check_profile,
-    check_regular,
     check_tangle,
     enumerate_tangles,
     kept_images,
@@ -111,9 +114,9 @@ class _Ctx:
 # -- independent witness re-validation (label sets, not the mask kernels) ---
 
 
-def _revalidate_cover_triple(ground, triple) -> bool:
+def _revalidate_cover(ground, seps) -> bool:
     union = set()
-    for a, _ in triple:
+    for a, _ in seps:
         union |= set(ground.members(a))
     return union == set(ground.labels)
 
@@ -168,64 +171,63 @@ def _set_map(g: BipartiteGraph, source: str, dest: str, s: Sep) -> Sep:
 # -- shared checking machinery ----------------------------------------------
 
 
+def _witness(ok: bool, kind: str, **fields) -> dict:
+    """The report entry of a failure whose witness passed its label-set
+    re-check ``ok``; a witness that failed it is a fault, not a verdict."""
+    if not ok:
+        raise AssertionError("witness failed independent re-validation")
+    return {"kind": kind, **fields}
+
+
 def _orient_from(system: LowOrderSystem, family: set):
-    """Build the induced orientation, or report the first totality failure."""
+    """The orientation ``family`` induces on ``system``, or the first member
+    it orients neither way or both ways, as ``(report kind, member)``."""
     forward = []
     for m in system.members:
-        a, b = m
         fi = m in family
-        bi = (b, a) in family
-        if fi and bi:
-            return ("both", m, None)
-        if not (fi or bi):
-            return ("none", m, None)
+        if fi == ((m[1], m[0]) in family):
+            return ("both_orientations" if fi else "not_total"), m
         forward.append(fi)
-    return ("ok", None, Orientation(system, tuple(forward)))
+    return Orientation(system, tuple(forward))
 
 
-def _conclusion_failure(system, status, member, orientation, want):
-    """Check the induced orientation; returns a witness dict on failure."""
-    ground = system.ground
-    if status == "none":
-        return {"kind": "not_total", "member": sep_labels(ground, member)}
-    if status == "both":
-        return {"kind": "both_orientations", "member": sep_labels(ground, member)}
+#: Each clause a check reports: the re-check and report field of its witness.
+_CLAUSES = {
+    "consistency_pair": (_revalidate_consistency, "witness"),
+    "corner_triple": (_revalidate_corner, "witness"),
+    "cover_triple": (_revalidate_cover, "triple"),
+}
+
+
+def _conclusion_failure(orientation: Orientation, want: str) -> Optional[dict]:
+    """The witness that ``orientation`` is not of kind ``want``, or None."""
+    ground = orientation.system.ground
     if want == "regular_profile":
-        if not check_regular(orientation):
-            bad = next(s for s in orientation.choices() if s[0] == ground.full)
-            return {"kind": "not_regular", "member": sep_labels(ground, bad)}
+        for s in orientation.choices():
+            if s[0] == ground.full:
+                return _witness(_revalidate_cover(ground, (s,)), "not_regular",
+                                member=sep_labels(ground, s))
         rep = check_profile(orientation)
-        if rep.violation:
-            if rep.clause == "consistency_pair":
-                okw = _revalidate_consistency(ground, rep.violation)
-            else:
-                okw = _revalidate_corner(ground, rep.violation)
-            if not okw:
-                raise AssertionError("witness failed independent re-validation")
-            return {"kind": rep.clause,
-                    "witness": [sep_labels(ground, s) for s in rep.violation]}
+    else:
+        rep = check_tangle(orientation)
+    if rep.ok:
         return None
-    rep = check_tangle(orientation)
-    if rep.violation:
-        if not _revalidate_cover_triple(ground, rep.violation):
-            raise AssertionError("witness failed independent re-validation")
-        return {"kind": "cover_triple",
-                "triple": [sep_labels(ground, s) for s in rep.violation]}
-    return None
+    recheck, field = _CLAUSES[rep.clause]
+    return _witness(recheck(ground, rep.violation), rep.clause,
+                    **{field: [sep_labels(ground, s) for s in rep.violation]})
 
 
 def _label_sides(ground, s) -> tuple[frozenset, frozenset]:
     return frozenset(ground.members(s[0])), frozenset(ground.members(s[1]))
 
 
-def _subset_violation(tau, elements, ground):
+def _subset_violation(tau, elements, ground) -> Optional[dict]:
     for s in elements:
         if s not in tau:
             # re-check on label sets against tau's explicit choices
-            if _label_sides(ground, s) in {_label_sides(ground, c)
-                                           for c in tau.choices()}:
-                raise AssertionError("witness failed independent re-validation")
-            return {"kind": "not_subset", "member": sep_labels(ground, s)}
+            chosen = {_label_sides(ground, c) for c in tau.choices()}
+            return _witness(_label_sides(ground, s) not in chosen, "not_subset",
+                            member=sep_labels(ground, s))
     return None
 
 
@@ -253,10 +255,11 @@ def _push(images, sources, family, members) -> set:
     return {s for m in members for s in (m, (m[1], m[0])) if s in image}
 
 
-def _revalidate_totality(g, step, ends, member, family, status) -> bool:
-    """Re-run one step on the witness member alone, with the set-based map:
-    count the orientations of the member that map into family (pull) or
-    that family maps onto (push)."""
+def _revalidate_totality(g, leg, member, family, kind) -> bool:
+    """Re-run the one step of ``leg`` on the witness member alone, with the
+    set-based map: count the orientations of the member that map into family
+    (pull) or that family maps onto (push)."""
+    (step, _, _, ends), = leg.steps
     fn = partial(_set_map, g, *ends)
     pair = (member, (member[1], member[0]))
     if step is _pull:
@@ -264,7 +267,7 @@ def _revalidate_totality(g, step, ends, member, family, status) -> bool:
     else:
         image = {fn(s) for s in family}
         hits = sum(s in image for s in pair)
-    return hits == 0 if status == "none" else hits == 2
+    return hits == 0 if kind == "not_total" else hits == 2
 
 
 # -- theorem bodies ----------------------------------------------------------
@@ -294,7 +297,7 @@ def _revalidate_totality(g, step, ends, member, family, status) -> bool:
 # order decides which cap a capped case names; the hints decide
 # ``degenerate``.  Push-forward containment keeps its own body: its chain
 # starts from tau restricted to S_k and leaves every system after the first
-# shift.
+# shift.  A body returns its hypothesis count and its witness or None.
 
 
 class _Leg(NamedTuple):
@@ -320,7 +323,7 @@ def _plan(g, leg, hyp_sys, systems):
 
 
 def _run_legs(g, ctx, k2, kind, legs):
-    """The one body of the leg theorems: (hypothesis count, failures)."""
+    """The one body of the leg theorems: (hypothesis count, witness)."""
     hyp_count = 0
     for leg in legs:
         for side in leg.hints:
@@ -342,17 +345,18 @@ def _run_legs(g, ctx, k2, kind, legs):
             if len(systems) == 2:
                 fail = _subset_violation(tau, sorted(family), sys.ground)
             else:
-                status, member, orient = _orient_from(sys, family)
-                (step, _, _, ends), = leg.steps
-                if status != "ok" and not _revalidate_totality(
-                        g, step, ends, member, tau_set, status):
-                    raise AssertionError("witness failed independent re-validation")
-                fail = _conclusion_failure(sys, status, member, orient, kind)
+                got = _orient_from(sys, family)
+                if isinstance(got, Orientation):
+                    fail = _conclusion_failure(got, kind)
+                else:
+                    totality, member = got
+                    fail = _witness(
+                        _revalidate_totality(g, leg, member, tau_set, totality),
+                        totality, member=sep_labels(sys.ground, member))
             if fail:
-                key, value = leg.label
-                fail[key] = value
-                return hyp_count, [fail]
-    return hyp_count, []
+                fail.update([leg.label])
+                return hyp_count, fail
+    return hyp_count, None
 
 
 def _legs(kind, hyp, *steps, label="side", hints="", prefix=""):
@@ -398,16 +402,13 @@ def _pushforward_containment(g, ctx, k2):
                 t = m_there if f else inv_there
                 if back(t) not in tset:
                     s = m if f else (m[1], m[0])
-                    if (_set_map(g, side, other, s) != t
-                            or _set_map(g, other, side, t) in tset):
-                        raise AssertionError(
-                            "witness failed independent re-validation")
-                    other_ground = universe_context(g, other)[1]
-                    fail = {"kind": "pushforward_escape", "side": side,
-                            "member": sep_labels(low.ground, s),
-                            "image": sep_labels(other_ground, t)}
-                    return hyp_count, [fail]
-    return hyp_count, []
+                    return hyp_count, _witness(
+                        _set_map(g, side, other, s) == t
+                        and _set_map(g, other, side, t) not in tset,
+                        "pushforward_escape", side=side,
+                        member=sep_labels(low.ground, s),
+                        image=sep_labels(universe_context(g, other)[1], t))
+    return hyp_count, None
 
 
 ALL_THEOREMS: dict[str, Callable] = {
@@ -444,21 +445,19 @@ def run_theorem(theorem: str, g: BipartiteGraph, k2: int,
                 graph_name: str = "graph",
                 member_cap: int = DEFAULT_MEMBER_CAP) -> TheoremCase:
     """Run one theorem on one graph at one doubled threshold."""
-    body = ALL_THEOREMS[theorem]
     ctx = _Ctx(g, member_cap)
     try:
-        hyp_count, failures = body(g, ctx, k2)
+        hyp_count, witness = ALL_THEOREMS[theorem](g, ctx, k2)
     except CapExceeded as exc:
-        return TheoremCase(theorem, graph_name, k2, "capped", note=str(exc))
-    note = "; ".join(sorted(set(ctx.hints)))
-    if failures:
-        outcome = "degenerate" if ctx.hints else "counterexample"
-        return TheoremCase(theorem, graph_name, k2, outcome,
-                           hypothesis_count=hyp_count, vacuous=False,
-                           witness=failures[0], note=note)
-    return TheoremCase(theorem, graph_name, k2, "verified",
+        hyp_count, witness, outcome, note = None, None, "capped", str(exc)
+    else:
+        outcome = ("verified" if witness is None
+                   else "degenerate" if ctx.hints else "counterexample")
+        note = "; ".join(sorted(set(ctx.hints)))
+    # a witness comes from a hypothesis, so only a verified case is vacuous
+    return TheoremCase(theorem, graph_name, k2, outcome,
                        hypothesis_count=hyp_count, vacuous=hyp_count == 0,
-                       note=note)
+                       witness=witness, note=note)
 
 
 # -- the shipped corpus -------------------------------------------------------

@@ -5,6 +5,7 @@ import io
 import pytest
 
 from sepdual import (
+    BipartiteGraph,
     IncidenceRecord,
     LabelClash,
     ParseError,
@@ -34,6 +35,12 @@ def test_from_edges_dedup():
 def test_from_edges_label_clash():
     with pytest.raises(LabelClash):
         from_edges([("a", "b"), ("b", "a")])
+    # with the sides given, an edge read backwards crosses them, and an edge
+    # with a label of neither side is refused
+    with pytest.raises(LabelClash, match="crosses label spaces"):
+        BipartiteGraph(["a"], ["b"], [("b", "a")])
+    with pytest.raises(SideMismatch, match="uses unknown labels"):
+        BipartiteGraph(["a"], ["b"], [("a", "c")])
 
 
 def test_explicit_labels_keep_isolated_vertices():
@@ -56,6 +63,9 @@ def test_csv_roundtrip_and_parse_errors():
     assert g.n_edges == 3
     assert read_transactions_csv(io.StringIO("")).n_edges == 0
     assert read_transactions_csv(io.StringIO("group,member\n")).n_edges == 0
+    # a row of spaces is skipped like an empty one
+    spaced = read_transactions_csv(io.StringIO("group,member\np1,a\n   \np2,b\n"))
+    assert spaced.n_edges == 2
     with pytest.raises(ParseError) as exc:
         read_transactions_csv(io.StringIO("group,member\np1,a\nbroken\n"))
     assert exc.value.line == 3

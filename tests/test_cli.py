@@ -524,6 +524,7 @@ def test_cap_exceeded_exit(capsys):
     # read through str, as the dump would write them
     (("ingest", "--input", "{string_side_json}"), "needs a list 'x', got str"),
     (("ingest", "--input", "{clash_json}"), "labels on both sides: ['1']"),
+    (("ingest", "--input", "{repeat_json}"), "ground-set labels must be unique"),
     # the edges (a--b, g1) and (a, b--g1) both print as a--b--g1
     (("order", "--input", "{twice_csv}", "--universe", "e", "--a", "a--b--g1",
       "--b", "a--b--g1"), "'a--b--g1' is printed by 2 labels"),
@@ -534,7 +535,8 @@ def test_cap_exceeded_exit(capsys):
         "enumerate-format", "order-format", "cap-seps", "decider-bound",
         "corpus-input", "corpus-name", "input-seed", "input-generator",
         "random-blocks", "planted-p", "long-csv-field", "deep-json",
-        "string-side-json", "clash-json", "order-name-printed-twice",
+        "string-side-json", "clash-json", "repeat-json",
+        "order-name-printed-twice",
         "shift-name-printed-twice"])
 def test_input_fault_is_usage_error(argv, named, tmp_path, capsys):
     bad_json = tmp_path / "g.json"
@@ -549,12 +551,14 @@ def test_input_fault_is_usage_error(argv, named, tmp_path, capsys):
     string_side_json.write_text('{"x": "ab", "y": ["p"], "edges": []}')
     clash_json = tmp_path / "clash.json"
     clash_json.write_text('{"x": [1], "y": ["1"], "edges": [[1, "1"]]}')
+    repeat_json = tmp_path / "repeat.json"
+    repeat_json.write_text('{"x": ["a", "a"], "y": ["p"], "edges": [["a", "p"]]}')
     twice_csv = tmp_path / "twice.csv"
     twice_csv.write_text("group,member\ng1,a--b\nb--g1,a\n")
     argv = [a.format(missing=tmp_path / "absent.csv", bad_json=bad_json,
                      good_csv=good_csv, long_csv=long_csv, deep_json=deep_json,
                      string_side_json=string_side_json, clash_json=clash_json,
-                     twice_csv=twice_csv)
+                     repeat_json=repeat_json, twice_csv=twice_csv)
             for a in argv]
     try:
         code = main(argv)

@@ -1,6 +1,7 @@
 """Chains, boundaries, duality, inner products, kernels, and deciders."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from sepdual import (
     enumerate_tangles,
     find_decider,
     inf,
+    inverse,
     kernel_basis,
     norm_squared,
     orientation_to_chain,
@@ -188,6 +190,41 @@ def test_kernel_triangle_cycle():
 def test_kernel_independent_columns():
     B = BoundaryMatrix(3, [Sep(0b001, 0b110), Sep(0b011, 0b100)])
     assert kernel_basis(B) == []
+
+
+def _rank(rows):
+    """Rank of an integer matrix, by elimination without division."""
+    rows, rank = [list(r) for r in rows], 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        p = rows[rank][c]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c]
+            rows[i] = [p * a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_kernel_basis_is_primitive_and_complete_on_random_matrices():
+    """Every basis vector is a cycle with coprime entries and a positive
+    leading entry, and the |S| - rank(B) vectors are independent."""
+    rng = random.Random(4000)
+    for _ in range(1000):
+        n = rng.randint(1, 7)
+        seps = []
+        for _ in range(rng.randint(0, 14)):
+            s = Sep(rng.randrange(1 << n), rng.randrange(1 << n))
+            if s not in seps and inverse(s) not in seps:
+                seps.append(s)
+        B = BoundaryMatrix(n, seps)
+        basis = kernel_basis(B)
+        assert len(basis) == len(seps) - _rank(B.rows()) == _rank(basis)
+        for v in basis:
+            assert tangle_kernel_check(B, v)
+            assert math.gcd(*v) == 1 and next(x for x in v if x) > 0
 
 
 def test_kernel_vectors_orthogonal_to_everything():

@@ -45,6 +45,10 @@ class TestHalfInt:
         assert HalfInt(4) == 2
         assert HalfInt(3) < 2
         assert HalfInt.whole(2).doubled == 4
+        # another type is unequal, and an order against it is refused
+        assert (HalfInt(2) == "a") is False
+        with pytest.raises(TypeError, match="cannot interpret 'a'"):
+            HalfInt(2) < "a"
 
     def test_hash_agrees_with_equality(self):
         # equal values hash equal, so membership works in both directions
@@ -72,6 +76,8 @@ class TestHalfInt:
     def test_no_negative(self):
         with pytest.raises(ValueError):
             HalfInt(-1)
+        with pytest.raises(TypeError, match="stores a doubled integer"):
+            HalfInt("a")
 
 
 def test_order_side_frozen_values(m2, k22, k33):

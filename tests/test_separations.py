@@ -60,6 +60,8 @@ def test_names_read_back_exactly_as_printed():
         assert edges.named(edges.names(mask)) == mask
     with pytest.raises(SideMismatch, match="'a--b' not in ground set"):
         edges.named(["a--b"])
+    with pytest.raises(SideMismatch, match="label 'a--b' not in ground set"):
+        edges.mask(["a--b"])
     doubled = GroundSet([("a--b", "g1"), ("a", "b--g1"), ("c", "g1")])
     assert doubled.named(["c--g1"]) == 0b100
     with pytest.raises(SideMismatch, match="'a--b--g1' is printed by 2"):

@@ -188,6 +188,9 @@ def test_universe_map_kinds(m2, k22, path3):
     for source, dest in (("x", "x"), ("e", "e"), ("bx", "y"), ("e", "bx")):
         with pytest.raises(SideMismatch):
             universe_map(m2, source, dest)
+    # the label-counting map has no vote from sides to edges
+    with pytest.raises(ValueError, match="no set-based map from 'x' to 'e'"):
+        _set_map(m2, "x", "e", s)
 
 
 def _edges_of(g, side, mask):
@@ -260,6 +263,15 @@ def test_move_edge_over_tie_precondition(m2):
     # x1 ties (1 vs 1), so the strict-preference precondition fails
     with pytest.raises(PreconditionViolated):
         move_edge_over(m2, s, ("x1", "y1"))
+
+
+@pytest.mark.parametrize("edge, named", [(2, "edge index 2 out of range"),
+                                         (("x1", "y2"), "unknown edge")],
+                         ids=["index", "label"])
+def test_move_edge_over_refuses_an_unknown_edge(m2, edge, named):
+    s = Sep(m2.edges.full, 0)
+    with pytest.raises(SideMismatch, match=named):
+        move_edge_over(m2, s, edge)
 
 
 def test_move_edge_over_empty_first_side():

@@ -20,6 +20,10 @@ No recursion limit: no function calls itself by name (or a method through
 exception is ``homology.find_decider``'s ``rec``, whose depth is the size of
 the ground set.
 
+One failure path in the verifier: the message of a witness that fails its
+label-set re-check is written once in the package, in the one helper that
+raises it.
+
 The README's library sketch, its ``python`` block, runs as written, so a
 retired name cannot linger in it.
 
@@ -220,6 +224,15 @@ def test_self_call_check_sees_a_nested_function_and_a_method():
         "    def flat(self, node):\n"
         "        return self.walk(node)\n")
     assert _self_callers(tree) == ["C.walk", "outer.rec"]
+
+
+REVALIDATION_FAILED = "witness failed independent re-validation"
+
+
+def test_one_witness_failure_path():
+    counts = {str(p.relative_to(PACKAGE)): p.read_text().count(REVALIDATION_FAILED)
+              for p in sorted(PACKAGE.rglob("*.py"))}
+    assert sum(counts.values()) == 1, {p: n for p, n in counts.items() if n}
 
 
 TESTS = Path(__file__).resolve().parent

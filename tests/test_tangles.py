@@ -108,11 +108,15 @@ def test_check_tangle_witnesses(k33):
     assert not rep.ok
     union = rep.violation[0].a | rep.violation[1].a | rep.violation[2].a
     assert union == k33.x.full
+    with pytest.raises(ValueError, match="one choice per member"):
+        Orientation(sys3, (True,) * 3)
 
 
 def test_tangle_counts_k33(k33):
     assert len(enumerate_tangles(k33, "x", HalfInt(2))) == 1
     assert len(enumerate_tangles(k33, "x", 3)) == 0
+    with pytest.raises(ValueError, match="got 'profile'"):
+        enumerate_tangles(k33, "x", 3, kind="profile")
 
 
 def test_two_block_partition_tangles(two_blocks):

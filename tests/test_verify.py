@@ -8,6 +8,7 @@ import sepdual.verify as verify
 from sepdual import (CapExceeded, GroundSet, HalfInt, Orientation, Sep,
                      TangleReport, _kernels, build_system, enumerate_tangles,
                      from_edges, gen_random)
+from sepdual.separations import sep_labels
 from sepdual.shifts import universe_map
 from sepdual.tangles import (DEFAULT_EDGE_CAP, DEFAULT_MEMBER_CAP,
                              DEFAULT_PARTITION_CAP, DEFAULT_SEP_CAP,
@@ -178,9 +179,12 @@ def _labels(a, b):
         "cover_triple"])
 def test_witness_branches_on_hand_built_systems(members, family, want, witness):
     system = _abc(*members)
-    status, member, orientation = verify._orient_from(system, family)
-    assert verify._conclusion_failure(system, status, member, orientation,
-                                      want) == witness
+    got = verify._orient_from(system, family)
+    if isinstance(got, Orientation):
+        assert verify._conclusion_failure(got, want) == witness
+    else:  # a totality failure: its kind and the member it names
+        assert got == (witness["kind"], system.members[0])
+        assert sep_labels(system.ground, got[1]) == witness["member"]
 
 
 @pytest.mark.parametrize("check, want, report", [
@@ -195,9 +199,20 @@ def test_corrupted_check_witness_fails_revalidation(check, want, report,
                                                     monkeypatch):
     system = _abc((A, BC))
     monkeypatch.setattr(verify, check, lambda o: report)
-    status, member, orientation = verify._orient_from(system, {(A, BC)})
+    orientation = verify._orient_from(system, {(A, BC)})
     with pytest.raises(AssertionError, match="re-validation"):
-        verify._conclusion_failure(system, status, member, orientation, want)
+        verify._conclusion_failure(orientation, want)
+
+
+def test_corrupted_not_regular_witness_fails_revalidation(monkeypatch):
+    # (ABC, A) points away from the whole ground set; a label reader that
+    # drops one label of the full mask contradicts the witness
+    orientation = verify._orient_from(_abc((A, ABC)), {(ABC, A)})
+    honest = GroundSet.members
+    monkeypatch.setattr(GroundSet, "members", lambda self, mask: (
+        honest(self, mask)[1:] if mask == self.full else honest(self, mask)))
+    with pytest.raises(AssertionError, match="re-validation"):
+        verify._conclusion_failure(orientation, "regular_profile")
 
 
 def test_not_subset_witness_and_its_revalidation(monkeypatch):
