@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -165,7 +166,8 @@ def from_dict(data: dict) -> BipartiteGraph:
     """The graph of a ``to_dict`` dump: lists ``x`` and ``y`` of labels and
     a list ``edges`` of (x label, y label) pairs.  Labels are read through
     ``str``, as ``to_dict`` writes them, so a graph loads exactly when its
-    dump does.  Any other shape raises :class:`ParseError`."""
+    dump does.  Any other shape, or a label repeated on one side, raises
+    :class:`ParseError`."""
     if not isinstance(data, dict):
         raise ParseError(f"graph JSON must be an object, got {type(data).__name__}")
     for key in ("x", "y", "edges"):
@@ -173,12 +175,17 @@ def from_dict(data: dict) -> BipartiteGraph:
         if not isinstance(value, (list, tuple)):
             raise ParseError(f"graph JSON needs a list {key!r}, got "
                              f"{type(value).__name__}")
+    sides = {side: list(map(str, data[side])) for side in ("x", "y")}
+    for side, labels in sides.items():
+        repeated = [lab for lab, n in Counter(labels).items() if n > 1]
+        if repeated:
+            raise ParseError(f"graph JSON repeats label {repeated[0]!r} on side {side}")
     edges = []
     for e in data["edges"]:
         if not isinstance(e, (list, tuple)) or len(e) != 2:
             raise ParseError(f"edge {e!r} is not two labels")
         edges.append((str(e[0]), str(e[1])))
-    return BipartiteGraph(list(map(str, data["x"])), list(map(str, data["y"])), edges)
+    return BipartiteGraph(sides["x"], sides["y"], edges)
 
 
 def from_transactions(records: Iterable[IncidenceRecord]) -> BipartiteGraph:

@@ -73,8 +73,15 @@ def _system_options(p: argparse.ArgumentParser, search: bool) -> None:
                    help="largest ground set to scan (default set by universe)")
     if search:
         p.add_argument("--kind", choices=("tangle", "profile"), default="tangle")
-        p.add_argument("--member-cap", type=int, default=DEFAULT_MEMBER_CAP,
-                       dest="member_cap")
+        _member_cap_option(p)
+
+
+def _member_cap_option(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--member-cap", type=int, default=DEFAULT_MEMBER_CAP,
+                   dest="member_cap",
+                   help="largest system to search; a larger one has no result "
+                        "when the largest system within the cap has none, and "
+                        "is capped otherwise (default %(default)s)")
 
 
 def _check_ranges(args) -> None:
@@ -105,7 +112,7 @@ def _read_input(path: Path):
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
     except (ValueError, RecursionError) as exc:
-        # ValueError: undecodable text, bad JSON or duplicate labels;
+        # ValueError: undecodable text or bad JSON;
         # RecursionError: JSON nested deeper than the decoder can follow
         raise ParseError(f"malformed input {path}: {exc!r}") from None
 
@@ -355,8 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="doubled threshold; repeatable (default grid 1 2 3 4)")
     p.add_argument("--theorem", action="append", choices=list(ALL_THEOREMS),
                    metavar="ID", help="theorem id; repeatable (default: all)")
-    p.add_argument("--member-cap", type=int, default=DEFAULT_MEMBER_CAP,
-                   dest="member_cap")
+    _member_cap_option(p)
 
     p = command("homology", cmd_homology, "boundary matrix, kernel, deciders")
     _system_options(p, search=True)

@@ -27,10 +27,10 @@ chosen pairs whose union of first sides holds it, so a test ANDs at most
 one bitset per element outside the member's first side; ``undo`` does
 nothing, as a push overwrites every bit a later test reads.  For regular
 profiles it is the set ``picked`` of chosen orientations and the set
-``closes`` of the inverted suprema of chosen pairs; a push adds the entries
-not held yet, ``undo`` removes exactly those, and a test costs O(|chosen|)
-on masks.  ``check_tangle`` and ``check_profile`` stay the reference the
-search is tested against.
+``closes`` of the inverted suprema of chosen pairs that orient a member; a
+push adds the entries not held yet, ``undo`` removes exactly those, and a
+test costs O(|chosen|) on masks.  ``check_tangle`` and ``check_profile``
+stay the reference the search is tested against.
 
 Kept state: all that is kept about one (graph, universe) is one
 ``_Universe`` at ``g._cache[name]``, and the systems kept through
@@ -67,7 +67,8 @@ larger threshold is asked only for its member count.
 A system's length is its count, its orders are read off the keys, and its
 members are decoded on first read by extending the shared prefix, so all
 systems of a universe share the same pair objects and a system that nobody
-reads (one whose search trips the member cap, say) is never decoded.
+reads (one over the member cap, say, of which only S_j is searched) is never
+decoded.
 ``Sep`` is built only where a separation leaves the module
 (``Orientation.choices`` and the witnesses of the checks).  An
 orientation's chosen set, ``Orientation.as_set``, is a frozenset of plain
@@ -94,6 +95,14 @@ search's own pruning rests on the same fact.  So the depth-first search
 reaches depth m exactly at m's results, in the order m's search listed them,
 and resuming from them in that order keeps the order of a search from
 member 0.
+
+Member cap: a system of more than ``member_cap`` members is never searched.
+The same restriction settles it from S_j, the largest system of its universe
+within the cap: if S_j has no result the system has none, and otherwise the
+cap trips.  S_j is searched through the record like any system; in corpus
+order it is nearly always recorded already.  It is fixed by the universe and
+the cap alone, not by the largest prefix the record happens to hold, so a
+single call and a call after many others give the same answer.
 """
 
 from __future__ import annotations
@@ -101,7 +110,7 @@ from __future__ import annotations
 import itertools
 import json
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -479,10 +488,14 @@ def enumerate_tangles(g: BipartiteGraph, universe: str, k,
     search tree covers all 2^n orientations, and pruned branches are exactly
     those whose partial choice already violates the (monotone) conditions,
     so the result list is complete.  Deterministic order: forward choice
-    explored first at every member.  The member cap is checked first; then
-    the prefix record answers a repeat or resumes the search (see the module
-    docstring).  Results are orientations of ``system`` (S_k of ``g`` when
-    it is None), whichever search found them.
+    explored first at every member.  The prefix record answers a repeat or
+    resumes the search (see the module docstring).  Results are orientations
+    of ``system`` (S_k of ``g`` when it is None), whichever search found them.
+
+    A system of more than ``member_cap`` members is not searched: the answer
+    is ``[]`` when S_j, the largest system of its universe within the cap,
+    has no result, and otherwise ``CapExceeded`` is raised (see the module
+    docstring).
     """
     if kind not in ("tangle", "regular_profile"):
         raise ValueError(f"kind must be 'tangle' or 'regular_profile', got {kind!r}")
@@ -490,15 +503,28 @@ def enumerate_tangles(g: BipartiteGraph, universe: str, k,
         system = build_system(g, universe, k)
     n = system.count
     if n > member_cap:
+        space = system.space
+        counts = space.counts()
+        j = counts[bisect_right(counts, max(member_cap, 0)) - 1]
+        if not _recorded(LowOrderSystem(space, j), kind):
+            return []
         raise CapExceeded(f"system has {n} members, over member cap {member_cap}")
+    return [Orientation(system, forward) for forward in _recorded(system, kind)]
+
+
+def _recorded(system: LowOrderSystem, kind: str) -> tuple[tuple[bool, ...], ...]:
+    """The ``forward`` tuples of the results of ``system``, read from the
+    prefix record or searched, resumed from the largest recorded prefix of
+    the kind, and recorded."""
     record = system.space.record
+    n = system.count
     found = record.get((n, kind))
     if found is None:
         # with no prefix searched yet, seed with the one orientation of none
         m = max((j for j, kd in record if kd == kind and j < n), default=0)
         seeds = record.get((m, kind), ((),))
         found = record[n, kind] = _search(system, kind, m, seeds) if seeds else ()
-    return [Orientation(system, forward) for forward in found]
+    return found
 
 
 def _search(system: LowOrderSystem, kind: str, m: int,
@@ -630,15 +656,20 @@ def _profile_steps(system: LowOrderSystem):
     chosen member (``s in thirds``, ``thirds & picked``).  One order test per
     chosen t suffices for condition (i) of ``check_profile``: inversion
     reverses the order, so ``inverse(t) <= s`` and ``inverse(s) <= t`` are
-    the same condition.  A push adds to ``closes`` the entries of ``thirds``
-    it does not hold yet and keeps them as the level's token; ``undo``
-    removes exactly those.  So a node costs O(|chosen|) on plain masks.
+    the same condition.  Every test asks only for orientations of members,
+    so ``thirds`` keeps only those, the entries of ``oriented``, built per
+    search; ``closes`` then holds at most two entries per member instead of
+    one per chosen pair.  A push adds to ``closes`` the entries of
+    ``thirds`` it does not hold yet and keeps them as the level's token;
+    ``undo`` removes exactly those.  So a node costs O(|chosen|) on plain
+    masks.
     """
     members, full = system.members, system.ground.full
+    oriented = frozenset(members).union([(b, a) for a, b in members])
     chosen: list[tuple[int, int]] = []
     picked: set[tuple[int, int]] = set()
     closes: set[tuple[int, int]] = set()
-    tokens: list[set[tuple[int, int]]] = []  # per level, what its push added
+    tokens: list[frozenset[tuple[int, int]]] = []  # per level, what its push added
 
     def place(i: int, t: int, test: bool) -> bool:
         a, b = member = members[i]
@@ -651,8 +682,9 @@ def _profile_steps(system: LowOrderSystem):
                 # leq(inverse(t), s), the same test as leq(inverse(s), t)
                 if tb & out_a == 0 and sb & ~ta == 0:
                     return False
-        thirds = {(tb & sb, ta | sa) for ta, tb in chosen}
-        thirds.add((sb, sa))
+        sups = [(tb & sb, ta | sa) for ta, tb in chosen]
+        sups.append((sb, sa))  # the inverted supremum of s with itself
+        thirds = oriented.intersection(sups)
         if test and (s in thirds or not thirds.isdisjoint(picked)):
             return False
         added = thirds - closes

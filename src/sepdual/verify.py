@@ -13,7 +13,10 @@ A case can end four ways:
                    shift needs the round trip (sides -> edges -> sides) to be
                    exact.  The hint is not shown to cause the violation; it
                    only had to be recorded before the violation was found.
-* capped         - an enumeration exceeded its configured size cap
+* capped         - a ground set was over its cap, or a search was over the
+                   member cap and the largest system within the cap has a
+                   result; a search whose largest system within the cap has
+                   none answers no result, and the case goes on
 
 Every witness is re-checked on label sets, without the mask kernels, before
 its case is reported; ``_witness`` raises when a re-check fails.  By kind:

@@ -524,7 +524,8 @@ def test_cap_exceeded_exit(capsys):
     # read through str, as the dump would write them
     (("ingest", "--input", "{string_side_json}"), "needs a list 'x', got str"),
     (("ingest", "--input", "{clash_json}"), "labels on both sides: ['1']"),
-    (("ingest", "--input", "{repeat_json}"), "ground-set labels must be unique"),
+    (("ingest", "--input", "{repeat_json}"),
+     "graph JSON repeats label 'a' on side x"),
     # the edges (a--b, g1) and (a, b--g1) both print as a--b--g1
     (("order", "--input", "{twice_csv}", "--universe", "e", "--a", "a--b--g1",
       "--b", "a--b--g1"), "'a--b--g1' is printed by 2 labels"),
@@ -568,6 +569,21 @@ def test_input_fault_is_usage_error(argv, named, tmp_path, capsys):
     assert code == 2
     assert err.count("error:") == 1 and "Traceback" not in err
     assert named in err
+
+
+@pytest.mark.parametrize("graph, named", [
+    ({"x": ["a", "b", "a"], "y": ["p"], "edges": [["a", "p"]]}, "'a' on side x"),
+    ({"x": ["a"], "y": ["p", "q", "q"], "edges": [["a", "q"]]}, "'q' on side y"),
+    # 1 and "1" are one label once read through str, as the dump writes it
+    ({"x": ["a"], "y": [1, "1"], "edges": [["a", 1]]}, "'1' on side y"),
+], ids=["x", "y", "through-str"])
+def test_repeated_label_is_named_with_its_side(graph, named, tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(graph))
+    for command in (("ingest",), ("tangles", "--k2", "1"), ("verify", "--k2", "1")):
+        code, _, err = run_cli(capsys, *command, "--input", str(path))
+        assert code == 2
+        assert err == f"error: graph JSON repeats label {named}\n"
 
 
 @pytest.mark.parametrize("argv", [

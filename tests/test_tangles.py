@@ -329,6 +329,9 @@ def test_profile_consistency_violation(path3):
 def test_member_cap(two_blocks):
     with pytest.raises(CapExceeded):
         enumerate_tangles(two_blocks, "x", 100, member_cap=5)
+    # no system fits under a negative cap, so it trips on the empty one
+    with pytest.raises(CapExceeded, match="over member cap -1"):
+        enumerate_tangles(two_blocks, "x", 100, member_cap=-1)
 
 
 def test_orientation_contains(k33):
@@ -581,27 +584,44 @@ def test_search_results_independent_of_call_order(m2, k22, k33, path3):
     assert above_empty >= 10
 
 
+def _under_cap(g, universe, cap=DEFAULT_MEMBER_CAP):
+    """S_j of ``g``'s universe: its largest system of at most ``cap`` members."""
+    space = tangles._Universe.of(g, universe)
+    return LowOrderSystem(space, max(c for c in space.counts() if c <= cap))
+
+
 def test_member_cap_checked_before_empty_prefix(k33):
+    """An over-cap system is settled from S_j, the largest system within the
+    cap, whatever the record holds: a fresh graph and one whose record holds
+    an empty prefix give the same answer.  With cap 5, S_j is k33's 4-member
+    x-system, which has no tangle, so S_{7/2} has none either; with cap 1 it
+    is the 1-member system, which has one, so the cap trips."""
     fresh = _copy(k33)
-    message = "system has 10 members, over member cap 5"
+    assert len(_under_cap(fresh, "x", 5)) == 4
+    assert enumerate_tangles(fresh, "x", HalfInt(7), member_cap=5) == []
+    message = "system has 10 members, over member cap 1"
     with pytest.raises(CapExceeded, match=message):
-        enumerate_tangles(fresh, "x", HalfInt(7), member_cap=5)
+        enumerate_tangles(_copy(k33), "x", HalfInt(7), member_cap=1)
     assert enumerate_tangles(k33, "x", HalfInt(4)) == []
+    assert enumerate_tangles(k33, "x", HalfInt(7), member_cap=5) == []
     with pytest.raises(CapExceeded, match=message):
-        enumerate_tangles(k33, "x", HalfInt(7), member_cap=5)
+        enumerate_tangles(k33, "x", HalfInt(7), member_cap=1)
+    # and the search of all 10 members agrees
+    assert enumerate_tangles(_copy(k33), "x", HalfInt(7), member_cap=10) == []
 
 
 def test_capped_system_is_never_decoded():
     """cycle10's edge system at k2 = 32 trips the member cap, directly and
-    as the hypothesis of a theorem; neither decodes a member of the scan."""
+    as the hypothesis of a theorem: S_j, its first 11 members, has a tangle.
+    Neither decodes a member past S_j."""
     g = even_cycle(5)
     with pytest.raises(CapExceeded, match="over member cap 24"):
         enumerate_tangles(g, "e", HalfInt(32))
-    assert g._cache["e"].pairs == ()
+    assert len(g._cache["e"].pairs) == len(_under_cap(g, "e")) == 11
     g = even_cycle(5)
     case = run_theorem("cor_double_shift_edges", g, 4)  # hypothesis at k2 = 32
     assert case.outcome == "capped" and "over member cap 24" in case.note
-    assert g._cache["e"].pairs == ()
+    assert len(g._cache["e"].pairs) == 11
 
 
 def test_empty_prefix_recorded_on_system_graph(m2, k22):
@@ -774,12 +794,14 @@ def test_prefix_record_is_keyed_by_member_count_and_kind(k33, monkeypatch):
             hit = enumerate_tangles(k33, "x", HalfInt(k2), kind=kind, system=sys)
             assert [o.forward for o in hit] == [o.forward for o in first]
             assert all(o.system is sys for o in hit)
-        # the cap trips before the record is read
+        # over the cap, S_j (1 member) is searched and recorded under its
+        # own count; it has a result, so the cap trips
         with pytest.raises(CapExceeded, match="4 members, over member cap 3"):
             enumerate_tangles(k33, "x", HalfInt(4), kind=kind, member_cap=3)
-    assert searched == ["tangle", "regular_profile"]
+    assert searched == ["tangle", "tangle", "regular_profile", "regular_profile"]
     record = k33._cache["x"].record
-    assert sorted(record) == [(4, "regular_profile"), (4, "tangle")]
+    assert sorted(record) == [(1, "regular_profile"), (1, "tangle"),
+                              (4, "regular_profile"), (4, "tangle")]
     assert record[4, "regular_profile"] == tuple(o.forward for o in first)
 
 
@@ -788,7 +810,9 @@ def test_resumed_search_equals_fresh_search(seed, monkeypatch):
     """Ascending, descending and shuffled thresholds on one graph each: a
     search resumed from what the graph's record holds must list the same
     results in the same order as a search of a fresh copy and, up to 12
-    members, as the naive filter."""
+    members, as the naive filter.  Over the member cap, a call raises
+    exactly when S_j of a fresh copy has a result, and its ``[]`` otherwise
+    is the uncapped search of a fresh copy."""
     prefixes = []
     search = tangles._search
     monkeypatch.setattr(tangles, "_search",
@@ -804,17 +828,23 @@ def test_resumed_search_equals_fresh_search(seed, monkeypatch):
             for kind in ("tangle", "regular_profile"):
                 for k2 in order:
                     sys = build_system(shared, universe, HalfInt(k2))
-                    if len(sys) > DEFAULT_MEMBER_CAP:
+                    key = (universe, kind, len(sys))
+                    if key not in fresh:
+                        h = _copy(g)
+                        if len(sys) > DEFAULT_MEMBER_CAP and enumerate_tangles(
+                                h, universe, 0, kind, system=_under_cap(h, universe)):
+                            fresh[key] = None  # S_j has a result: the cap trips
+                        else:
+                            fresh[key] = [o.forward for o in enumerate_tangles(
+                                _copy(g), universe, HalfInt(k2), kind,
+                                member_cap=10**9)]
+                    if fresh[key] is None:
                         with pytest.raises(CapExceeded):
                             enumerate_tangles(shared, universe, 0, kind, system=sys)
                         continue
                     got = enumerate_tangles(shared, universe, 0, kind, system=sys)
                     assert all(o.system is sys for o in got)
                     got = [o.forward for o in got]
-                    key = (universe, kind, len(sys))
-                    if key not in fresh:
-                        fresh[key] = [o.forward for o in enumerate_tangles(
-                            _copy(g), universe, HalfInt(k2), kind)]
                     assert got == fresh[key], (order, key)
                     if len(sys) <= 12:
                         ok = ((lambda o: check_tangle(o).ok) if kind == "tangle"
@@ -823,6 +853,8 @@ def test_resumed_search_equals_fresh_search(seed, monkeypatch):
                             naive[key] = [o.forward for o in
                                           enumerate_orientations(sys) if ok(o)]
                         assert got == naive[key], (order, key)
+    over = [v for (_, _, count), v in fresh.items() if count > DEFAULT_MEMBER_CAP]
+    assert None in over and [] in over  # both answers over the cap
     assert sum(m > 0 for m in prefixes) >= 20  # resumed from a non-empty prefix
 
 

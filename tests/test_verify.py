@@ -338,6 +338,35 @@ def test_kept_search_never_skips_a_smaller_cap(caps):
         assert case.to_dict() == fresh.to_dict()
 
 
+def test_settled_cases_equal_the_uncapped_run(monkeypatch):
+    """Every case of the default run that does not end ``capped`` equals
+    the same case of a run with no member cap, those settled from the
+    largest system within the cap among them.  A case is settled when one of
+    its searches was over the member cap, so it would have been capped had
+    the cap alone decided; at least 661 corpus cases are."""
+    over = []  # per case, whether one of its searches was over the cap
+    search, case = verify._Ctx.search, verify.run_theorem
+
+    def spied_search(ctx, system, kind):
+        over[-1] |= len(system) > ctx.member_cap
+        return search(ctx, system, kind)
+
+    monkeypatch.setattr(verify._Ctx, "search", spied_search)
+    monkeypatch.setattr(verify, "run_theorem",
+                        lambda *args: over.append(False) or case(*args))
+    capped = run_corpus()
+    monkeypatch.undo()
+    uncapped = run_corpus(member_cap=10**9)
+    assert len(over) == len(capped["cases"]) == len(uncapped["cases"]) == 3000
+    settled = 0
+    for got, want, settles in zip(capped["cases"], uncapped["cases"], over):
+        if got["outcome"] != "capped":
+            assert got == want
+            settled += settles
+    assert settled >= 661
+    assert capped["summary"]["counterexamples"] == 0
+
+
 def test_search_results_belong_to_the_system_asked_for():
     """Two thresholds share a member count, so they share one kept system;
     the second is answered from the first's search, yet its orientations are
