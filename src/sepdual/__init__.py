@@ -8,8 +8,17 @@ inner product and decider search.
 
 __version__ = "0.1.0"
 
-#: The bit kernels (``sepdual._kernels``) have one implementation, in pure Python.
-KERNEL_BACKEND = "pure"
+from . import _native
+
+
+def __getattr__(name):
+    # KERNEL_BACKEND names the search walk that runs: "native" when the C
+    # walk of ``_native`` is built (it is built at import when missing) and
+    # loads, else "pure"; the bit kernels of ``_kernels`` are pure Python.
+    if name == "KERNEL_BACKEND":
+        return _native.BACKEND
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 from .bigraph import (
     BipartiteGraph,

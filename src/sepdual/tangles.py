@@ -32,6 +32,16 @@ push adds the entries not held yet, ``undo`` removes exactly those, and a
 test costs O(|chosen|) on masks.  ``check_tangle`` and ``check_profile``
 stay the reference the search is tested against.
 
+The same walk runs in C (``_native``) whenever the ground set has at most 64
+elements and the library is built, which is every universe within the
+default ground caps; it returns the same results in the same order.  Its
+tangle push writes only its own block of pair slots, not every element's
+whole slice, and its profile steps keep one counter per orientation of the
+system in place of ``picked`` and ``closes``, so an undo is a decrement.
+The Python walk, ``_walk``, runs when there is no build (``KERNEL_BACKEND``
+then reads ``"pure"``) or the ground set is larger, and the tests hold the
+C walk equal to it.
+
 Kept state: all that is kept about one (graph, universe) is one
 ``_Universe`` at ``g._cache[name]``, and the systems kept through
 ``kept_system`` are at ``g._cache[name, count]``, one per member count;
@@ -42,10 +52,10 @@ prefix of the kernel's sorted int keys, kept as an array of 64-bit ints; one
 int object per mask decoded and one decoded prefix of plain ``(a, b)`` int
 pairs, which the garbage collector stops tracking; the prefix record; the
 top order; the image tables below, of plain pairs too; and the elements in
-and outside each first side a tangle search has tested.  It refers to no
-system and not to the graph, so a dropped graph is freed by reference
-counting; a kept system refers to its ``_Universe``, which is why systems
-are kept on the graph and not there.
+and outside each first side a tangle search of the Python walk has tested.
+It refers to no system and not to the graph, so a dropped graph is freed by
+reference counting; a kept system refers to its ``_Universe``, which is why
+systems are kept on the graph and not there.
 
 A system is its ``_Universe`` and a member count.  S_k is the prefix of the
 scan of order below k, so every threshold between two consecutive member
@@ -114,7 +124,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from . import _kernels
+from . import _kernels, _native
 from .bigraph import BipartiteGraph
 from .errors import CapExceeded
 from .orders import HalfInt, as_halfint, universe_context
@@ -531,6 +541,23 @@ def _search(system: LowOrderSystem, kind: str, m: int,
             seeds: tuple[tuple[bool, ...], ...]) -> tuple[tuple[bool, ...], ...]:
     """The ``forward`` tuples of the results of ``system``, in search order,
     resumed at member m from ``seeds``, the results of the first m members.
+
+    The C walk of ``_native`` runs it when the ground set has at most 64
+    elements and the library is built; otherwise ``_walk``, the Python walk
+    it mirrors and is tested against, does.  Both list the same results in
+    the same order.  An allocation failure in the C walk raises
+    ``MemoryError`` and returns nothing.
+    """
+    if system.ground.n <= 64:
+        found = _native.search(system.members, system.ground.n, kind, m, seeds)
+        if found is not None:
+            return found
+    return _walk(system, kind, m, seeds)
+
+
+def _walk(system: LowOrderSystem, kind: str, m: int,
+          seeds: tuple[tuple[bool, ...], ...]) -> tuple[tuple[bool, ...], ...]:
+    """``_search`` in Python, the fallback and the reference of the C walk.
 
     One walk for both kinds, without recursion: level i orients member i,
     ``tried[i]`` counts the orientations tried there (t = 0 forward, then

@@ -6,7 +6,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from probes import PROBES
-from sepdual import from_edges, verify
+from sepdual import _native, from_edges, verify
 
 
 @pytest.fixture
@@ -49,3 +49,13 @@ def probes(monkeypatch):
     for probe in PROBES:
         monkeypatch.setitem(verify.ALL_THEOREMS, probe.theorem, probe.body)
     return PROBES
+
+
+@pytest.fixture
+def python_walk():
+    """Every search on the Python walk, ``tangles._walk``: the C walk's
+    loader finds no library, as on a host without a compiler.  Its own
+    patch, so a test's ``monkeypatch.undo()`` leaves it in place."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_native, "load", lambda: None)
+        yield
