@@ -18,23 +18,30 @@ the same seed replay and the same result order.
   of the ids it finds and keeps them on a stack; undo decrements exactly
   those.
 
-The library is compiled once per source, Python cache tag and machine with
-the platform compiler (``sysconfig``'s ``CC``, else ``cc``) and
-``-O2 -shared -fPIC`` into ``$XDG_CACHE_HOME/sepdual`` or
+The source also holds ``walk``, the function of the CPython extension
+``MODULE`` that runs the walk: it reads the tuple of ``(a, b)`` int pairs
+and the seed tuples of bools in place and builds the result tuples in C, so
+a search is one call.  The extension is compiled once per source, Python
+cache tag and machine with the platform compiler (``sysconfig``'s ``CC``,
+else ``cc``), ``-O2 -shared -fPIC`` and the Python headers
+(``sysconfig``'s ``INCLUDEPY``) into ``$XDG_CACHE_HOME/sepdual`` or
 ``~/.cache/sepdual``, a directory of mode 0700 that must belong to the user
-and be writable by no one else, or it is not used.  A build goes to a
-temporary file in that directory and is renamed into place only when the
-compiler succeeds, so a half-written build never has the library's name.
-Importing this module settles ``BACKEND``: ``"native"`` when the library is
-in the cache or is built now, else ``"pure"``.  A build that fails leaves
-the marker ``<library>.failed`` in the cache, and no later import tries
-that build again; deleting the marker retries it.  ``ctypes`` is imported
-and the library loaded only at the first search, so a process that never
-searches pays only for looking the library up once it is built.  A library
-that fails to load sets ``BACKEND`` back to ``"pure"`` and is deleted, so
-the next import builds it again; when this process built it, the marker is
-left as for a failed build.  Without a library, ``search`` returns None and
-``tangles._search`` runs the Python walk.
+and be writable by no one else, or it is not used.  Its file name ends in
+the interpreter's extension suffix, so another Python's build is never
+loaded.  A build goes to a temporary file in that directory and is renamed
+into place only when the compiler succeeds, so a half-written build never
+has the build's name; a successful build deletes the other builds of the
+same suffix and their markers.  Importing this module settles ``BACKEND``:
+``"native"`` when the build is in the cache or is made now, else
+``"pure"``.  A build that fails, as it does without the Python headers,
+leaves the marker ``<build>.failed`` in the cache, and no later import tries
+that build again; deleting the marker retries it.  The build is loaded
+through ``importlib.machinery.ExtensionFileLoader`` only at the first
+search, so a process that never searches pays only for looking it up once
+it is made.  A build that fails to load sets ``BACKEND`` back to ``"pure"``
+and is deleted, so the next import builds it again; when this process built
+it, the marker is left as for a failed build.  Without a build, ``search``
+returns None and ``tangles._search`` runs the Python walk.
 """
 
 from __future__ import annotations
@@ -43,9 +50,11 @@ import os
 import stat
 import sys
 import zlib
-from array import array
+from importlib.machinery import EXTENSION_SUFFIXES
 
 SOURCE = r"""
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -238,17 +247,12 @@ static int profile_init(walk_t *s)
     return 0;
 }
 
-void sepdual_free(void *p)
-{
-    free(p);
-}
-
 /* The results of the search of n members (a[i], b[i]) over width <= 64
    elements, kind 0 tangle and 1 regular profile, resumed at member m from
    nseeds seeds of m bytes each: *count rows of n bytes at *out, 1 for a
-   member oriented forward, to be freed with sepdual_free.  Returns 0, or
-   -1 with nothing at *out when an allocation fails. */
-int sepdual_walk(int kind, int n, int width, const u64 *a, const u64 *b,
+   member oriented forward, to be freed with free.  Returns 0, or -1 with
+   nothing at *out when an allocation fails. */
+static int sepdual_walk(int kind, int n, int width, const u64 *a, const u64 *b,
                  int m, int64_t nseeds, const uint8_t *seeds,
                  uint8_t **out, int64_t *count)
 {
@@ -333,9 +337,138 @@ done:
     *count = (int64_t)nrows;
     return rc;
 }
+
+static const char bad_seed[] =
+    "seeds must orient the first m members of at most 64 elements";
+
+/* walk(members, width, kind, m, seeds): sepdual_walk on the tuple members
+   of (a, b) int pairs and the tuple seeds of tuples of m bools, read in
+   place; its rows come back as a tuple of tuples of bools. */
+static PyObject *py_walk(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    PyObject *members, *seeds, *result = NULL;
+    Py_ssize_t n, nseeds, q, i;
+    long width, kind, m;
+    u64 *a = NULL, *b = NULL;
+    uint8_t *flat = NULL, *rows = NULL;
+    int64_t count = 0;
+    int rc;
+    if (nargs != 5) {
+        PyErr_SetString(PyExc_TypeError, "walk() takes exactly 5 arguments");
+        return NULL;
+    }
+    members = args[0];
+    seeds = args[4];
+    if (!PyTuple_Check(members) || !PyTuple_Check(seeds)) {
+        PyErr_SetString(PyExc_TypeError, "members and seeds must be tuples");
+        return NULL;
+    }
+    if (((width = PyLong_AsLong(args[1])) == -1 && PyErr_Occurred())
+        || ((kind = PyLong_AsLong(args[2])) == -1 && PyErr_Occurred())
+        || ((m = PyLong_AsLong(args[3])) == -1 && PyErr_Occurred()))
+        return NULL;
+    if (kind != 0 && kind != 1) {
+        PyErr_SetString(PyExc_ValueError, "kind must be 0 (tangle) or 1 (regular profile)");
+        return NULL;
+    }
+    n = PyTuple_GET_SIZE(members);
+    nseeds = PyTuple_GET_SIZE(seeds);
+    if (width < 0 || width > 64 || m < 0 || m > n || n > INT_MAX) {
+        PyErr_SetString(PyExc_ValueError, bad_seed);
+        return NULL;
+    }
+    if (m && nseeds > PY_SSIZE_T_MAX / m)
+        return PyErr_NoMemory();
+    a = PyMem_New(u64, n);
+    b = PyMem_New(u64, n);
+    flat = PyMem_New(uint8_t, nseeds * m);
+    if (!a || !b || !flat) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    /* tuples and ints are immutable and nothing here runs Python code, so
+       the borrowed items stay valid */
+    for (i = 0; i < n; i++) {
+        PyObject *pair = PyTuple_GET_ITEM(members, i);
+        if (!PyTuple_Check(pair) || PyTuple_GET_SIZE(pair) != 2) {
+            PyErr_SetString(PyExc_TypeError, "members must be (a, b) pairs of ints");
+            goto done;
+        }
+        a[i] = PyLong_AsUnsignedLongLong(PyTuple_GET_ITEM(pair, 0));
+        if (a[i] == (u64)-1 && PyErr_Occurred())
+            goto done;
+        b[i] = PyLong_AsUnsignedLongLong(PyTuple_GET_ITEM(pair, 1));
+        if (b[i] == (u64)-1 && PyErr_Occurred())
+            goto done;
+    }
+    for (q = 0; q < nseeds; q++) {
+        PyObject *seed = PyTuple_GET_ITEM(seeds, q);
+        if (!PyTuple_Check(seed)) {
+            PyErr_SetString(PyExc_TypeError, "seeds must be tuples of bools");
+            goto done;
+        }
+        if (PyTuple_GET_SIZE(seed) != m) {
+            PyErr_SetString(PyExc_ValueError, bad_seed);
+            goto done;
+        }
+        for (i = 0; i < m; i++) {
+            PyObject *bit = PyTuple_GET_ITEM(seed, i);
+            if (bit != Py_True && bit != Py_False) {
+                PyErr_SetString(PyExc_TypeError, "seeds must be tuples of bools");
+                goto done;
+            }
+            flat[q * m + i] = bit == Py_True;
+        }
+    }
+    Py_BEGIN_ALLOW_THREADS
+    rc = sepdual_walk((int)kind, (int)n, (int)width, a, b, (int)m, (int64_t)nseeds,
+                      flat, &rows, &count);
+    Py_END_ALLOW_THREADS
+    if (rc) {
+        PyErr_SetString(PyExc_MemoryError,
+                        "the native search walk could not allocate its state");
+        goto done;
+    }
+    result = PyTuple_New((Py_ssize_t)count);
+    for (q = 0; result && q < count; q++) {
+        PyObject *row = PyTuple_New(n);
+        if (!row) {
+            Py_CLEAR(result);
+            break;
+        }
+        for (i = 0; i < n; i++) {
+            PyObject *bit = rows[q * n + i] ? Py_True : Py_False;
+            Py_INCREF(bit);
+            PyTuple_SET_ITEM(row, i, bit);
+        }
+        PyTuple_SET_ITEM(result, q, row);
+    }
+done:
+    PyMem_Free(a);
+    PyMem_Free(b);
+    PyMem_Free(flat);
+    free(rows);
+    return result;
+}
+
+static PyMethodDef methods[] = {
+    {"walk", (PyCFunction)(void (*)(void))py_walk, METH_FASTCALL,
+     "walk(members, width, kind, m, seeds): the results of the search."},
+    {NULL, NULL, 0, NULL}
+};
+
+static struct PyModuleDef module = {
+    PyModuleDef_HEAD_INIT, "sepdual._cwalk", NULL, 0, methods, NULL, NULL, NULL, NULL
+};
+
+PyMODINIT_FUNC PyInit__cwalk(void)
+{
+    return PyModuleDef_Init(&module);
+}
 """
 
 KINDS = {"tangle": 0, "regular_profile": 1}
+MODULE = "sepdual._cwalk"  # the name PyInit__cwalk in SOURCE initialises
 
 
 def cache_dir() -> str | None:
@@ -361,13 +494,14 @@ def cache_dir() -> str | None:
 
 
 def library_name() -> str | None:
-    """The file name of the library for this source, Python and machine, or
-    None where the machine cannot be named (no ``os.uname``)."""
+    """The file name of the build for this source, Python and machine, ending
+    in this interpreter's extension suffix, or None where the machine cannot
+    be named (no ``os.uname``)."""
     uname = getattr(os, "uname", None)
     if uname is None:
         return None
     key = f"{sys.implementation.cache_tag}\0{uname().machine}\0{SOURCE}".encode()
-    return f"walk-{zlib.crc32(key):08x}{len(key):x}.so"
+    return f"walk-{zlib.crc32(key):08x}{len(key):x}{EXTENSION_SUFFIXES[0]}"
 
 
 def compiler() -> list[str]:
@@ -383,6 +517,7 @@ def build(path: str) -> bool:
     """Compile ``SOURCE`` to ``path`` through temporary files beside it,
     renamed into place only on success; True when ``path`` then exists."""
     import subprocess
+    import sysconfig
     import tempfile
 
     directory = os.path.dirname(path)
@@ -395,7 +530,10 @@ def build(path: str) -> bool:
         source, lib = made
         with open(source, "w", encoding="ascii") as f:
             f.write(SOURCE)
-        done = subprocess.run([*compiler(), "-O2", "-shared", "-fPIC", "-o", lib, source],
+        # macOS links an extension's Python symbols when it is loaded
+        flags = ["-undefined", "dynamic_lookup"] if sys.platform == "darwin" else []
+        done = subprocess.run([*compiler(), "-O2", "-shared", "-fPIC", *flags,
+                               f"-I{sysconfig.get_config_var('INCLUDEPY')}", "-o", lib, source],
                               stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
                               stderr=subprocess.DEVNULL, timeout=300)
         if done.returncode == 0:
@@ -421,8 +559,26 @@ def give_up(path: str) -> None:
         pass
 
 
+def prune(path: str) -> None:
+    """Delete the other builds of this interpreter's extension suffix beside
+    ``path``, and their markers; builds of other suffixes, which other
+    Pythons load, stay."""
+    directory, name = os.path.split(path)
+    ends = (EXTENSION_SUFFIXES[0], EXTENSION_SUFFIXES[0] + ".failed")
+    try:
+        stale = [f for f in os.listdir(directory)
+                 if f.startswith("walk-") and f.endswith(ends) and f != name]
+    except OSError:
+        return
+    for f in stale:
+        try:
+            os.unlink(os.path.join(directory, f))
+        except OSError:
+            pass
+
+
 def settle() -> tuple[str, str | None]:
-    """``("native", path)`` when the library is cached or built now, else
+    """``("native", path)`` when the build is cached or made now, else
     ``("pure", None)``; see the module docstring."""
     global BUILT
     directory, name = cache_dir(), library_name()
@@ -433,6 +589,7 @@ def settle() -> tuple[str, str | None]:
         if not os.path.exists(path + ".failed"):
             if build(path):
                 BUILT = path
+                prune(path)
                 return "native", path
             give_up(path)
     return "pure", None
@@ -444,17 +601,19 @@ _walk = None
 
 
 def load():
-    """The C walk as a function of plain arguments, loading the library on
-    first call; None when there is no build or it fails to load, which sets
-    ``BACKEND`` to ``"pure"``.  The function holds the ``ctypes`` objects it
-    was declared with, so it works whatever later imports do."""
+    """``walk`` of the extension ``MODULE``, loading the build on first call;
+    None when there is no build or it fails to load, which sets ``BACKEND``
+    to ``"pure"``."""
     global _walk, BACKEND, PATH
     if _walk is None and PATH is not None:
-        import ctypes
+        from importlib.machinery import ExtensionFileLoader, ModuleSpec
+        from importlib.util import module_from_spec
 
+        loader = ExtensionFileLoader(MODULE, PATH)
         try:
-            lib = ctypes.CDLL(PATH)
-        except OSError:
+            module = module_from_spec(ModuleSpec(MODULE, loader, origin=PATH))
+            loader.exec_module(module)
+        except (ImportError, OSError):
             # the next import builds again, unless this process built the
             # file: a fresh build that does not load would not load again
             try:
@@ -465,47 +624,18 @@ def load():
                 give_up(PATH)
             BACKEND, PATH = "pure", None
             return None
-        ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-        walk, free = lib.sepdual_walk, lib.sepdual_free
-        walk.argtypes = [ctypes.c_int, ctypes.c_int, ctypes.c_int, ptr, ptr, ctypes.c_int,
-                         i64, ctypes.c_char_p, ctypes.POINTER(ptr), ctypes.POINTER(i64)]
-        walk.restype = ctypes.c_int
-        free.argtypes = [ptr]
-        free.restype = None
-        string_at, byref = ctypes.string_at, ctypes.byref
-
-        def run(kind, n, width, a, b, m, nseeds, flat):
-            """(the rows of the results as one bytes object, their count)"""
-            out, count = ptr(), i64()
-            if walk(kind, n, width, a, b, m, nseeds, flat, byref(out), byref(count)):
-                raise MemoryError("the native search walk could not allocate its state")
-            try:
-                return (string_at(out, count.value * n) if count.value * n else b"",
-                        count.value)
-            finally:
-                free(out)
-
-        _walk = run
+        sys.modules[MODULE] = module
+        _walk = module.walk
     return _walk
 
 
 def search(members, width: int, kind: str, m: int,
            seeds: tuple[tuple[bool, ...], ...]) -> tuple[tuple[bool, ...], ...] | None:
-    """What ``tangles._search`` returns for these members over ``width`` <= 64
-    elements, by the C walk; None when there is no library to run it.  An
-    allocation failure in the walk raises ``MemoryError``."""
-    run = load()
-    if run is None:
+    """What ``tangles._search`` returns for the tuple ``members`` of
+    ``(a, b)`` int pairs over ``width`` <= 64 elements, by the C walk; None
+    when there is no build to run it.  A seed whose length is not m raises
+    ``ValueError``, and an allocation failure in the walk ``MemoryError``."""
+    walk = load()
+    if walk is None:
         return None
-    n = len(members)
-    if not 0 <= m <= n or width > 64 or any(len(seed) != m for seed in seeds):
-        raise ValueError("seeds must orient the first m members of at most 64 elements")
-    a = array("Q", [s[0] for s in members])
-    b = array("Q", [s[1] for s in members])
-    data, count = run(KINDS[kind], n, width, a.buffer_info()[0], b.buffer_info()[0],
-                      m, len(seeds), bytes([bit for seed in seeds for bit in seed]))
-    if not n:
-        return ((),) * count
-    bools = (False, True)
-    return tuple([tuple([bools[x] for x in data[r:r + n]])
-                  for r in range(0, count * n, n)])
+    return walk(members, width, KINDS[kind], m, seeds)

@@ -9,22 +9,26 @@ member cap, and on the edge shapes a scan never yields (no member, a 63- or
 65-element ground goes to the Python walk, and an allocation failure in the
 C walk raises ``MemoryError``.
 
+Boundary: the extension function checks its arguments and raises on bad
+ones instead of crashing, keeps no memory and no reference per search, and
+leaves the reference counts of what it reads as they were.
+
 Loader: each test settles in a fresh cache directory under ``tmp_path``
 through ``_native.settle``, what importing the module runs.  A build that
 fails, by any compiler, leaves the package on the Python walk with the same
 outputs and is not tried again; a library that does not load is deleted; a
 library of another key, a half-written build and a cache directory that
 another user could write are never used; nothing is written outside the
-cache directory.
+cache directory; a build deletes the other builds of its extension suffix.
 """
 
-import ctypes
 import os
 import random
 import shutil
 import stat
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -70,7 +74,8 @@ def test_the_c_walk_is_built_where_there_is_a_compiler():
     if shutil.which(_native.compiler()[0]) is None:
         pytest.skip("no platform compiler on this host")
     assert sepdual.KERNEL_BACKEND == "native"
-    assert ctypes.CDLL(_native.PATH).sepdual_walk
+    walk = _native.load()
+    assert walk is not None and sys.modules[_native.MODULE].walk is walk
 
 
 def _corpus_run(member_cap):
@@ -214,6 +219,99 @@ def test_an_allocation_failure_raises_memory_error():
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == [
         "MemoryError: the native search walk could not allocate its state", "True"]
+
+
+# -- the boundary --------------------------------------------------------------
+
+
+#: a valid call of the extension's ``walk``: the tangles of two members over
+#: three elements, resumed at member 1 from both orientations of the first
+GOOD = {"members": ((1, 7), (2, 7)), "width": 3, "kind": 0, "m": 1,
+        "seeds": ((True,), (False,))}
+
+#: one argument of ``GOOD`` changed, and the error it must raise
+BAD_ARGUMENTS = {
+    "seed-of-wrong-length": ({"seeds": ((True,), (True, False))}, ValueError),
+    "width-65": ({"width": 65}, ValueError),
+    "negative-width": ({"width": -1}, ValueError),
+    "m-over-n": ({"m": 3, "seeds": ((True,) * 3,)}, ValueError),
+    "unknown-kind": ({"kind": 2}, ValueError),
+    "member-not-a-pair": ({"members": ((1, 7), (2,))}, TypeError),
+    "member-of-three": ({"members": ((1, 7), (2, 7, 0))}, TypeError),
+    "member-a-list": ({"members": ((1, 7), [2, 7])}, TypeError),
+    "mask-not-an-int": ({"members": ((1, 7), (2.0, 7))}, TypeError),
+    "mask-of-2**64": ({"members": ((1, 7), (2, 1 << 64)), "width": 64}, OverflowError),
+    "negative-mask": ({"members": ((1, 7), (-2, 7))}, OverflowError),
+    "members-a-list": ({"members": [(1, 7), (2, 7)]}, TypeError),
+    "seeds-a-list": ({"seeds": [(True,), (False,)]}, TypeError),
+    "seed-a-list": ({"seeds": ((True,), [False])}, TypeError),
+    "seed-of-ints": ({"seeds": ((True,), (0,))}, TypeError),
+    "width-not-an-int": ({"width": "3"}, TypeError),
+}
+
+
+@needs_native
+@pytest.mark.parametrize("case", sorted(BAD_ARGUMENTS))
+def test_bad_arguments_raise(case):
+    """Each bad argument raises, and the next call runs as before."""
+    change, error = BAD_ARGUMENTS[case]
+    walk = _native.load()
+    with pytest.raises(error):
+        walk(*{**GOOD, **change}.values())
+    system = LowOrderSystem.from_members("x", GroundSet(range(3)), GOOD["members"])
+    assert walk(*GOOD.values()) == tangles._walk(system, "tangle", 1, GOOD["seeds"])
+
+
+@needs_native
+def test_walk_takes_five_arguments():
+    with pytest.raises(TypeError):
+        _native.load()(*list(GOOD.values())[:4])
+
+
+@needs_native
+def test_a_wrong_seed_raises_through_search():
+    with pytest.raises(ValueError, match="first m members of at most 64 elements"):
+        _native.search(((1, 7), (2, 7)), 3, "tangle", 1, ((True,), ()))
+    with pytest.raises(ValueError, match="first m members of at most 64 elements"):
+        _native.search(((1, 7),), 65, "regular_profile", 0, ((),))
+
+
+def _resumed_profile_search():
+    """A regular-profile search of a random 12-element system resumed at its
+    fifth member from the results there, with the arguments it was run on."""
+    system = _random_system(random.Random(3), 12, 10)
+    seeds = tangles._walk(LowOrderSystem(system.space, 5), "regular_profile", 0, ((),))
+    assert len(seeds) >= 2
+    return system.members, system.ground.n, "regular_profile", 5, seeds
+
+
+@needs_native
+def test_repeated_searches_keep_no_memory():
+    """20,000 repeats of one resumed search, their results dropped, leave
+    Python's traced allocations within 64 KB of where they started."""
+    args = _resumed_profile_search()
+    assert _native.search(*args)
+    tracemalloc.start()
+    try:
+        _native.search(*args)
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(20_000):
+            _native.search(*args)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 64 * 1024
+
+
+@needs_native
+def test_a_search_leaves_reference_counts_as_they_were():
+    members, width, kind, m, seeds = _resumed_profile_search()
+    pair, seed = members[3], seeds[0]
+    counts = sys.getrefcount(pair), sys.getrefcount(seed), sys.getrefcount(members)
+    for _ in range(100):
+        found = _native.search(members, width, kind, m, seeds)
+    del found
+    assert (sys.getrefcount(pair), sys.getrefcount(seed), sys.getrefcount(members)) == counts
 
 
 # -- the loader --------------------------------------------------------------
@@ -365,6 +463,22 @@ def test_a_library_of_another_key_is_never_loaded(cache, tmp_path, monkeypatch):
     assert _native.load() is not None
 
 
+@needs_native
+def test_a_build_deletes_the_other_builds_of_its_suffix(cache):
+    """A stale build of this interpreter's suffix and its marker go; the
+    build of another suffix, another Python's, stays."""
+    name, ext = _native.library_name(), _native.EXTENSION_SUFFIXES[0]
+    cache.mkdir(parents=True, mode=0o700)
+    os.chmod(cache, 0o700)
+    stale = "walk-0000000000" + ext
+    other = "walk-0000000000.cpython-0-other.so"
+    for planted in (stale, stale + ".failed", other):
+        (cache / planted).write_text("not a library")
+    assert other != name and not other.endswith(ext)
+    assert _native.settle() == ("native", str(cache / name))
+    assert sorted(os.listdir(cache)) == sorted([name, other])
+
+
 UNSAFE = {
     "group-writable": 0o770,
     "world-writable": 0o707,
@@ -409,7 +523,7 @@ if cc is not None:
 import sepdual
 from sepdual.cli import main
 code = main(sys.argv[1:])
-print(sepdual.KERNEL_BACKEND, sorted(m for m in ("ctypes", "subprocess") if m in sys.modules),
+print(sepdual.KERNEL_BACKEND, sorted(m for m in ({module!r}, "subprocess") if m in sys.modules),
       file=sys.stderr)
 sys.exit(code)
 """
@@ -419,7 +533,8 @@ def _child(argv, cc=None, cache=None):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     if cache is not None:
         env["XDG_CACHE_HOME"] = str(cache)
-    done = subprocess.run([sys.executable, "-c", CHILD.format(cc=cc), *argv], env=env,
+    child = CHILD.format(cc=cc, module=_native.MODULE)
+    done = subprocess.run([sys.executable, "-c", child, *argv], env=env,
                           capture_output=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout, done.stderr.decode().strip()
@@ -436,7 +551,7 @@ def test_importing_with_a_failing_compiler_runs_the_python_walk(tmp_path):
     tried = "['subprocess']"
     for kind in ("tangle", "profile"):
         native, backend = _child(argv + [kind])
-        assert backend == "native ['ctypes']"
+        assert backend == f"native {[_native.MODULE]}"
         pure, backend = _child(argv + [kind], str(tmp_path / "no-such-cc"), tmp_path / "xdg")
         assert backend == f"pure {tried}"
         assert pure == native
@@ -447,7 +562,7 @@ def test_importing_with_a_failing_compiler_runs_the_python_walk(tmp_path):
 
 @needs_native
 def test_a_command_that_never_searches_loads_nothing():
-    """With the library cached, ``order`` imports neither ``ctypes`` nor
+    """With the library cached, ``order`` loads neither the extension nor
     ``subprocess``: the import only looked the library up."""
     out, backend = _child(["order", "--generator", "random", "--nx", "4", "--ny", "4",
                            "--p", "0.5", "--seed", "7", "--universe", "x",

@@ -27,6 +27,9 @@ raises it.
 The README's library sketch, its ``python`` block, runs as written, so a
 retired name cannot linger in it.
 
+No ``ctypes``: the C walk of ``_native`` is an extension module, and no
+module imports ``ctypes``, at the top or inside a function.
+
 Replayable tests: no test file seeds a random generator from ``hash(...)``.
 Python salts str hashes per process, so such a seed draws other values on
 every run and a failure cannot be replayed.
@@ -233,6 +236,32 @@ def test_one_witness_failure_path():
     counts = {str(p.relative_to(PACKAGE)): p.read_text().count(REVALIDATION_FAILED)
               for p in sorted(PACKAGE.rglob("*.py"))}
     assert sum(counts.values()) == 1, {p: n for p, n in counts.items() if n}
+
+
+def _ctypes_imports(tree):
+    """Lines of the imports of ``ctypes`` or of a name from it."""
+    return sorted(n.lineno for n in ast.walk(tree)
+                  if (isinstance(n, ast.Import)
+                      and any(a.name.split(".")[0] == "ctypes" for a in n.names))
+                  or (isinstance(n, ast.ImportFrom)
+                      and (n.module or "").split(".")[0] == "ctypes"))
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")),
+                         ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_no_module_imports_ctypes(path):
+    lines = _ctypes_imports(ast.parse(path.read_text(), str(path)))
+    assert not lines, f"imports ctypes at lines {lines}"
+
+
+def test_ctypes_check_sees_an_import_a_from_import_and_a_nested_import():
+    tree = ast.parse(
+        "import ctypes\n"
+        "from ctypes import CDLL\n"
+        "def load():\n"
+        "    import ctypes.util\n"
+        "import ctypesx\n")
+    assert _ctypes_imports(tree) == [1, 2, 4]
 
 
 TESTS = Path(__file__).resolve().parent
