@@ -12,11 +12,11 @@ from . import _native
 
 
 def __getattr__(name):
-    # KERNEL_BACKEND names the search walk that runs: "native" when the C
-    # walk of ``_native`` is built (it is built at import when missing) and
-    # loads, else "pure"; the bit kernels of ``_kernels`` are pure Python.
+    # KERNEL_BACKEND names the walk the next search runs: "native" when the C
+    # walk of ``_native`` loads (reading this builds it if missing and loads
+    # it), else "pure"; the bit kernels of ``_kernels`` are pure Python.
     if name == "KERNEL_BACKEND":
-        return _native.BACKEND
+        return "native" if _native.load() else "pure"
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -38,7 +38,6 @@ from .errors import (
     LabelClash,
     NotAPartition,
     ParseError,
-    PreconditionViolated,
     SepdualError,
     SideMismatch,
 )
@@ -69,9 +68,6 @@ from .separations import (
 )
 from .shifts import (
     edges_to_side,
-    move_edge_over,
-    move_edge_to_middle,
-    normalize_edge_sep,
     sep_to_edges,
     shift_partition,
     shift_side,

@@ -21,26 +21,25 @@ the same seed replay and the same result order.
 The source also holds ``walk``, the function of the CPython extension
 ``MODULE`` that runs the walk: it reads the tuple of ``(a, b)`` int pairs
 and the seed tuples of bools in place and builds the result tuples in C, so
-a search is one call.  The extension is compiled once per source, Python
-cache tag and machine with the platform compiler (``sysconfig``'s ``CC``,
-else ``cc``), ``-O2 -shared -fPIC`` and the Python headers
-(``sysconfig``'s ``INCLUDEPY``) into ``$XDG_CACHE_HOME/sepdual`` or
-``~/.cache/sepdual``, a directory of mode 0700 that must belong to the user
-and be writable by no one else, or it is not used.  Its file name ends in
-the interpreter's extension suffix, so another Python's build is never
-loaded.  A build goes to a temporary file in that directory and is renamed
-into place only when the compiler succeeds, so a half-written build never
-has the build's name; a successful build deletes the other builds of the
-same suffix and their markers.  Importing this module settles ``BACKEND``:
-``"native"`` when the build is in the cache or is made now, else
-``"pure"``.  A build that fails, as it does without the Python headers,
-leaves the marker ``<build>.failed`` in the cache, and no later import tries
-that build again; deleting the marker retries it.  The build is loaded
-through ``importlib.machinery.ExtensionFileLoader`` only at the first
-search, so a process that never searches pays only for looking it up once
-it is made.  A build that fails to load sets ``BACKEND`` back to ``"pure"``
-and is deleted, so the next import builds it again; when this process built
-it, the marker is left as for a failed build.  Without a build, ``search``
+a search is one call.  ``load`` finds, builds and loads the extension at
+the first search, or at the first read of ``sepdual.KERNEL_BACKEND``, and
+keeps its answer for the rest of the process; importing this module touches
+no file.  The extension is compiled once per source, Python cache tag and
+machine with the platform compiler (``sysconfig``'s ``CC``, else ``cc``),
+``-O2 -shared -fPIC`` and the Python headers (``sysconfig``'s
+``INCLUDEPY``) into ``$XDG_CACHE_HOME/sepdual`` or ``~/.cache/sepdual``, a
+directory of mode 0700 that must belong to the user and be writable by no
+one else, or it is not used.  Its file name ends in the interpreter's
+extension suffix, so another Python's build is never loaded; builds of
+other sources stay in the cache for the checkouts they belong to.  A build
+goes to a temporary file in that directory and is renamed into place only
+when the compiler succeeds, so a half-written build never has the build's
+name.  A build that fails, as it does without the Python headers, leaves
+the marker ``<build>.failed`` in the cache, and no later process tries that
+build again; deleting the marker retries it.  The build is loaded through
+``importlib.machinery.ExtensionFileLoader``.  A build that fails to load is
+deleted, so the next process builds it again; when this process built it,
+the marker is left as for a failed build.  Without a walk, ``search``
 returns None and ``tangles._search`` runs the Python walk.
 """
 
@@ -550,7 +549,7 @@ def build(path: str) -> bool:
 
 
 def give_up(path: str) -> None:
-    """Write the marker ``path + ".failed"``, so no later import builds
+    """Write the marker ``path + ".failed"``, so no later process builds
     ``path`` again."""
     try:
         with open(path + ".failed", "x"):
@@ -559,73 +558,49 @@ def give_up(path: str) -> None:
         pass
 
 
-def prune(path: str) -> None:
-    """Delete the other builds of this interpreter's extension suffix beside
-    ``path``, and their markers; builds of other suffixes, which other
-    Pythons load, stay."""
-    directory, name = os.path.split(path)
-    ends = (EXTENSION_SUFFIXES[0], EXTENSION_SUFFIXES[0] + ".failed")
-    try:
-        stale = [f for f in os.listdir(directory)
-                 if f.startswith("walk-") and f.endswith(ends) and f != name]
-    except OSError:
-        return
-    for f in stale:
-        try:
-            os.unlink(os.path.join(directory, f))
-        except OSError:
-            pass
-
-
-def settle() -> tuple[str, str | None]:
-    """``("native", path)`` when the build is cached or made now, else
-    ``("pure", None)``; see the module docstring."""
-    global BUILT
-    directory, name = cache_dir(), library_name()
-    if directory is not None and name is not None:
-        path = os.path.join(directory, name)
-        if os.path.isfile(path):
-            return "native", path
-        if not os.path.exists(path + ".failed"):
-            if build(path):
-                BUILT = path
-                prune(path)
-                return "native", path
-            give_up(path)
-    return "pure", None
-
-
-BUILT = None  # the library this process built, if any
-BACKEND, PATH = settle()
-_walk = None
+_walk = False  # load()'s answer once it has run: walk, or None
 
 
 def load():
-    """``walk`` of the extension ``MODULE``, loading the build on first call;
-    None when there is no build or it fails to load, which sets ``BACKEND``
-    to ``"pure"``."""
-    global _walk, BACKEND, PATH
-    if _walk is None and PATH is not None:
-        from importlib.machinery import ExtensionFileLoader, ModuleSpec
-        from importlib.util import module_from_spec
-
-        loader = ExtensionFileLoader(MODULE, PATH)
-        try:
-            module = module_from_spec(ModuleSpec(MODULE, loader, origin=PATH))
-            loader.exec_module(module)
-        except (ImportError, OSError):
-            # the next import builds again, unless this process built the
-            # file: a fresh build that does not load would not load again
-            try:
-                os.unlink(PATH)
-            except OSError:
-                pass
-            if PATH == BUILT:
-                give_up(PATH)
-            BACKEND, PATH = "pure", None
+    """``walk`` of the extension ``MODULE``, or None when there is no build
+    and none can be made, or the build does not load; found, built if
+    missing and loaded on the first call, and the same answer for the rest
+    of the process.  See the module docstring."""
+    global _walk
+    if _walk is not False:
+        return _walk
+    _walk = None
+    directory, name = cache_dir(), library_name()
+    if directory is None or name is None:
+        return None
+    path = os.path.join(directory, name)
+    built = False
+    if not os.path.isfile(path):
+        if os.path.exists(path + ".failed"):
             return None
-        sys.modules[MODULE] = module
-        _walk = module.walk
+        if not build(path):
+            give_up(path)
+            return None
+        built = True
+    from importlib.machinery import ExtensionFileLoader, ModuleSpec
+    from importlib.util import module_from_spec
+
+    loader = ExtensionFileLoader(MODULE, path)
+    try:
+        module = module_from_spec(ModuleSpec(MODULE, loader, origin=path))
+        loader.exec_module(module)
+    except (ImportError, OSError):
+        # the next process builds again, unless this one built the file: a
+        # fresh build that does not load would not load again
+        try:
+            os.unlink(path)
+        except OSError:
+            pass
+        if built:
+            give_up(path)
+        return None
+    sys.modules[MODULE] = module
+    _walk = module.walk
     return _walk
 
 

@@ -36,9 +36,5 @@ class ParseError(SepdualError):
         self.line = line
 
 
-class PreconditionViolated(SepdualError):
-    """A local edge move was requested where its incidence condition fails."""
-
-
 class InversePairPresent(SepdualError):
     """An indexed separation list contains two mutually inverse separations."""

@@ -11,10 +11,6 @@ commute with inversion).  An edge's mask is a single bit, so the side-to-edge
 shift is (A, B) -> (E(A), E(B)); an edge whose endpoint lies in neither side
 ties and lands on both.  ``_PAIRS`` is the one table of masks, grounds and
 tie rules, by (source, dest); :func:`universe_map` binds an entry once.
-
-The local single-edge moves at the bottom rewrite an edge separation without
-changing (or while only enlarging) its side shift and without increasing its
-order; iterating them normalizes an edge separation towards ``(E(A), E(B))``.
 """
 
 from __future__ import annotations
@@ -24,7 +20,7 @@ from typing import Callable
 
 from . import _kernels
 from .bigraph import BipartiteGraph
-from .errors import NotAPartition, PreconditionViolated, SideMismatch
+from .errors import NotAPartition, SideMismatch
 from .separations import Sep
 
 _OTHER = {"x": "y", "y": "x", "bx": "by", "by": "bx"}
@@ -109,79 +105,3 @@ def universe_map(g: BipartiteGraph, source: str, dest: str) -> Callable[[Sep], S
         raise SideMismatch(f"no canonical map from {source!r} to {dest!r}")
     return partial(_shift, *pair(g))
 
-
-# -- local edge moves ------------------------------------------------------
-
-
-def _edge_index(g: BipartiteGraph, e) -> int:
-    if isinstance(e, int):
-        if not 0 <= e < g.n_edges:
-            raise SideMismatch(f"edge index {e} out of range")
-        return e
-    try:
-        return g.edges.index[e]
-    except KeyError:
-        raise SideMismatch(f"unknown edge {e!r}") from None
-
-
-def move_edge_over(g: BipartiteGraph, s: Sep, e) -> Sep:
-    """Move one edge fully into the first side: (C,D) -> (C∪{e}, D\\{e}).
-
-    Requires the X-endpoint of ``e`` to strictly prefer the first side
-    (strictly more incident edges in ``s.a`` than in ``s.b``); then the move
-    does not increase the edge order and leaves the side shift unchanged.
-    """
-    a, b = s
-    ei = _edge_index(g, e)
-    xi, _ = g.endpoints[ei]
-    inc = g.inc_x[xi]
-    if (inc & a).bit_count() <= (inc & b).bit_count():
-        raise PreconditionViolated(
-            "X-endpoint does not strictly prefer the first side"
-        )
-    return Sep(a | (1 << ei), b & ~(1 << ei))
-
-
-def move_edge_to_middle(g: BipartiteGraph, s: Sep, e) -> Sep:
-    """Add one edge to the first side: (C,D) -> (C∪{e}, D).
-
-    Requires the X-endpoint of ``e`` to weakly prefer the first side; the
-    move does not increase the edge order, and the side shift can only grow
-    in the separation order.
-    """
-    a, b = s
-    ei = _edge_index(g, e)
-    xi, _ = g.endpoints[ei]
-    inc = g.inc_x[xi]
-    if (inc & a).bit_count() < (inc & b).bit_count():
-        raise PreconditionViolated("X-endpoint does not weakly prefer the first side")
-    return Sep(a | (1 << ei), b)
-
-
-def normalize_edge_sep(g: BipartiteGraph, s: Sep) -> Sep:
-    """Rewrite an edge separation towards the shape (E(A), E(B)).
-
-    Greedy fixpoint of :func:`move_edge_over` and its mirror: afterwards
-    every edge whose X-endpoint strictly prefers one side lies strictly
-    inside that side.  The side shift is preserved and the order never
-    increases.  Terminates because each move strictly shrinks the number of
-    misplaced edges (the shift, hence the set of strict-preference
-    endpoints, never changes).
-    """
-    c_side, d_side = edges_to_side(g, s, "x")
-    strict_c = c_side & ~d_side
-    strict_d = d_side & ~c_side
-    a, b = s
-    changed = True
-    while changed:
-        changed = False
-        for ei, (xi, _) in enumerate(g.endpoints):
-            bit = 1 << ei
-            x_bit = 1 << xi
-            if strict_c & x_bit and b & bit:
-                a, b = a | bit, b & ~bit
-                changed = True
-            elif strict_d & x_bit and a & bit:
-                a, b = a & ~bit, b | bit
-                changed = True
-    return Sep(a, b)

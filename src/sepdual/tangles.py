@@ -33,8 +33,9 @@ test costs O(|chosen|) on masks.  ``check_tangle`` and ``check_profile``
 stay the reference the search is tested against.
 
 The same walk runs in C (``_native``) whenever the ground set has at most 64
-elements and the extension is built, which is every universe within the
-default ground caps; it returns the same results in the same order.  A
+elements and the extension loads, which is every universe within the
+default ground caps; it returns the same results in the same order.  The
+first search of a process finds the extension, building it if missing.  A
 search is one call of the extension's ``walk``, which reads
 ``system.members`` and the seeds in place and builds the result tuples
 itself, so the fixed cost of a search is about a microsecond (a whole
@@ -43,9 +44,10 @@ search of three members takes 1.3 us on a 2-vCPU x86-64 host with CPython
 tangle push writes only its own block of pair slots, not every element's
 whole slice, and its profile steps keep one counter per orientation of the
 system in place of ``picked`` and ``closes``, so an undo is a decrement.
-The Python walk, ``_walk``, runs when there is no build (``KERNEL_BACKEND``
-then reads ``"pure"``; building needs a compiler and the Python headers) or
-the ground set is larger, and the tests hold the C walk equal to it.
+The Python walk, ``_walk``, runs when there is no build (``KERNEL_BACKEND``,
+whose read settles the walk as a search does, then reads ``"pure"``;
+building needs a compiler and the Python headers) or the ground set is
+larger, and the tests hold the C walk equal to it.
 
 Kept state: all that is kept about one (graph, universe) is one
 ``_Universe`` at ``g._cache[name]``, and the systems kept through

@@ -13,13 +13,15 @@ Boundary: the extension function checks its arguments and raises on bad
 ones instead of crashing, keeps no memory and no reference per search, and
 leaves the reference counts of what it reads as they were.
 
-Loader: each test settles in a fresh cache directory under ``tmp_path``
-through ``_native.settle``, what importing the module runs.  A build that
+Loader: each test runs ``_native.load`` in a fresh cache directory under
+``tmp_path``, as a new process would at its first search.  A build that
 fails, by any compiler, leaves the package on the Python walk with the same
 outputs and is not tried again; a library that does not load is deleted; a
 library of another key, a half-written build and a cache directory that
 another user could write are never used; nothing is written outside the
-cache directory; a build deletes the other builds of its extension suffix.
+cache directory; builds of two sources share one cache, each built once.
+Importing the package touches no file, and a command that never searches
+neither builds nor loads the library.
 """
 
 import os
@@ -319,10 +321,18 @@ def test_a_search_leaves_reference_counts_as_they_were():
 
 @pytest.fixture
 def cache(tmp_path, monkeypatch):
-    """The cache directory of a fresh ``$XDG_CACHE_HOME`` under ``tmp_path``."""
+    """The cache directory of a fresh ``$XDG_CACHE_HOME`` under ``tmp_path``,
+    with ``_native.load`` not run yet, as in a new process; the session's
+    walk and extension module come back after the test."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
-    monkeypatch.setattr(_native, "BUILT", None)
+    _next_process(monkeypatch)
+    monkeypatch.delitem(sys.modules, _native.MODULE, raising=False)
     return tmp_path / "xdg" / "sepdual"
+
+
+def _next_process(monkeypatch):
+    """Forget ``_native.load``'s answer, as a new process starts without it."""
+    monkeypatch.setattr(_native, "_walk", False)
 
 
 def _script(tmp_path, body):
@@ -349,26 +359,31 @@ def _outputs():
             for universe in ("x", "e") for kind in KINDS]
 
 
-def _settled(monkeypatch, backend, path):
-    """The package as if importing it had settled ``(backend, path)``."""
-    monkeypatch.setattr(_native, "BACKEND", backend)
-    monkeypatch.setattr(_native, "PATH", path)
-    monkeypatch.setattr(_native, "_walk", None)
+@pytest.fixture(scope="module")
+def expected():
+    """``_outputs()`` on the walk the session loaded, the C walk wherever
+    ``needs_native`` lets a test run; made before ``cache`` resets it."""
+    return _outputs()
+
+
+def _loaded_from():
+    """The file the extension module was loaded from."""
+    return Path(sys.modules[_native.MODULE].__spec__.origin)
 
 
 @needs_native
-def test_a_build_goes_to_the_cache_and_nowhere_else(cache, monkeypatch):
+def test_a_build_goes_to_the_cache_and_nowhere_else(cache, expected, monkeypatch):
     before = _tree(ROOT)
-    backend, path = _native.settle()
-    assert (backend, Path(path)) == ("native", cache / _native.library_name())
+    walk = _native.load()
+    assert walk is not None and _loaded_from() == cache / _native.library_name()
     assert os.listdir(cache) == [_native.library_name()]  # no temporary file left
     assert stat.S_IMODE(os.stat(cache).st_mode) == 0o700
     assert _tree(ROOT) == before
     monkeypatch.setattr(_native, "build", lambda path: pytest.fail("built twice"))
-    assert _native.settle() == (backend, path)
-    expected = _outputs()
-    _settled(monkeypatch, backend, path)
-    assert _outputs() == expected and _native.load() is not None
+    assert _native.load() is walk
+    assert _outputs() == expected
+    _next_process(monkeypatch)
+    assert _native.load() is not None and _outputs() == expected
 
 
 FAILING = {
@@ -381,69 +396,62 @@ FAILING = {
 
 @needs_native
 @pytest.mark.parametrize("failure", sorted(FAILING))
-def test_a_failed_build_leaves_the_python_walk(failure, cache, tmp_path, monkeypatch):
+def test_a_failed_build_leaves_the_python_walk(failure, cache, expected, tmp_path, monkeypatch):
     """A compiler that is missing, exits 1, or dies after writing part of the
-    library: no library is cached, only the marker of the failed build, the
-    package reads ``KERNEL_BACKEND == "pure"``, every output is the same,
-    and settling again does not build again."""
+    library: the first search tries the build and runs the Python walk with
+    the same outputs, no library is cached, only the marker of the failed
+    build, the package reads ``KERNEL_BACKEND == "pure"``, and the next
+    process does not build again."""
     cc = ([str(tmp_path / "no-such-cc")] if FAILING[failure] is None
           else _script(tmp_path, FAILING[failure]))
     monkeypatch.setattr(_native, "compiler", lambda: cc)
-    expected = _outputs()
-    assert _native.settle() == ("pure", None)
-    assert os.listdir(cache) == [_native.library_name() + ".failed"]
-    monkeypatch.setattr(_native, "compiler", lambda: pytest.fail("built twice"))
-    assert _native.settle() == ("pure", None)
-    _settled(monkeypatch, "pure", None)
-    assert sepdual.KERNEL_BACKEND == "pure"
-    assert _native.load() is None
     assert _outputs() == expected
+    assert os.listdir(cache) == [_native.library_name() + ".failed"]
+    assert sepdual.KERNEL_BACKEND == "pure" and _native.load() is None
+    monkeypatch.setattr(_native, "compiler", lambda: pytest.fail("built twice"))
+    _next_process(monkeypatch)
+    assert _native.load() is None
 
 
 @needs_native
-def test_a_library_that_does_not_load_leaves_the_python_walk(cache, tmp_path, monkeypatch):
+def test_a_library_that_does_not_load_leaves_the_python_walk(cache, expected, tmp_path,
+                                                             monkeypatch):
     """A compiler that exits 0 with no library in its output: the first
-    search cannot load it, sets ``KERNEL_BACKEND`` to ``"pure"`` and runs the
-    Python walk.  The file is deleted, and as this process built it, the
-    next import does not build it again."""
+    search builds the file, cannot load it and runs the Python walk, and
+    ``KERNEL_BACKEND`` reads ``"pure"``.  The file is deleted, and as this
+    process built it, the next process does not build it again."""
     monkeypatch.setattr(_native, "compiler",
                         lambda: _script(tmp_path, "open(out, 'w').write('no library')"))
-    expected = _outputs()
-    backend, path = _native.settle()
-    assert backend == "native"
-    _settled(monkeypatch, backend, path)
     assert _outputs() == expected
     assert sepdual.KERNEL_BACKEND == "pure" and _native.load() is None
     assert os.listdir(cache) == [_native.library_name() + ".failed"]
     monkeypatch.setattr(_native, "compiler", lambda: pytest.fail("built twice"))
-    assert _native.settle() == ("pure", None)
+    _next_process(monkeypatch)
+    assert _native.load() is None
 
 
 @needs_native
-def test_a_cached_library_that_does_not_load_is_built_again(cache, monkeypatch):
+def test_a_cached_library_that_does_not_load_is_built_again(cache, expected, monkeypatch):
     """A file in the cache under the library's name that does not load, not
     built by this process: the first search deletes it and runs the Python
-    walk, and the next import builds the library again."""
+    walk, and the next process builds the library again."""
     cache.mkdir(parents=True, mode=0o700)
     os.chmod(cache, 0o700)
     path = cache / _native.library_name()
     path.write_text("no library")
-    expected = _outputs()
-    assert _native.settle() == ("native", str(path))
-    _settled(monkeypatch, "native", str(path))
     assert _outputs() == expected
     assert sepdual.KERNEL_BACKEND == "pure" and os.listdir(cache) == []
-    backend, built = _native.settle()
-    assert (backend, built) == ("native", str(path))
-    _settled(monkeypatch, backend, built)
-    assert _native.load() is not None and _outputs() == expected
+    _next_process(monkeypatch)
+    assert _native.load() is not None and _loaded_from() == path
+    assert _outputs() == expected
 
 
 @needs_native
 def test_a_library_of_another_key_is_never_loaded(cache, tmp_path, monkeypatch):
     """Files of other names in the cache, one of them the name of another
     source, are not taken for the library: with no compiler nothing is
-    found, and with one the library is built under its own name."""
+    found, and with one the library is built under its own name.  The other
+    files stay."""
     name = _native.library_name()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_native, "SOURCE", _native.SOURCE + "\n")
@@ -451,32 +459,35 @@ def test_a_library_of_another_key_is_never_loaded(cache, tmp_path, monkeypatch):
     assert other != name
     cache.mkdir(parents=True, mode=0o700)
     os.chmod(cache, 0o700)
-    for planted in (other, "walk-0.so", ".build-1.so", name + ".tmp"):
-        (cache / planted).write_text("not a library")
+    planted = [other, "walk-0.so", ".build-1.so", name + ".tmp"]
+    for f in planted:
+        (cache / f).write_text("not a library")
     with monkeypatch.context() as mp:
         mp.setattr(_native, "compiler", lambda: [str(tmp_path / "no-such-cc")])
-        assert _native.settle() == ("pure", None)
+        assert _native.load() is None
     (cache / (name + ".failed")).unlink()
-    backend, path = _native.settle()
-    assert (backend, Path(path)) == ("native", cache / name)
-    _settled(monkeypatch, backend, path)
-    assert _native.load() is not None
+    _next_process(monkeypatch)
+    assert _native.load() is not None and _loaded_from() == cache / name
+    assert sorted(os.listdir(cache)) == sorted(planted + [name])
 
 
 @needs_native
-def test_a_build_deletes_the_other_builds_of_its_suffix(cache):
-    """A stale build of this interpreter's suffix and its marker go; the
-    build of another suffix, another Python's, stays."""
-    name, ext = _native.library_name(), _native.EXTENSION_SUFFIXES[0]
-    cache.mkdir(parents=True, mode=0o700)
-    os.chmod(cache, 0o700)
-    stale = "walk-0000000000" + ext
-    other = "walk-0000000000.cpython-0-other.so"
-    for planted in (stale, stale + ".failed", other):
-        (cache / planted).write_text("not a library")
-    assert other != name and not other.endswith(ext)
-    assert _native.settle() == ("native", str(cache / name))
-    assert sorted(os.listdir(cache)) == sorted([name, other])
+def test_builds_of_two_sources_share_one_cache(cache, monkeypatch):
+    """Two checkouts whose sources differ, starting processes in turn on one
+    cache: each source is built once, then neither is built again, and both
+    builds stay."""
+    sources = (_native.SOURCE, _native.SOURCE + "\n")
+    built, build = [], _native.build
+    monkeypatch.setattr(_native, "build", lambda path: built.append(path) or build(path))
+    paths = []
+    for source in sources * 3:
+        monkeypatch.setattr(_native, "SOURCE", source)
+        _next_process(monkeypatch)
+        assert _native.load() is not None
+        paths.append(str(cache / _native.library_name()))
+        assert _loaded_from() == Path(paths[-1])
+    assert paths[0] != paths[1] and built == paths[:2]
+    assert sorted(os.listdir(cache)) == sorted(os.path.basename(p) for p in paths[:2])
 
 
 UNSAFE = {
@@ -500,7 +511,7 @@ def test_an_unsafe_cache_directory_is_not_used(unsafe, cache, tmp_path, monkeypa
         uid = os.getuid()
         monkeypatch.setattr(os, "getuid", lambda: uid + 1)
     assert _native.cache_dir() is None
-    assert _native.settle() == ("pure", None)
+    assert _native.load() is None
     assert os.listdir(cache) == []
 
 
@@ -515,6 +526,9 @@ def test_a_relative_xdg_cache_home_is_ignored(tmp_path, monkeypatch):
     assert os.listdir(tmp_path / "cwd") == []
 
 
+#: runs the CLI, then prints which of the extension and ``subprocess`` (which
+#: a build imports) the command loaded, then ``KERNEL_BACKEND``, whose read
+#: loads the walk itself
 CHILD = """
 import sys, sysconfig
 get, cc = sysconfig.get_config_var, {cc!r}
@@ -523,18 +537,22 @@ if cc is not None:
 import sepdual
 from sepdual.cli import main
 code = main(sys.argv[1:])
-print(sepdual.KERNEL_BACKEND, sorted(m for m in ({module!r}, "subprocess") if m in sys.modules),
-      file=sys.stderr)
+loaded = sorted(m for m in ({module!r}, "subprocess") if m in sys.modules)
+print(sepdual.KERNEL_BACKEND, loaded, file=sys.stderr)
 sys.exit(code)
 """
 
 
-def _child(argv, cc=None, cache=None):
+def _env(cache=None):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     if cache is not None:
         env["XDG_CACHE_HOME"] = str(cache)
+    return env
+
+
+def _child(argv, cc=None, cache=None):
     child = CHILD.format(cc=cc, module=_native.MODULE)
-    done = subprocess.run([sys.executable, "-c", child, *argv], env=env,
+    done = subprocess.run([sys.executable, "-c", child, *argv], env=_env(cache),
                           capture_output=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout, done.stderr.decode().strip()
@@ -542,10 +560,10 @@ def _child(argv, cc=None, cache=None):
 
 @needs_native
 def test_importing_with_a_failing_compiler_runs_the_python_walk(tmp_path):
-    """The whole path: a process whose import finds no library and cannot
-    build one searches on the Python walk and prints the same bytes.  Only
-    the first such import tries the build: later ones find its marker and
-    do not import ``subprocess``."""
+    """The whole path: a process that finds no library and cannot build one
+    searches on the Python walk and prints the same bytes.  Only the first
+    such process tries the build: later ones find its marker and do not
+    import ``subprocess``."""
     argv = ["tangles", "--generator", "planted", "--blocks", "2x2,3x2", "--seed", "7",
             "--universe", "e", "--k2", "4", "--kind"]
     tried = "['subprocess']"
@@ -560,11 +578,32 @@ def test_importing_with_a_failing_compiler_runs_the_python_walk(tmp_path):
         tried = "[]"
 
 
+ORDER = ["order", "--generator", "random", "--nx", "4", "--ny", "4", "--p", "0.5",
+         "--seed", "7", "--universe", "x", "--a", "x1,x2", "--b", "x3,x4"]
+
+
 @needs_native
 def test_a_command_that_never_searches_loads_nothing():
     """With the library cached, ``order`` loads neither the extension nor
-    ``subprocess``: the import only looked the library up."""
-    out, backend = _child(["order", "--generator", "random", "--nx", "4", "--ny", "4",
-                           "--p", "0.5", "--seed", "7", "--universe", "x",
-                           "--a", "x1,x2", "--b", "x3,x4"])
+    ``subprocess``."""
+    out, backend = _child(ORDER)
     assert backend == "native []"
+
+
+@needs_native
+def test_a_command_that_never_searches_builds_nothing(tmp_path):
+    """On a cold cache, ``order`` neither builds the library, which would
+    import ``subprocess``, nor loads it; the read of ``KERNEL_BACKEND``
+    after it builds it."""
+    out, backend = _child(ORDER, cache=tmp_path / "xdg")
+    assert backend == "native []"
+
+
+def test_importing_the_package_touches_no_cache(tmp_path):
+    """``import sepdual`` with a fresh ``$XDG_CACHE_HOME`` makes nothing
+    there: the walk is looked up only when a search or ``KERNEL_BACKEND``
+    needs it."""
+    done = subprocess.run([sys.executable, "-c", "import sepdual"],
+                          env=_env(tmp_path / "xdg"), capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert not (tmp_path / "xdg").exists()

@@ -28,18 +28,20 @@ from test_tangles import (  # noqa: F401 - collected again in this module
     test_tangles_are_regular_profiles,
 )
 
+import sepdual
 from sepdual import GroundSet, LowOrderSystem, _native, tangles
 
 pytestmark = pytest.mark.usefixtures("python_walk")
 
 
 def test_the_python_walk_is_forced(monkeypatch):
-    """No search of this module reaches the C walk."""
+    """No search of this module reaches the C walk, and ``KERNEL_BACKEND``
+    says so."""
     walked = []
     walk = tangles._walk
     monkeypatch.setattr(tangles, "_walk", lambda *args: walked.append(args) or walk(*args))
     system = LowOrderSystem.from_members("x", GroundSet(range(2)), [(1, 3)])
-    assert _native.load() is None
+    assert _native.load() is None and sepdual.KERNEL_BACKEND == "pure"
     assert _native.search(system.members, 2, "tangle", 0, ((),)) is None
     assert tangles._search(system, "tangle", 0, ((),)) == ((True,),)
     assert len(walked) == 1

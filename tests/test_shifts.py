@@ -1,4 +1,4 @@
-"""Shift maps, their order lemmas, and the local edge moves."""
+"""Shift maps and their order lemmas."""
 
 import itertools
 
@@ -8,16 +8,12 @@ from oracles import (edges_to_side_oracle, enumerate_seps, sep_sets,
                      shift_side_oracle)
 from sepdual import (
     NotAPartition,
-    PreconditionViolated,
     Sep,
     SideMismatch,
     edges_to_side,
     from_edges,
     inverse,
     leq,
-    move_edge_over,
-    move_edge_to_middle,
-    normalize_edge_sep,
     order_of,
     sep_to_edges,
     shift_partition,
@@ -256,73 +252,6 @@ def test_universe_map_push_forward(m2, k22):
     assert universe_map(k22, "x", "y")(s) == Sep(0b11, 0b11)
 
 
-def test_move_edge_over_tie_precondition(m2):
-    e = m2.edges
-    e1 = e.mask([("x1", "y1")])
-    s = Sep(e1, e.full)
-    # x1 ties (1 vs 1), so the strict-preference precondition fails
-    with pytest.raises(PreconditionViolated):
-        move_edge_over(m2, s, ("x1", "y1"))
-
-
-@pytest.mark.parametrize("edge, named", [(2, "edge index 2 out of range"),
-                                         (("x1", "y2"), "unknown edge")],
-                         ids=["index", "label"])
-def test_move_edge_over_refuses_an_unknown_edge(m2, edge, named):
-    s = Sep(m2.edges.full, 0)
-    with pytest.raises(SideMismatch, match=named):
-        move_edge_over(m2, s, edge)
-
-
-def test_move_edge_over_empty_first_side():
-    g = from_edges([("x1", "y1"), ("x2", "y1")])
-    s = Sep(0, g.edges.full)
-    for e in g.edges.labels:
-        with pytest.raises(PreconditionViolated):
-            move_edge_over(g, s, e)
-
-
-def test_move_edge_over_noop_when_already_there(k22):
-    e = k22.edges
-    c = e.mask([("x1", "y1"), ("x1", "y2")])
-    d = e.full ^ c
-    s = Sep(c, d)
-    assert move_edge_over(k22, s, ("x1", "y2")) == s
-
-
-def test_move_edge_over_properties(k22, path3):
-    for g in (k22, path3):
-        for s in enumerate_seps(g.edges):
-            shifted = edges_to_side(g, s, "x")
-            strict = shifted.a & ~shifted.b
-            for ei, (xi, _) in enumerate(g.endpoints):
-                if strict >> xi & 1:
-                    out = move_edge_over(g, s, ei)
-                    assert order_of(g, "e", out) <= order_of(g, "e", s)
-                    assert edges_to_side(g, out, "x") == shifted
-
-
-def test_move_edge_to_middle(m2):
-    e = m2.edges
-    s = Sep(e.mask([("x1", "y1")]), e.mask([("x2", "y2")]))
-    # x2 strictly prefers the second side
-    with pytest.raises(PreconditionViolated):
-        move_edge_to_middle(m2, s, ("x2", "y2"))
-    t = Sep(e.mask([("x1", "y1")]), e.full)
-    assert move_edge_to_middle(m2, t, ("x1", "y1")) == t
-
-
-def test_move_edge_to_middle_properties(k22, path3):
-    for g in (k22, path3):
-        for s in enumerate_seps(g.edges):
-            shifted = edges_to_side(g, s, "x")
-            for ei, (xi, _) in enumerate(g.endpoints):
-                if shifted.a >> xi & 1:
-                    out = move_edge_to_middle(g, s, ei)
-                    assert order_of(g, "e", out) <= order_of(g, "e", s)
-                    assert leq(shifted, edges_to_side(g, out, "x"))
-
-
 def test_shift_properties_random():
     import random
 
@@ -347,27 +276,3 @@ def test_shift_properties_random():
         assert order_of(g, "y", shifted) <= order_of(g, "x", s)
 
     prop()
-
-
-def test_normalize_fixpoint_on_induced(k22, path3):
-    for g in (k22, path3):
-        for s in enumerate_seps(g.x):
-            induced = sep_to_edges(g, s, "x")
-            assert normalize_edge_sep(g, induced) == induced
-
-
-def test_normalize_properties(m2, k22, path3):
-    for g in (m2, k22, path3):
-        for s in enumerate_seps(g.edges):
-            out = normalize_edge_sep(g, s)
-            assert edges_to_side(g, out, "x") == edges_to_side(g, s, "x")
-            assert order_of(g, "e", out) <= order_of(g, "e", s)
-            shifted = edges_to_side(g, s, "x")
-            strict_c = shifted.a & ~shifted.b
-            strict_d = shifted.b & ~shifted.a
-            for ei, (xi, _) in enumerate(g.endpoints):
-                bit = 1 << ei
-                if strict_c >> xi & 1:
-                    assert out.a & bit and not out.b & bit
-                if strict_d >> xi & 1:
-                    assert out.b & bit and not out.a & bit
