@@ -6,12 +6,17 @@ evaluation, majority shifts, the separation scan over a small ground set,
 and the count of that scan's members by order.  ``masks`` is always a
 sequence of bitmasks over the same ground as the separation sides ``a`` and
 ``b`` (neighbourhoods for side orders, incident-edge sets for edge orders).
-They are pure Python and have no second backend, so they live in this one
-flat module.  The rest of the package looks them up here, and only
-``tangles`` calls the scan and the count.
+The scan is also compiled: ``scan_members`` runs the C scan of the
+extension ``_native`` loads whenever it loads and the keys fit in 63 bits,
+and its Python body otherwise; ``sepdual.KERNEL_BACKEND`` names the backend
+of the scan and the search walk alike.  The other three are pure Python.
+They live in this one flat module, the rest of the package looks them up
+here, and only ``tangles`` calls the scan and the count.
 """
 
 from __future__ import annotations
+
+from . import _native
 
 
 def order2(masks, a: int, b: int, total: int) -> int:
@@ -85,7 +90,15 @@ def scan_members(masks, n: int, partitions_only: bool = False, below=None):
     steps per ``k & (U_i << n | U_i)``, and a node whose restriction to U_i
     was met before costs one dictionary lookup.  On an edge universe every
     element lies in two masks, U_i is small and nearly every node hits.
+
+    The C scan of ``_native`` lists the same keys whenever the extension
+    loads and every key fits in 63 bits, ``(sum of |m| + 1) << 2n <= 2**63``;
+    it counts each node's steps afresh, with no step cache, and sorts in C.
+    Otherwise the Python body below runs, the fallback and the reference.
     """
+    keys = _native.scan(masks, n, partitions_only, below)
+    if keys is not None:
+        return keys
     through = [[m for m in masks if m >> i & 1] for i in range(n)]
     full = (1 << n) - 1
     s2 = 2 * n

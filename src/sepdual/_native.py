@@ -1,4 +1,5 @@
-"""The search walk of ``tangles._search`` in C, built on first need.
+"""The search walk of ``tangles._search`` and the scan of
+``_kernels.scan_members`` in C, built on first need.
 
 ``SOURCE`` holds the C source of one walk for both kinds: the same
 explicit-stack depth-first search as the Python walk in ``tangles``, with
@@ -18,13 +19,23 @@ the same seed replay and the same result order.
   of the ids it finds and keeps them on a stack; undo decrements exactly
   those.
 
-The source also holds ``walk``, the function of the CPython extension
-``MODULE`` that runs the walk: it reads the tuple of ``(a, b)`` int pairs
-and the seed tuples of bools in place and builds the result tuples in C, so
-a search is one call.  ``load`` finds, builds and loads the extension at
-the first search, or at the first read of ``sepdual.KERNEL_BACKEND``, and
-keeps its answer for the rest of the process; importing this module touches
-no file.  The extension is compiled once per source, Python cache tag and
+It also holds the scan: the same levels, chains and ``below`` filter as
+the Python body of ``scan_members``, with each node's two steps counted
+afresh by popcounts over the masks through the level's element (no step
+cache), and the keys sorted in C, by insertion below 64 keys and else by an
+LSD radix sort on 11-bit digits.  It runs only when every key fits in 63
+bits, ``(sum of |m| + 1) << 2n <= 2**63``; ``scan`` returns None otherwise
+and the Python body lists the keys.
+
+The two functions of the CPython extension ``MODULE`` run them: ``walk``
+reads the tuple of ``(a, b)`` int pairs and the seed tuples of bools in
+place and builds the result tuples in C, so a search is one call, and
+``scan`` reads the tuple of masks in place and returns the list of keys.
+``load`` finds, builds and loads the extension at the first scan or search,
+or at the first read of ``sepdual.KERNEL_BACKEND``, and keeps the module
+for the rest of the process; importing this module touches no file, and the
+commands that neither scan nor search (``ingest``, ``order``, ``shift``)
+never call it.  The extension is compiled once per source, Python cache tag and
 machine with the platform compiler (``sysconfig``'s ``CC``, else ``cc``),
 ``-O2 -shared -fPIC`` and the Python headers (``sysconfig``'s
 ``INCLUDEPY``) into ``$XDG_CACHE_HOME/sepdual`` or ``~/.cache/sepdual``, a
@@ -39,8 +50,9 @@ the marker ``<build>.failed`` in the cache, and no later process tries that
 build again; deleting the marker retries it.  The build is loaded through
 ``importlib.machinery.ExtensionFileLoader``.  A build that fails to load is
 deleted, so the next process builds it again; when this process built it,
-the marker is left as for a failed build.  Without a walk, ``search``
-returns None and ``tangles._search`` runs the Python walk.
+the marker is left as for a failed build.  Without the extension,
+``search`` and ``scan`` return None, and ``tangles._search`` runs the
+Python walk and ``scan_members`` its Python body.
 """
 
 from __future__ import annotations
@@ -450,9 +462,216 @@ done:
     return result;
 }
 
+static int popcount(u64 x)
+{
+    x -= x >> 1 & 0x5555555555555555ULL;
+    x = (x & 0x3333333333333333ULL) + (x >> 2 & 0x3333333333333333ULL);
+    x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
+    return (int)(x * 0x0101010101010101ULL >> 56);
+}
+
+/* Sort the count keys at *keys, each below 2^bits: by insertion below 64
+   keys, else by an LSD radix sort on 11-bit digits through a second buffer,
+   which *keys may come back as, the other one freed.  Returns 0, or -1 with
+   *keys as it was when that buffer cannot be allocated. */
+static int sort_keys(u64 **keys, size_t count, int bits)
+{
+    u64 *src = *keys, *dst, *t;
+    size_t at[2048], i, j;
+    int shift;
+    if (count < 64) {
+        for (i = 1; i < count; i++) {
+            u64 k = src[i];
+            for (j = i; j && src[j - 1] > k; j--)
+                src[j] = src[j - 1];
+            src[j] = k;
+        }
+        return 0;
+    }
+    dst = malloc(count * sizeof(u64));
+    if (!dst)
+        return -1;
+    for (shift = 0; shift < bits; shift += 11) {
+        size_t sum = 0;
+        memset(at, 0, sizeof at);
+        for (i = 0; i < count; i++)
+            at[src[i] >> shift & 2047]++;
+        if (at[src[0] >> shift & 2047] == count)
+            continue; /* one digit throughout: the pass would move nothing */
+        for (i = 0; i < 2048; i++) {
+            size_t c = at[i];
+            at[i] = sum;
+            sum += c;
+        }
+        for (i = 0; i < count; i++)
+            dst[at[src[i] >> shift & 2047]++] = src[i];
+        t = src;
+        src = dst;
+        dst = t;
+    }
+    free(dst);
+    *keys = src;
+    return 0;
+}
+
+/* The keys order2 << 2n | a << n | b that _kernels.scan_members lists for
+   the nmasks masks over an n-set, n <= 31, by the same levels and chains:
+   partitions only with partitions_only, and only the separations of doubled
+   order below `below` when bounded.  Each node's two steps are counted
+   afresh from the masks through the level's element.  The caller makes
+   sure every key is below 2^63.  The sorted keys are *count words at *out,
+   to be freed with free.  Returns 0, or -1 with nothing at *out when an
+   allocation fails. */
+static int sepdual_scan(const u64 *masks, size_t nmasks, int n, int partitions_only,
+                        int bounded, u64 below, u64 **out, size_t *count)
+{
+    const int s2 = 2 * n;
+    const size_t stride = partitions_only ? 2 : 3;
+    const u64 full = ((u64)1 << n) - 1, bound = below << s2;
+    u64 *level = NULL, *ms = malloc((nmasks + 1) * sizeof(u64)), chain = 0, top = 0;
+    size_t len = 0, cap = 0, j, q;
+    int i, bits = 0;
+    if (!ms)
+        goto fail;
+    for (i = n - 1; i >= 0; i--) {
+        const u64 bit = (u64)1 << i, abit = bit << n, high = full ^ ((bit << 1) - 1);
+        size_t nms = 0;
+        u64 both;
+        for (j = 0; j < nmasks; j++)
+            if (masks[j] >> i & 1)
+                ms[nms++] = masks[j];
+        both = (u64)nms << s2 | abit | bit;
+        if (grow(&level, &cap, stride * len + 1, sizeof(u64)))
+            goto fail;
+        /* from the last node down, so node j's children, at stride * j on,
+           overwrite only nodes already read */
+        for (j = len; j-- > 0;) {
+            u64 k = level[j], a = k >> n & full, b = k & full, da = 0, db = 0;
+            u64 *to = level + stride * j;
+            for (q = 0; q < nms; q++) {
+                int ca = popcount(ms[q] & a), cb = popcount(ms[q] & b);
+                da += ca < cb;
+                db += cb < ca;
+            }
+            if (!partitions_only)
+                *to++ = k + both;
+            to[0] = k + (2 * da << s2 | abit);
+            to[1] = k + (2 * db << s2 | bit);
+        }
+        len *= stride;
+        if (bounded) {
+            size_t kept = 0;
+            for (j = 0; j < len; j++)
+                if (level[j] < bound)
+                    level[kept++] = level[j];
+            len = kept;
+        }
+        if ((!partitions_only || i == n - 1) && (!bounded || chain < below))
+            level[len++] = chain << s2 | high << n | high | bit;
+        chain += nms;
+    }
+    for (j = 0; j < len; j++)
+        if (level[j] > top)
+            top = level[j];
+    while (bits < 64 && top >> bits)
+        bits++;
+    if (len && sort_keys(&level, len, bits))
+        goto fail;
+    free(ms);
+    *out = level;
+    *count = len;
+    return 0;
+fail:
+    free(ms);
+    free(level);
+    *out = NULL;
+    *count = 0;
+    return -1;
+}
+
+/* scan(masks, n, partitions_only, below): sepdual_scan on the tuple masks
+   of ints, read in place, below None for no bound, as a list of int keys;
+   None when a key could need more than 63 bits, (sum |m| + 1) << 2n > 2^63,
+   for the Python scan to list. */
+static PyObject *py_scan(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    PyObject *masks, *result = NULL;
+    Py_ssize_t nmasks, i;
+    long n;
+    long long below = 0;
+    int partitions_only, bounded, overflow = 0, rc;
+    u64 *m = NULL, *keys = NULL, total = 0;
+    size_t count = 0;
+    if (nargs != 4) {
+        PyErr_SetString(PyExc_TypeError, "scan() takes exactly 4 arguments");
+        return NULL;
+    }
+    masks = args[0];
+    if (!PyTuple_Check(masks)) {
+        PyErr_SetString(PyExc_TypeError, "masks must be a tuple of ints");
+        return NULL;
+    }
+    if ((n = PyLong_AsLong(args[1])) == -1 && PyErr_Occurred())
+        return NULL;
+    if (n < 0) {
+        PyErr_SetString(PyExc_ValueError, "n must not be negative");
+        return NULL;
+    }
+    if ((partitions_only = PyObject_IsTrue(args[2])) < 0)
+        return NULL;
+    bounded = args[3] != Py_None;
+    if (bounded && (below = PyLong_AsLongLongAndOverflow(args[3], &overflow)) == -1
+        && PyErr_Occurred())
+        return NULL;
+    nmasks = PyTuple_GET_SIZE(masks);
+    m = PyMem_New(u64, nmasks + 1);
+    if (!m)
+        return PyErr_NoMemory();
+    for (i = 0; i < nmasks; i++) {
+        m[i] = PyLong_AsUnsignedLongLong(PyTuple_GET_ITEM(masks, i));
+        if (m[i] == (u64)-1 && PyErr_Occurred())
+            goto done;
+        total += (u64)popcount(m[i]);
+    }
+    if (n > 31 || total + 1 > (u64)1 << (63 - 2 * n)) {
+        result = Py_None;
+        Py_INCREF(result);
+        goto done;
+    }
+    /* no listed order exceeds total, so a larger bound drops nothing, and
+       a negative one drops everything, as 0 does */
+    if (overflow > 0 || (bounded && below > (long long)total))
+        bounded = 0;
+    else if (overflow < 0 || below < 0)
+        below = 0;
+    Py_BEGIN_ALLOW_THREADS
+    rc = sepdual_scan(m, (size_t)nmasks, (int)n, partitions_only, bounded, (u64)below,
+                      &keys, &count);
+    Py_END_ALLOW_THREADS
+    if (rc) {
+        PyErr_SetString(PyExc_MemoryError, "the native scan could not allocate its levels");
+        goto done;
+    }
+    result = PyList_New((Py_ssize_t)count);
+    for (i = 0; result && i < (Py_ssize_t)count; i++) {
+        PyObject *key = PyLong_FromUnsignedLongLong(keys[i]);
+        if (!key) {
+            Py_CLEAR(result);
+            break;
+        }
+        PyList_SET_ITEM(result, i, key);
+    }
+done:
+    PyMem_Free(m);
+    free(keys);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"walk", (PyCFunction)(void (*)(void))py_walk, METH_FASTCALL,
      "walk(members, width, kind, m, seeds): the results of the search."},
+    {"scan", (PyCFunction)(void (*)(void))py_scan, METH_FASTCALL,
+     "scan(masks, n, partitions_only, below): the sorted keys of the scan."},
     {NULL, NULL, 0, NULL}
 };
 
@@ -558,18 +777,18 @@ def give_up(path: str) -> None:
         pass
 
 
-_walk = False  # load()'s answer once it has run: walk, or None
+_module = False  # load()'s answer once it has run: the extension, or None
 
 
 def load():
-    """``walk`` of the extension ``MODULE``, or None when there is no build
-    and none can be made, or the build does not load; found, built if
-    missing and loaded on the first call, and the same answer for the rest
-    of the process.  See the module docstring."""
-    global _walk
-    if _walk is not False:
-        return _walk
-    _walk = None
+    """The extension ``MODULE``, or None when there is no build and none can
+    be made, or the build does not load; found, built if missing and loaded
+    on the first call, and the same answer for the rest of the process.  See
+    the module docstring."""
+    global _module
+    if _module is not False:
+        return _module
+    _module = None
     directory, name = cache_dir(), library_name()
     if directory is None or name is None:
         return None
@@ -600,8 +819,8 @@ def load():
             give_up(path)
         return None
     sys.modules[MODULE] = module
-    _walk = module.walk
-    return _walk
+    _module = module
+    return module
 
 
 def search(members, width: int, kind: str, m: int,
@@ -610,7 +829,18 @@ def search(members, width: int, kind: str, m: int,
     ``(a, b)`` int pairs over ``width`` <= 64 elements, by the C walk; None
     when there is no build to run it.  A seed whose length is not m raises
     ``ValueError``, and an allocation failure in the walk ``MemoryError``."""
-    walk = load()
-    if walk is None:
+    module = load()
+    if module is None:
         return None
-    return walk(members, width, KINDS[kind], m, seeds)
+    return module.walk(members, width, KINDS[kind], m, seeds)
+
+
+def scan(masks, n: int, partitions_only, below) -> list[int] | None:
+    """What ``_kernels.scan_members`` returns for these arguments, by the C
+    scan; None when there is no build to run it or a key could need more
+    than 63 bits, ``(sum of |m| + 1) << 2n > 2**63``.  An allocation failure
+    in the scan raises ``MemoryError``."""
+    module = load()
+    if module is None:
+        return None
+    return module.scan(tuple(masks), n, partitions_only, below)

@@ -35,7 +35,8 @@ stay the reference the search is tested against.
 The same walk runs in C (``_native``) whenever the ground set has at most 64
 elements and the extension loads, which is every universe within the
 default ground caps; it returns the same results in the same order.  The
-first search of a process finds the extension, building it if missing.  A
+first scan or search of a process finds the extension, building it if
+missing; the extension also runs the scan of ``_kernels.scan_members``.  A
 search is one call of the extension's ``walk``, which reads
 ``system.members`` and the seeds in place and builds the result tuples
 itself, so the fixed cost of a search is about a microsecond (a whole
@@ -45,7 +46,7 @@ tangle push writes only its own block of pair slots, not every element's
 whole slice, and its profile steps keep one counter per orientation of the
 system in place of ``picked`` and ``closes``, so an undo is a decrement.
 The Python walk, ``_walk``, runs when there is no build (``KERNEL_BACKEND``,
-whose read settles the walk as a search does, then reads ``"pure"``;
+whose read loads the extension as a search does, then reads ``"pure"``;
 building needs a compiler and the Python headers) or the ground set is
 larger, and the tests hold the C walk equal to it.
 

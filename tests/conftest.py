@@ -53,9 +53,10 @@ def probes(monkeypatch):
 
 @pytest.fixture
 def python_walk():
-    """Every search on the Python walk, ``tangles._walk``: the C walk's
-    loader finds no library, as on a host without a compiler.  Its own
-    patch, so a test's ``monkeypatch.undo()`` leaves it in place."""
+    """Every search on the Python walk, ``tangles._walk``, and every scan
+    on the Python body of ``_kernels.scan_members``: the extension's loader
+    finds no library, as on a host without a compiler.  Its own patch, so a
+    test's ``monkeypatch.undo()`` leaves it in place."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_native, "load", lambda: None)
         yield

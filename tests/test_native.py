@@ -1,5 +1,5 @@
-"""The C search walk of ``sepdual._native``, against the Python walk, and its
-loader.
+"""The C search walk and the C scan of ``sepdual._native``, against the
+Python walk and the Python scan, and their loader.
 
 Walk: on every input, ``_native.search`` lists the same results in the same
 order as ``tangles._walk``, the Python walk it mirrors, from member 0 and
@@ -9,9 +9,17 @@ member cap, and on the edge shapes a scan never yields (no member, a 63- or
 65-element ground goes to the Python walk, and an allocation failure in the
 C walk raises ``MemoryError``.
 
-Boundary: the extension function checks its arguments and raises on bad
-ones instead of crashing, keeps no memory and no reference per search, and
-leaves the reference counts of what it reads as they were.
+Scan: on every input whose keys fit in 63 bits, ``_native.scan`` lists the
+same keys as the Python body of ``_kernels.scan_members``, its fallback and
+reference: every universe of the corpus and of the ladder's first block,
+seeded random masks over 0 to 12 elements (empty and repeated masks, both
+modes) and every kind of bound.  A ground whose keys need more bits goes to
+the Python scan, and an allocation failure in the C scan raises
+``MemoryError``.
+
+Boundary: the extension functions check their arguments and raise on bad
+ones instead of crashing, keep no memory and no reference per call, and
+leave the reference counts of what they read as they were.
 
 Loader: each test runs ``_native.load`` in a fresh cache directory under
 ``tmp_path``, as a new process would at its first search.  A build that
@@ -20,10 +28,12 @@ outputs and is not tried again; a library that does not load is deleted; a
 library of another key, a half-written build and a cache directory that
 another user could write are never used; nothing is written outside the
 cache directory; builds of two sources share one cache, each built once.
-Importing the package touches no file, and a command that never searches
-neither builds nor loads the library.
+Importing the package touches no file, a command that never scans or
+searches neither builds nor loads the library, and ``enumerate``, which
+scans, loads it and prints the same bytes without it.
 """
 
+import importlib.util
 import os
 import random
 import shutil
@@ -36,13 +46,15 @@ from pathlib import Path
 import pytest
 
 import sepdual
-from sepdual import GroundSet, HalfInt, LowOrderSystem, _native, enumerate_tangles, tangles
+from sepdual import (BipartiteGraph, GroundSet, HalfInt, LowOrderSystem, _kernels, _native,
+                     enumerate_tangles, tangles)
+from sepdual.orders import UNIVERSES, universe_context
 from sepdual.verify import corpus, run_corpus
 
 ROOT = Path(__file__).resolve().parent.parent
 KINDS = ("tangle", "regular_profile")
 needs_native = pytest.mark.skipif(_native.load() is None,
-                                  reason="the C walk is not built on this host")
+                                  reason="the extension is not built on this host")
 
 
 def _both(system, kind, m=0, seeds=((),)):
@@ -76,8 +88,9 @@ def test_the_c_walk_is_built_where_there_is_a_compiler():
     if shutil.which(_native.compiler()[0]) is None:
         pytest.skip("no platform compiler on this host")
     assert sepdual.KERNEL_BACKEND == "native"
-    walk = _native.load()
-    assert walk is not None and sys.modules[_native.MODULE].walk is walk
+    module = _native.load()
+    assert module is not None and sys.modules[_native.MODULE] is module
+    assert callable(module.walk) and callable(module.scan)
 
 
 def _corpus_run(member_cap):
@@ -223,6 +236,157 @@ def test_an_allocation_failure_raises_memory_error():
         "MemoryError: the native search walk could not allocate its state", "True"]
 
 
+# -- the scan ----------------------------------------------------------------
+
+
+def _python_scan(masks, n, partitions_only=False, below=None):
+    """The Python body of ``_kernels.scan_members``, with the loader finding
+    no extension."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_native, "load", lambda: None)
+        return _kernels.scan_members(masks, n, partitions_only, below)
+
+
+def _both_scans(masks, n, partitions_only=False, below=None):
+    """The C scan's keys, asserted equal to the Python scan's."""
+    fast = _native.scan(masks, n, partitions_only, below)
+    assert fast is not None, (masks, n)
+    assert fast == _python_scan(masks, n, partitions_only, below), (
+        masks, n, partitions_only, below)
+    return fast
+
+
+def _belows(n):
+    """The bounds a universe of n elements is scanned with: none and two in
+    the range of its orders when it is listed in full quickly, else three
+    small ones."""
+    return (None, 3, 7) if n <= 10 else (2, 5, 8)
+
+
+def _ladder_block_0(seed):
+    """The graphs of the ladder workload's first block for ``seed``."""
+    path = ROOT / "certbench" / "workloads.py"
+    if not path.is_file():
+        pytest.skip("no certbench checkout")
+    sys.path.insert(0, str(path.parent))
+    try:
+        spec = importlib.util.spec_from_file_location("ladder_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+    finally:
+        sys.path.remove(str(path.parent))
+    return [BipartiteGraph(*spec) for spec in workloads.Ladder().generate(None, seed)[0]]
+
+
+@needs_native
+@pytest.mark.parametrize("graphs", ["corpus", "ladder-1", "ladder-2"])
+def test_every_universe_scans_equal_on_both_scans(graphs):
+    """Every universe of the corpus graphs and of the first ladder block on
+    seeds 1 and 2, listed in full or below a bound; the keys of every one
+    fit in 63 bits, the corpus's 25-edge universes included."""
+    found = ([g for _, g in corpus()] if graphs == "corpus"
+             else _ladder_block_0(int(graphs[-1])))
+    scanned = 0
+    for g in found:
+        for universe in UNIVERSES:
+            masks, ground, partitions_only = universe_context(g, universe)
+            for below in _belows(ground.n):
+                _both_scans(masks, ground.n, partitions_only, below)
+                scanned += 1
+    assert scanned == 3 * len(UNIVERSES) * len(found)
+
+
+@needs_native
+def test_random_masks_scan_equal_on_both_scans():
+    """Seeded masks over n = 0..12, each mask of its own density: no mask,
+    empty masks, repeated masks, an element in no mask; both modes, and the
+    bounds none, 0, 1, half the sum of |m|, that sum (the order of (full,
+    full)), one past it, and negative."""
+    rng = random.Random(30)
+    for n in range(13):
+        full = (1 << n) - 1
+        for trial in range(30 if n < 9 else 4):
+            masks = [rng.getrandbits(n) & rng.getrandbits(n) if trial % 2
+                     else rng.getrandbits(n) for _ in range(rng.randrange(12))]
+            if trial % 5 == 1:
+                masks.append(0)
+            if trial % 5 == 2 and masks:
+                masks += masks[: rng.randrange(1, len(masks) + 1)]
+            if trial % 5 == 3 and n:
+                unused = 1 << rng.randrange(n)
+                masks = [m & full & ~unused for m in masks]
+            top = sum(m.bit_count() for m in masks)
+            for partitions_only in (False, True):
+                belows = (None, 0, 1, top // 2, top, top + 1, -1)
+                if n >= 11 and not partitions_only:
+                    belows = (0, 1, 3, -1)  # the Python scan lists 88k+ keys slowly
+                for below in belows:
+                    _both_scans(masks, n, partitions_only, below)
+
+
+@needs_native
+def test_scan_bounds_past_any_int64():
+    """A bound too large or too negative for 64 bits lists everything or
+    nothing, as in Python."""
+    masks, n = (0b011, 0b110, 0b101), 3
+    full = _both_scans(masks, n)
+    assert len(full) == (3**n - 1) // 2
+    assert _both_scans(masks, n, False, 1 << 80) == full
+    assert _both_scans(masks, n, False, -(1 << 80)) == []
+
+
+@needs_native
+def test_a_ground_whose_keys_need_64_bits_runs_the_python_scan():
+    """Keys fit in 63 bits exactly when ``(sum |m| + 1) << 2n <= 2**63``: on
+    28 elements a sum of 127 runs the C scan, a sum of 128 and any ground of
+    32 elements the Python body, and ``scan_members`` lists the same keys
+    either way."""
+    n, full = 28, (1 << 28) - 1
+    for last, fits in ((1 << 15) - 1, True), ((1 << 16) - 1, False):
+        masks = (full, full, full, full, last)
+        keys = _kernels.scan_members(masks, n, False, 12)
+        assert keys and keys == _python_scan(masks, n, False, 12)
+        assert _native.scan(masks, n, False, 12) == (keys if fits else None)
+    wide = ((1 << 32) - 1,) * 3
+    assert _native.scan(wide, 32, False, 8) is None
+    assert _kernels.scan_members(wide, 32, False, 8) == _python_scan(wide, 32, False, 8)
+
+
+SCAN_OUT_OF_MEMORY = """
+import resource
+from sepdual import _kernels, _native
+
+assert _native.load() is not None
+masks = tuple(3 << e for e in range(15))
+soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+with open("/proc/self/statm") as f:
+    size = int(f.read().split()[0]) * resource.getpagesize()
+# the full listing of 16 elements is (3**16 - 1) // 2 keys, 172 MB of them
+resource.setrlimit(resource.RLIMIT_AS, (size + (64 << 20), hard))
+try:
+    keys = _kernels.scan_members(masks, 16)
+except MemoryError as exc:
+    print("MemoryError:", exc)
+else:
+    print("returned", len(keys))
+resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+print(len(_kernels.scan_members(masks[:5], 6)) == (3**6 - 1) // 2)
+"""
+
+
+@needs_native
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+def test_an_allocation_failure_in_the_scan_raises_memory_error():
+    """Under an address-space limit the C scan cannot hold its levels: it
+    raises ``MemoryError`` and returns nothing, and the next scan runs."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", SCAN_OUT_OF_MEMORY], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "MemoryError: the native scan could not allocate its levels", "True"]
+
+
 # -- the boundary --------------------------------------------------------------
 
 
@@ -257,7 +421,7 @@ BAD_ARGUMENTS = {
 def test_bad_arguments_raise(case):
     """Each bad argument raises, and the next call runs as before."""
     change, error = BAD_ARGUMENTS[case]
-    walk = _native.load()
+    walk = _native.load().walk
     with pytest.raises(error):
         walk(*{**GOOD, **change}.values())
     system = LowOrderSystem.from_members("x", GroundSet(range(3)), GOOD["members"])
@@ -267,7 +431,7 @@ def test_bad_arguments_raise(case):
 @needs_native
 def test_walk_takes_five_arguments():
     with pytest.raises(TypeError):
-        _native.load()(*list(GOOD.values())[:4])
+        _native.load().walk(*list(GOOD.values())[:4])
 
 
 @needs_native
@@ -316,6 +480,80 @@ def test_a_search_leaves_reference_counts_as_they_were():
     assert (sys.getrefcount(pair), sys.getrefcount(seed), sys.getrefcount(members)) == counts
 
 
+#: a valid call of the extension's ``scan``: three masks over three
+#: elements, below doubled order 3
+SCAN_GOOD = {"masks": (0b011, 0b110, 0b101), "n": 3, "partitions_only": False, "below": 3}
+
+
+class _NoTruth:
+    def __bool__(self):
+        raise ValueError("no truth value")
+
+
+#: one argument of ``SCAN_GOOD`` changed, and the error it must raise
+SCAN_BAD_ARGUMENTS = {
+    "masks-a-list": ({"masks": [0b011, 0b110, 0b101]}, TypeError),
+    "mask-not-an-int": ({"masks": (0b011, 6.0, 0b101)}, TypeError),
+    "mask-of-2**64": ({"masks": (0b011, 1 << 64)}, OverflowError),
+    "negative-mask": ({"masks": (0b011, -6)}, OverflowError),
+    "negative-n": ({"n": -1}, ValueError),
+    "n-of-2**64": ({"n": 1 << 64}, OverflowError),
+    "n-not-an-int": ({"n": "3"}, TypeError),
+    "below-not-an-int": ({"below": 2.5}, TypeError),
+    "partitions-only-without-truth": ({"partitions_only": _NoTruth()}, ValueError),
+}
+
+
+@needs_native
+@pytest.mark.parametrize("case", sorted(SCAN_BAD_ARGUMENTS))
+def test_bad_scan_arguments_raise(case):
+    """Each bad argument raises, and the next call runs as before."""
+    change, error = SCAN_BAD_ARGUMENTS[case]
+    scan = _native.load().scan
+    with pytest.raises(error):
+        scan(*{**SCAN_GOOD, **change}.values())
+    assert scan(*SCAN_GOOD.values()) == _python_scan(*SCAN_GOOD.values())
+    with pytest.raises(TypeError):
+        scan(*list(SCAN_GOOD.values())[:3])
+
+
+#: scans of a 6-element side in full (radix-sorted) and below 6 (sorted
+#: by insertion)
+SCANS = [((0b000111, 0b011100, 0b110001, 0b101010, 0b010101), 6, False, below)
+         for below in (None, 6)]
+
+
+@needs_native
+def test_repeated_scans_keep_no_memory():
+    """20,000 scans, their keys dropped, leave Python's traced allocations
+    within 64 KB of where they started."""
+    assert [len(_both_scans(*args)) for args in SCANS] == [364, 22]
+    tracemalloc.start()
+    try:
+        for args in SCANS:
+            _native.scan(*args)
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(10_000):
+            for args in SCANS:
+                _native.scan(*args)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 64 * 1024
+
+
+@needs_native
+def test_a_scan_leaves_reference_counts_as_they_were():
+    masks, n, partitions_only, below = SCANS[1]
+    below = 1 << 70  # an int object of its own, past every order
+    mask = masks[2]
+    counts = sys.getrefcount(masks), sys.getrefcount(mask), sys.getrefcount(below)
+    for _ in range(100):
+        keys = _native.load().scan(masks, n, partitions_only, below)
+    del keys
+    assert (sys.getrefcount(masks), sys.getrefcount(mask), sys.getrefcount(below)) == counts
+
+
 # -- the loader --------------------------------------------------------------
 
 
@@ -323,7 +561,7 @@ def test_a_search_leaves_reference_counts_as_they_were():
 def cache(tmp_path, monkeypatch):
     """The cache directory of a fresh ``$XDG_CACHE_HOME`` under ``tmp_path``,
     with ``_native.load`` not run yet, as in a new process; the session's
-    walk and extension module come back after the test."""
+    extension module comes back after the test."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
     _next_process(monkeypatch)
     monkeypatch.delitem(sys.modules, _native.MODULE, raising=False)
@@ -332,7 +570,7 @@ def cache(tmp_path, monkeypatch):
 
 def _next_process(monkeypatch):
     """Forget ``_native.load``'s answer, as a new process starts without it."""
-    monkeypatch.setattr(_native, "_walk", False)
+    monkeypatch.setattr(_native, "_module", False)
 
 
 def _script(tmp_path, body):
@@ -374,13 +612,13 @@ def _loaded_from():
 @needs_native
 def test_a_build_goes_to_the_cache_and_nowhere_else(cache, expected, monkeypatch):
     before = _tree(ROOT)
-    walk = _native.load()
-    assert walk is not None and _loaded_from() == cache / _native.library_name()
+    module = _native.load()
+    assert module is not None and _loaded_from() == cache / _native.library_name()
     assert os.listdir(cache) == [_native.library_name()]  # no temporary file left
     assert stat.S_IMODE(os.stat(cache).st_mode) == 0o700
     assert _tree(ROOT) == before
     monkeypatch.setattr(_native, "build", lambda path: pytest.fail("built twice"))
-    assert _native.load() is walk
+    assert _native.load() is module
     assert _outputs() == expected
     _next_process(monkeypatch)
     assert _native.load() is not None and _outputs() == expected
@@ -580,23 +818,42 @@ def test_importing_with_a_failing_compiler_runs_the_python_walk(tmp_path):
 
 ORDER = ["order", "--generator", "random", "--nx", "4", "--ny", "4", "--p", "0.5",
          "--seed", "7", "--universe", "x", "--a", "x1,x2", "--b", "x3,x4"]
+SHIFT = ["shift", *ORDER[1:]]
+#: a command that scans but never searches
+ENUMERATE = ["enumerate", *ORDER[1:-4], "--k2", "4"]
 
 
 @needs_native
 def test_a_command_that_never_searches_loads_nothing():
-    """With the library cached, ``order`` loads neither the extension nor
-    ``subprocess``."""
-    out, backend = _child(ORDER)
-    assert backend == "native []"
+    """With the library cached, ``order`` and ``shift``, which neither scan
+    nor search, load neither the extension nor ``subprocess``."""
+    for argv in (ORDER, SHIFT):
+        out, backend = _child(argv)
+        assert backend == "native []", argv[0]
 
 
 @needs_native
 def test_a_command_that_never_searches_builds_nothing(tmp_path):
-    """On a cold cache, ``order`` neither builds the library, which would
-    import ``subprocess``, nor loads it; the read of ``KERNEL_BACKEND``
-    after it builds it."""
-    out, backend = _child(ORDER, cache=tmp_path / "xdg")
-    assert backend == "native []"
+    """On a cold cache, ``order`` and ``shift`` neither build the library,
+    which would import ``subprocess``, nor load it; the read of
+    ``KERNEL_BACKEND`` after each builds it."""
+    for argv in (ORDER, SHIFT):
+        out, backend = _child(argv, cache=tmp_path / argv[0])
+        assert backend == "native []", argv[0]
+
+
+@needs_native
+def test_a_command_that_only_scans_loads_the_extension(tmp_path):
+    """``enumerate`` scans and never searches: with the library cached its
+    scan loads the extension, and with a failing compiler on a cold cache it
+    tries the build once, reads ``"pure"`` and prints the same bytes."""
+    native, backend = _child(ENUMERATE)
+    assert backend == f"native {[_native.MODULE]}"
+    assert b'"count": ' in native
+    pure, backend = _child(ENUMERATE, str(tmp_path / "no-such-cc"), tmp_path / "xdg")
+    assert backend == "pure ['subprocess']"
+    assert pure == native
+    assert os.listdir(tmp_path / "xdg" / "sepdual") == [_native.library_name() + ".failed"]
 
 
 def test_importing_the_package_touches_no_cache(tmp_path):
