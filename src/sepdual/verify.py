@@ -28,8 +28,8 @@ its case is reported; ``_witness`` raises when a re-check fails.  By kind:
 * consistency_pair   - the inverse of the first member lies below the second
 * corner_triple      - the third is the inverse of the supremum of the others
 * not_subset         - no choice of the hypothesis has the member's sides
-* pushforward_escape - the recomputed image is the reported one, and its
-                       recomputed way back is not chosen by the hypothesis
+* pushforward_escape - the chosen member's recomputed image is the reported
+                       one, and its recomputed way back is not chosen
 
 The shipped corpus is a fixed list of generators and seeds, so reports are
 bit-reproducible.
@@ -45,9 +45,8 @@ from typing import Callable, Iterable, NamedTuple, Optional
 from . import __version__ as _pkg_version
 from .bigraph import BipartiteGraph, from_edges, gen_planted, gen_random
 from .errors import CapExceeded
-from .orders import universe_context
 from .separations import Sep, sep_labels
-from .shifts import _OTHER, universe_map
+from .shifts import _OTHER
 from .tangles import (
     DEFAULT_MEMBER_CAP,
     LowOrderSystem,
@@ -275,14 +274,15 @@ def _revalidate_totality(g, leg, member, family, kind) -> bool:
 
 # -- theorem bodies ----------------------------------------------------------
 #
-# Fourteen of the fifteen statements are legs run by one body, ``_run_legs``.
+# Every statement is a pair of legs run by one body, ``_run_legs``.
 # A leg takes each hypothesis tau (a tangle or regular profile at factor * k
 # of one universe) through one or two steps, each into a system at its own
 # factor * k: ``pull`` keeps the orientations of the system's members whose
 # image lies in the family, ``push`` keeps the image of the family, cut to
 # orientations of the system's members.  After one step the family must
 # orient that system as tau's kind (a tangle or a regular profile); after two
-# it must lie inside tau.  A theorem runs one leg per side, and legs with the
+# it must lie inside tau, or, in a reversed leg, tau's choices on that system
+# must lie inside it.  A theorem runs one leg per side, and legs with the
 # same hypothesis count it once.
 #
 # Families are sets of plain ``(a, b)`` pairs, and no step shifts anything:
@@ -292,15 +292,13 @@ def _revalidate_totality(g, leg, member, family, kind) -> bool:
 # table of the previous system's members, which is exact because every
 # family is a set of orientations of those members: the hypothesis is one
 # orientation per member of its system, and a pull keeps orientations of
-# its own.  Only a witness of totality is recomputed with the set-based map.
+# its own.  Only a witness is recomputed, with the set-based map.
 #
 # Every leg records its isolated-vertex hints, then asks for the hypothesis
 # system, the step systems in step order, and last the search: the order of
 # the statement.  The first cap to trip writes the ``capped`` note, so this
 # order decides which cap a capped case names; the hints decide
-# ``degenerate``.  Push-forward containment keeps its own body: its chain
-# starts from tau restricted to S_k and leaves every system after the first
-# shift.  A body returns its hypothesis count and its witness or None.
+# ``degenerate``.  The body returns its hypothesis count and witness or None.
 
 
 class _Leg(NamedTuple):
@@ -309,6 +307,7 @@ class _Leg(NamedTuple):
     hyp: tuple[str, int]  # (universe, factor) of the hypothesis
     steps: tuple  # (_pull or _push, universe, factor, (map source, map dest))
     counted: bool  # False when an earlier leg has the same hypothesis
+    reverse: bool  # after two steps, tau's choices must lie inside the family
 
 
 def _plan(g, leg, hyp_sys, systems):
@@ -323,6 +322,27 @@ def _plan(g, leg, hyp_sys, systems):
                      sys.members))
         prev = sys
     return plan
+
+
+def _escape_violation(g, leg, plan, systems, tau, family) -> Optional[dict]:
+    """The witness that a choice of tau on the last system of a reversed leg
+    is not in the family, or None.  That system is a prefix of tau's, so
+    member i has tau's choice i, and the last step, a pull, reads its
+    members' images."""
+    _, images, members, _ = plan[-1]
+    source, dest = leg.steps[-1][3]
+    for m, f, (there, back) in zip(members, tau.forward, images):
+        r, t = (m, there) if f else ((m[1], m[0]), back)
+        if r not in family:
+            # t is the top, which no system holds and whose way back is the
+            # top, or else, as a side shift raises no order, t orients a
+            # member of the first step's system whose way back tau lacks
+            return _witness(_set_map(g, source, dest, r) == t
+                            and _set_map(g, dest, source, t) not in tau.as_set(),
+                            "pushforward_escape",
+                            member=sep_labels(systems[-1].ground, r),
+                            image=sep_labels(systems[0].ground, t))
+    return None
 
 
 def _run_legs(g, ctx, k2, kind, legs):
@@ -345,7 +365,9 @@ def _run_legs(g, ctx, k2, kind, legs):
             family = tau_set = tau.as_set()
             for step, images, sources, targets in plan:
                 family = step(images, sources, family, targets)
-            if len(systems) == 2:
+            if leg.reverse:
+                fail = _escape_violation(g, leg, plan, systems, tau, family)
+            elif len(systems) == 2:
                 fail = _subset_violation(tau, sorted(family), sys.ground)
             else:
                 got = _orient_from(sys, family)
@@ -362,7 +384,7 @@ def _run_legs(g, ctx, k2, kind, legs):
     return hyp_count, None
 
 
-def _legs(kind, hyp, *steps, label="side", hints="", prefix=""):
+def _legs(kind, hyp, *steps, label="side", hints="", prefix="", reverse=False):
     """The body of a theorem with one leg per side x, y.
 
     In ``hyp``, the steps and ``hints``, ``"s"`` names the leg's side and
@@ -380,38 +402,9 @@ def _legs(kind, hyp, *steps, label="side", hints="", prefix=""):
                              else (_push, u, f, (prev, u)))
             prev = u
         legs.append(_Leg((label, side), tuple(sides[s] for s in hints), h,
-                         tuple(leg_steps), all(leg.hyp != h for leg in legs)))
+                         tuple(leg_steps), all(leg.hyp != h for leg in legs),
+                         reverse))
     return partial(_run_legs, kind=kind, legs=tuple(legs))
-
-
-def _pushforward_containment(g, ctx, k2):
-    """16k side tangle: shifting there and back stays inside it at order k."""
-    hyp_count = 0
-    for side in ("x", "y"):
-        other = _OTHER[side]
-        hyps = ctx.search(ctx.system(side, 16 * k2), "tangle")
-        hyp_count += len(hyps)
-        if not hyps:
-            continue
-        # S_k is a prefix of tau's system S_16k, so member i of S_k is
-        # member i of tau's system
-        low = kept_system(g, side, k2)
-        images = kept_images(g, side, other, len(low))
-        back = universe_map(g, other, side)
-        for tau in hyps:
-            tset = tau.as_set()
-            for m, f, (m_there, inv_there) in zip(tau.system.members, tau.forward,
-                                                  images):
-                t = m_there if f else inv_there
-                if back(t) not in tset:
-                    s = m if f else (m[1], m[0])
-                    return hyp_count, _witness(
-                        _set_map(g, side, other, s) == t
-                        and _set_map(g, other, side, t) not in tset,
-                        "pushforward_escape", side=side,
-                        member=sep_labels(low.ground, s),
-                        image=sep_labels(universe_context(g, other)[1], t))
-    return hyp_count, None
 
 
 ALL_THEOREMS: dict[str, Callable] = {
@@ -436,7 +429,9 @@ ALL_THEOREMS: dict[str, Callable] = {
                                   ("push", "s", 1), label="target", hints="s"),
     "profile_vtx_to_edges": _legs("regular_profile", ("s", 3),
                                   ("pull", "e", 1)),
-    "pushforward_containment": _pushforward_containment,
+    # the same leg as double_shift, with the inclusion reversed
+    "pushforward_containment": _legs("tangle", ("s", 16), ("pull", "o", 4),
+                                     ("pull", "s", 1), reverse=True),
     "partition_shift": _legs("tangle", ("s", 4), ("pull", "o", 1),
                              hints="so", prefix="b"),
     "partition_double_shift": _legs("tangle", ("s", 16), ("pull", "o", 4),

@@ -4,14 +4,18 @@ Everything here works on label sets and Fractions with per-vertex loops,
 sharing no code path with the package's bitmask kernels, except
 ``enumerate_seps``, which lists every separation of a ground set as masks
 for the tests to sweep, ``order2_by_definition``, the doubled order of a
-mask list by its definition, and ``recursive_search``, the earlier recursive
-tangle and profile search, which the iterative one is tested against.
+mask list by its definition, ``recursive_search``, the earlier recursive
+tangle and profile search, which the iterative one is tested against, and
+``pushforward_reference``, the verifier's earlier body of push-forward
+containment, which its leg is tested against.
 """
 
 from fractions import Fraction
 
-from sepdual import CapExceeded, Sep
-from sepdual.tangles import DEFAULT_PARTITION_CAP, DEFAULT_SEP_CAP
+from sepdual import CapExceeded, HalfInt, Sep, enumerate_tangles
+from sepdual.separations import sep_labels
+from sepdual.shifts import universe_map
+from sepdual.tangles import DEFAULT_PARTITION_CAP, DEFAULT_SEP_CAP, max_order2
 
 
 def graph_dicts(g):
@@ -282,3 +286,29 @@ def recursive_search(system, kind, m, seeds: tuple[tuple[bool, ...], ...]) -> tu
         rec(m)
     del rec  # it refers to itself; unbound, the search leaves no cycle behind
     return tuple(results)
+
+
+def pushforward_reference(g, k2, member_cap):
+    """Push-forward containment as the verifier's own body checked it: for
+    each side, each tangle tau of S_16k and each choice r of tau on S_k, in
+    member order, the image t of r on the other side maps back into tau.
+    Returns (hypothesis count, outcome, witness).  A failure is
+    ``degenerate`` when a hypothesis system asked for so far is its whole
+    universe, the body's one hint."""
+    count, whole = 0, False
+    for side, other in (("x", "y"), ("y", "x")):
+        whole |= max_order2(g, side) < 16 * k2
+        hyps = enumerate_tangles(g, side, HalfInt(16 * k2), "tangle",
+                                 member_cap=member_cap)
+        count += len(hyps)
+        there, back = universe_map(g, side, other), universe_map(g, other, side)
+        for tau in hyps:
+            for r in tau.restrict(HalfInt(k2)).choices():
+                t = there(r)
+                if back(t) not in tau:
+                    grounds = {"x": g.x, "y": g.y}
+                    return count, ("degenerate" if whole else "counterexample"), {
+                        "kind": "pushforward_escape", "side": side,
+                        "member": sep_labels(grounds[side], r),
+                        "image": sep_labels(grounds[other], t)}
+    return count, "verified", None

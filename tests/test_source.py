@@ -27,6 +27,10 @@ raises it.
 The README's library sketch, its ``python`` block, runs as written, so a
 retired name cannot linger in it.
 
+Theorem bodies read maps only through ``tangles.kept_images``: ``verify.py``
+imports no shift map (``universe_map``, a ``shift_*`` function or
+``_shift``), nor names one.
+
 No ``ctypes``: the C walk of ``_native`` is an extension module, and no
 module imports ``ctypes``, at the top or inside a function.
 
@@ -236,6 +240,36 @@ def test_one_witness_failure_path():
     counts = {str(p.relative_to(PACKAGE)): p.read_text().count(REVALIDATION_FAILED)
               for p in sorted(PACKAGE.rglob("*.py"))}
     assert sum(counts.values()) == 1, {p: n for p, n in counts.items() if n}
+
+
+def _is_shift_map(name):
+    return name in ("universe_map", "_shift") or name.startswith("shift_")
+
+
+def _shift_map_uses(tree):
+    """Lines of the nodes naming a shift map: an imported name, a name or an
+    attribute."""
+    return sorted(n.lineno for n in ast.walk(tree)
+                  if any(_is_shift_map(getattr(n, field, None) or "")
+                         for field in ("id", "attr"))
+                  or (isinstance(n, ast.ImportFrom)
+                      and any(_is_shift_map(a.name) for a in n.names)))
+
+
+def test_verifier_names_no_shift_map():
+    path = PACKAGE / "verify.py"
+    lines = _shift_map_uses(ast.parse(path.read_text(), str(path)))
+    assert not lines, f"names a shift map at lines {lines}"
+
+
+def test_shift_map_check_sees_an_import_a_name_and_an_attribute():
+    tree = ast.parse(
+        "from .shifts import _OTHER, universe_map\n"
+        "from .shifts import shift_side as side\n"
+        "back = shifts._shift\n"
+        "there = universe_map(g, 'x', 'y')\n"
+        "shift2 = _kernels.shift2\n")
+    assert _shift_map_uses(tree) == [1, 2, 3, 4]
 
 
 def _ctypes_imports(tree):

@@ -5,9 +5,10 @@ import gc
 import pytest
 
 import sepdual.verify as verify
+from oracles import pushforward_reference
 from sepdual import (CapExceeded, GroundSet, HalfInt, Orientation, Sep,
                      TangleReport, _kernels, build_system, enumerate_tangles,
-                     from_edges, gen_random)
+                     from_edges, gen_planted, gen_random)
 from sepdual.separations import sep_labels
 from sepdual.shifts import universe_map
 from sepdual.tangles import (DEFAULT_EDGE_CAP, DEFAULT_MEMBER_CAP,
@@ -131,22 +132,57 @@ def test_pushforward_escape_is_revalidated(k2):
                             "image": {"a": ["y1"], "b": ["y1"]}}
 
 
+def _corrupt_table(monkeypatch, ends, entry):
+    """Make the kept image table of the map ``ends`` read ``entry`` for every
+    member, leaving every other table as it is."""
+    kept = verify.kept_images
+    monkeypatch.setattr(
+        verify, "kept_images", lambda g, source, dest, count:
+        [entry] * count if (source, dest) == ends else kept(g, source, dest, count))
+
+
 def test_corrupted_pushforward_image_fails_revalidation(monkeypatch):
-    # the true image of (∅, X) is (Y, Y); the table claims (∅, Y)
-    monkeypatch.setattr(verify, "kept_images",
-                        lambda g, source, dest, count: [((0, 1), (1, 0))])
+    # the true image of (∅, X) is (Y, Y); the x -> y table, which the leg's
+    # second pull reads, claims (∅, Y), which escapes as the top did
+    g = gen_random(1, 1, 0.3, 0)
+    assert verify.kept_images(g, "x", "y", 1) == [((1, 1), (1, 1))]
+    _corrupt_table(monkeypatch, ("x", "y"), ((0, 1), (1, 0)))
     with pytest.raises(AssertionError, match="re-validation"):
-        run_theorem("pushforward_containment", gen_random(1, 1, 0.3, 0), 1)
+        run_theorem("pushforward_containment", g, 1)
 
 
 def test_corrupted_pushforward_way_back_fails_revalidation(monkeypatch):
     g = from_edges([("x1", "y1")])
     assert run_theorem("pushforward_containment", g, 1).hypothesis_count == 2
-    # a way back that sends every image to the top escapes every tau
-    monkeypatch.setattr(verify, "universe_map",
-                        lambda g, source, dest: lambda s: (1, 1))
+    # a y -> x table, which the leg's first pull reads, that sends every
+    # image back to the top escapes every tau
+    _corrupt_table(monkeypatch, ("y", "x"), ((1, 1), (1, 1)))
     with pytest.raises(AssertionError, match="re-validation"):
         run_theorem("pushforward_containment", g, 1)
+
+
+#: (graph, doubled thresholds) of the differential test: graphs with
+#: push-forward hypotheses once the member cap is lifted, and the two escape
+#: fixtures above
+PUSHFORWARD_GRAPHS = {
+    "k77": (complete(7, 7), (1,)),
+    "k88": (complete(8, 8), (1,)),
+    "planted-636253": (gen_planted([(4, 3), (4, 3), (4, 2)], 1.0, 0.1, 636253), (1,)),
+    "one-a-side": (gen_random(1, 1, 0.3, 0), range(1, 7)),
+    "one-edge": (from_edges([("x1", "y1")]), range(1, 7)),
+}
+
+
+@pytest.mark.parametrize("g, k2s", PUSHFORWARD_GRAPHS.values(),
+                         ids=list(PUSHFORWARD_GRAPHS))
+def test_pushforward_leg_equals_the_reference_body(g, k2s):
+    """Push-forward containment as a reversed leg gives the hypothesis
+    count, outcome and witness of the earlier body of its own."""
+    for k2 in k2s:
+        case = run_theorem("pushforward_containment", g, k2, member_cap=10**6)
+        want = pushforward_reference(g, k2, 10**6)
+        assert (case.hypothesis_count, case.outcome, case.witness) == want, k2
+        assert case.hypothesis_count >= 1
 
 
 #: Separations of the ground set {a, b, c} as masks: bit 0 is a.
@@ -432,19 +468,19 @@ def test_kept_state_is_freed_with_its_graph():
 
 
 def _leg_theorems():
-    """theorem -> (kind, legs), for every theorem run by ``_run_legs``."""
+    """theorem -> (kind, legs); ``_run_legs`` runs every theorem."""
     return {t: (body.keywords["kind"], body.keywords["legs"])
-            for t, body in ALL_THEOREMS.items() if t != "pushforward_containment"}
+            for t, body in ALL_THEOREMS.items()}
 
 
 def test_kept_images_equal_the_map_on_every_corpus_table():
     """After a corpus pass, every entry of every image table is the pair of
     plain tuples universe_map gives for the member and for its inverse, and
-    every map a leg or the push-forward uses has a table on some graph."""
+    every map a leg uses has a table on some graph."""
     graphs = corpus()
     run_corpus(graphs=graphs)
     used = {ends for _, legs in _leg_theorems().values() for leg in legs
-            for _, _, _, ends in leg.steps} | {("x", "y"), ("y", "x")}
+            for _, _, _, ends in leg.steps}
     seen = set()
     for _, g in graphs:
         for universe, space in g._cache.items():
@@ -461,16 +497,15 @@ def test_kept_images_equal_the_map_on_every_corpus_table():
 
 
 def test_repeat_run_makes_no_shift(monkeypatch):
-    """A second run of a leg theorem on the same graph and threshold reads
-    every image from the kept tables.  (Push-forward containment maps the
-    images back through universe_map, so it is left out.)"""
+    """A second run of a theorem on the same graph and threshold reads
+    every image from the kept tables."""
     calls = []
     shift2 = _kernels.shift2
     monkeypatch.setattr(_kernels, "shift2",
                         lambda *args: calls.append(args) or shift2(*args))
     shifted = nonvacuous = 0
     for name, g in corpus()[:12]:
-        for theorem in _leg_theorems():
+        for theorem in ALL_THEOREMS:
             for k2 in (1, 2, 3, 4):
                 calls.clear()
                 first = run_theorem(theorem, g, k2, name)
