@@ -5,13 +5,18 @@
 explicit-stack depth-first search as the Python walk in ``tangles``, with
 the same seed replay and the same result order.
 
-* Tangle steps keep the Python walk's per-element bit slices of pair slots,
-  stored word-major (``has[w * width + e]``), so a test ANDs, word by word,
-  the slices of the elements outside the member's first side and stops at
-  the first word where some slot covers them.  A push writes only its own
-  block of slots, ``base .. base + i``, and its bit of the chosen
-  positions; every bit at or above the next level's base is stale, and no
-  test reads one, so undo does nothing.
+* Tangle steps keep the chosen first sides by level, ``ca``, and per
+  element the chosen positions whose first side holds it, stored word-major
+  (``ch[w * width + e]``).  The chosen members passed, so a member fails iff
+  no element is outside its first side or, for some chosen l, the elements
+  r outside both its first side and ``ca[l]`` are none or lie in the first
+  side of a chosen j < l: iff the AND of ``ch[e]`` over e in r, word by
+  word over the positions below l, is not zero.  A push writes ``ca[i]``
+  and bit i of each ``ch[e]``; the bits above the level are stale, and no
+  test reads one, so undo does nothing.  Both are allocated once per
+  search, a word per level and a bit per level and element, so the memory
+  is linear in the depth.  The Python walk's test differs (it keeps a slot
+  per pair of chosen members); the results and their order are the same.
 * Profile steps give every distinct orientation of the system's members an
   id, found through an open-addressing hash of the 2n orientations, and
   keep one counter per id of the chosen pairs whose inverted supremum it
@@ -36,7 +41,8 @@ or at the first read of ``sepdual.KERNEL_BACKEND``, and keeps the module
 for the rest of the process; importing this module touches no file, and the
 commands that neither scan nor search (``ingest``, ``order``, ``shift``)
 never call it.  The extension is compiled once per source, Python cache tag and
-machine with the platform compiler (``sysconfig``'s ``CC``, else ``cc``),
+machine with the platform compiler (``sysconfig``'s ``CC``, else ``cc``;
+one with GCC's ``__builtin_ctzll``, as gcc and clang have),
 ``-O2 -shared -fPIC`` and the Python headers (``sysconfig``'s
 ``INCLUDEPY``) into ``$XDG_CACHE_HOME/sepdual`` or ``~/.cache/sepdual``, a
 directory of mode 0700 that must belong to the user and be writable by no
@@ -76,15 +82,13 @@ typedef struct {
     int n, width;
     const u64 *a, *b;
     u64 full;
-    /* tangles: has[w * width + e], the slots of word w whose union holds e;
-       ch[w * width + e], the chosen positions of word w whose first side
-       holds e; capacities in words per element */
-    u64 *has, *ch;
-    size_t has_words, ch_words;
-    /* profiles: the chosen orientations by level, the id of each of the 2n
-       orientations, the hash of the distinct ones, the counters per id,
-       and the stack of ids each level's push counted */
-    u64 *ca, *cb;
+    /* the chosen first sides by level; tangles: ch[w * width + e], the chosen
+       positions of word w whose first side holds e */
+    u64 *ca, *ch;
+    /* profiles: the chosen second sides by level, the id of each of the 2n
+       orientations, the hash of the distinct ones, the counters per id, and
+       the stack of ids each level's push counted */
+    u64 *cb;
     int32_t *id, *keys, *closes, *picked, *found;
     size_t *start;
     u64 *ka, *kb;
@@ -110,61 +114,40 @@ static int grow(void *p, size_t *cap, size_t need, size_t unit)
     return 0;
 }
 
-/* Write the low len bits of val (1 <= len <= 64) at bit pos of the column
-   col, whose words are stride apart. */
-static void put(u64 *col, int stride, size_t pos, u64 val, int len)
-{
-    size_t w = pos >> 6;
-    int r = (int)(pos & 63);
-    u64 m = len == 64 ? ~(u64)0 : ((u64)1 << len) - 1;
-    val &= m;
-    col[w * stride] = (col[w * stride] & ~(m << r)) | val << r;
-    if (r && r + len > 64) {
-        u64 m2 = ((u64)1 << (r + len - 64)) - 1;
-        col[(w + 1) * stride] = (col[(w + 1) * stride] & ~m2) | val >> (64 - r);
-    }
-}
-
+/* The chosen members passed, so no three of them cover the ground, and s
+   fails iff out = full & ~s.a is empty or, for some chosen l, r = out &
+   ~ca[l] is empty or lies in the first side of some chosen j < l: iff the
+   AND of ch[e] over e in r, masked to the positions below l, is not zero.
+   A push sets or clears only its own bit i of each ch[e]; the bits above
+   the level are stale, and no test reads one, so undo does nothing. */
 static int tangle_place(walk_t *s, int i, int t, int test)
 {
     const int width = s->width;
-    u64 sa = t ? s->b[i] : s->a[i];
-    size_t base = (size_t)i * (i + 1) / 2, k;
-    int e;
+    const u64 sa = t ? s->b[i] : s->a[i], bit = (u64)1 << (i & 63);
+    u64 *col = s->ch + (size_t)(i >> 6) * width;
+    int e, l;
     if (test) {
-        int out[64], no = 0;
-        size_t q, nw = base >> 6;
-        if (sa == s->full)
+        const u64 out = s->full & ~sa;
+        if (!out)
             return 0;
-        for (e = 0; e < width; e++)
-            if (!(sa >> e & 1))
-                out[no++] = e;
-        for (q = 0; q <= nw; q++) {
-            u64 acc = q < nw ? ~(u64)0 : ((u64)1 << (base & 63)) - 1;
-            for (e = 0; e < no && acc; e++)
-                acc &= s->has[q * width + out[e]];
-            if (acc)
+        for (l = 0; l < i; l++) {
+            const u64 r = out & ~s->ca[l];
+            int q, nw = (l + 63) >> 6;
+            if (!r)
                 return 0;
+            for (q = 0; q < nw; q++) {
+                const u64 *row = s->ch + (size_t)q * width;
+                u64 acc = q < nw - 1 || !(l & 63) ? ~(u64)0 : ((u64)1 << (l & 63)) - 1, x;
+                for (x = r; x && acc; x &= x - 1)
+                    acc &= row[__builtin_ctzll(x)];
+                if (acc)
+                    return 0;
+            }
         }
     }
-    if (grow(&s->has, &s->has_words, ((base + i) >> 6) + 1, width * sizeof(u64))
-        || grow(&s->ch, &s->ch_words, (i >> 6) + 1, width * sizeof(u64)))
-        return -1;
-    for (e = 0; e < width; e++) {
-        u64 *hc = s->has + e, *cc = s->ch + e;
-        if (sa >> e & 1) {
-            put(cc, width, i, 1, 1);
-            for (k = 0; k <= (size_t)i; k += 64)
-                put(hc, width, base + k, ~(u64)0,
-                    (size_t)i + 1 - k < 64 ? (int)(i + 1 - k) : 64);
-        } else {
-            put(cc, width, i, 0, 1);
-            for (k = 0; k < (size_t)i; k += 64)
-                put(hc, width, base + k, cc[(k >> 6) * width],
-                    (size_t)i - k < 64 ? (int)(i - k) : 64);
-            put(hc, width, base + i, 0, 1);
-        }
-    }
+    s->ca[i] = sa;
+    for (e = 0; e < width; e++)
+        col[e] = sa >> e & 1 ? col[e] | bit : col[e] & ~bit;
     return 1;
 }
 
@@ -237,11 +220,10 @@ static int profile_init(walk_t *s)
     s->id = malloc((2 * (size_t)n + 1) * sizeof(int32_t));
     s->closes = calloc(2 * (size_t)n + 1, sizeof(int32_t));
     s->picked = calloc(2 * (size_t)n + 1, sizeof(int32_t));
-    s->ca = malloc(((size_t)n + 1) * sizeof(u64));
     s->cb = malloc(((size_t)n + 1) * sizeof(u64));
     s->start = malloc(((size_t)n + 1) * sizeof(size_t));
     if (!s->keys || !s->ka || !s->kb || !s->id || !s->closes || !s->picked
-        || !s->ca || !s->cb || !s->start)
+        || !s->cb || !s->start)
         return -1;
     memset(s->keys, 0xff, size * sizeof(int32_t));
     for (i = 0; i < n; i++)
@@ -279,7 +261,10 @@ static int sepdual_walk(int kind, int n, int width, const u64 *a, const u64 *b,
     s.a = a;
     s.b = b;
     s.full = width == 64 ? ~(u64)0 : ((u64)1 << width) - 1;
-    if (!forward || !tried || (kind && profile_init(&s)))
+    s.ca = malloc(((size_t)n + 1) * sizeof(u64));
+    /* one word more, so a ground of no element asks for some */
+    s.ch = kind ? NULL : calloc((((size_t)n >> 6) + 1) * width + 1, sizeof(u64));
+    if (!forward || !tried || !s.ca || (kind ? profile_init(&s) : !s.ch))
         goto done;
     memset(forward, 1, (size_t)n);
     for (q = 0; q < nseeds; q++) {
@@ -327,7 +312,6 @@ static int sepdual_walk(int kind, int n, int width, const u64 *a, const u64 *b,
 done:
     free(forward);
     free(tried);
-    free(s.has);
     free(s.ch);
     free(s.ca);
     free(s.cb);

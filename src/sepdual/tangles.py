@@ -41,10 +41,15 @@ search is one call of the extension's ``walk``, which reads
 ``system.members`` and the seeds in place and builds the result tuples
 itself, so the fixed cost of a search is about a microsecond (a whole
 search of three members takes 1.3 us on a 2-vCPU x86-64 host with CPython
-3.11).  Its
-tangle push writes only its own block of pair slots, not every element's
-whole slice, and its profile steps keep one counter per orientation of the
-system in place of ``picked`` and ``closes``, so an undo is a decrement.
+3.11).  Its tangle test keeps no pair slots: a member fails iff no
+element is outside its first side or, for some chosen l, the elements
+outside both its first side and l's are none or lie in the first side of a
+chosen j < l, which one AND per element over the chosen positions below l
+decides.  So it keeps a word per level and a bit per level and element,
+linear in the depth where the slots are quadratic; the two tests differ,
+and the results and their order are the same.  Its profile steps keep one
+counter per orientation of the system in place of ``picked`` and
+``closes``, so an undo is a decrement.
 The Python walk, ``_walk``, runs when there is no build (``KERNEL_BACKEND``,
 whose read loads the extension as a search does, then reads ``"pure"``;
 building needs a compiler and the Python headers) or the ground set is

@@ -5,9 +5,10 @@ Walk: on every input, ``_native.search`` lists the same results in the same
 order as ``tangles._walk``, the Python walk it mirrors, from member 0 and
 resumed from seeds: on every search of the corpus run, with and without the
 member cap, and on the edge shapes a scan never yields (no member, a 63- or
-64-element ground, seeds of every member, a system with no result).  A
-65-element ground goes to the Python walk, and an allocation failure in the
-C walk raises ``MemoryError``.
+64-element ground, seeds of every member, a system with no result, covers
+found only across a word boundary of chosen positions).  A 65-element
+ground goes to the Python walk, an allocation failure in the C walk raises
+``MemoryError``, and a deep search takes memory linear in its depth.
 
 Scan: on every input whose keys fit in 63 bits, ``_native.scan`` lists the
 same keys as the Python body of ``_kernels.scan_members``, its fallback and
@@ -197,43 +198,89 @@ def test_a_ground_over_64_elements_runs_the_python_walk(width, monkeypatch):
     assert len(calls) == (2 if width == 64 else 0)
 
 
-OUT_OF_MEMORY = """
+@needs_native
+@pytest.mark.parametrize("late", [63, 64, 65, 127, 128])
+def test_covers_found_across_word_boundaries(late):
+    """A member whose first side is covered, with the member chosen at
+    position ``late``, only by a chosen j < late in the same or an earlier
+    64-bit word of positions, or whose first side with ``late``'s alone
+    covers the ground, disjoint from it or not: placed at ``late + 1`` and
+    at 130, it fails forward and passes inverted.  So the C tangle test
+    reads every chosen position below ``late``, across word boundaries."""
+    full = (1 << 64) - 1
+
+    def bits(lo, hi):
+        return (1 << hi) - (1 << lo)
+
+    covers = [(j, bits(21, 42), bits(42, 64)) for j in sorted({0, 63, 64, late - 1}) if j < late]
+    covers += [(None, bits(0, 32), bits(32, 64)), (None, bits(0, 41), bits(20, 64))]
+    for early, late_side, side in covers:
+        for at in {late + 1, 130}:
+            # single-element first sides; their inverses point at everything
+            members = [(1 << k % 64, full) for k in range(at + 1)]
+            if early is not None:
+                members[early] = (bits(0, 21), full)
+            members[late] = (late_side, full)
+            members[at] = (side, full ^ side)
+            system = LowOrderSystem.from_members("x", GroundSet(range(64)), members)
+            assert _both(system, "tangle") == ((True,) * at + (False,),), (early, late, at)
+
+
+UNDER_A_LIMIT = """
 import resource, sys
 from sepdual import GroundSet, LowOrderSystem, _native, tangles
 
 ground = GroundSet(range(64))
-members = [(i + 1, ground.full) for i in range(8000)]
-deep = LowOrderSystem.from_members("x", ground, members)
-small = LowOrderSystem.from_members("x", ground, members[:50])
-deep.members, small.members
+limited = LowOrderSystem.from_members("x", ground, %s)
+small = LowOrderSystem.from_members("x", ground, [(i + 1, ground.full) for i in range(50)])
+limited.members, small.members
 assert _native.load() is not None
 soft, hard = resource.getrlimit(resource.RLIMIT_AS)
 with open("/proc/self/statm") as f:
     size = int(f.read().split()[0]) * resource.getpagesize()
-# the one tangle of the deep system needs about 256 MB of pair slots
-resource.setrlimit(resource.RLIMIT_AS, (size + (64 << 20), hard))
+resource.setrlimit(resource.RLIMIT_AS, (size + (%d << 20), hard))
 try:
-    found = tangles._search(deep, "tangle", 0, ((),))
+    found = tangles._search(limited, "tangle", 0, ((),))
 except MemoryError as exc:
     print("MemoryError:", exc)
 else:
-    print("returned", len(found))
+    print("returned", len(found), found == ((True,) * len(limited),))
 resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 print(tangles._search(small, "tangle", 0, ((),)) == ((True,) * 50,))
 """
 
 
+def _search_under_a_limit(members, megabytes):
+    """What a tangle search of the members over 64 elements prints in a new
+    process whose address space may grow by ``megabytes`` during the search,
+    then what a search of 50 members prints with the limit lifted."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", UNDER_A_LIMIT % (members, megabytes)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
 @needs_native
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
 def test_an_allocation_failure_raises_memory_error():
-    """Under an address-space limit the C walk cannot hold its pair slots:
-    it raises ``MemoryError`` and returns nothing, and the next search runs."""
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    done = subprocess.run([sys.executable, "-c", OUT_OF_MEMORY], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == [
+    """24 members of single-element sides: no three first sides cover, so
+    all 2^24 orientations are results, whose rows need 384 MB.  Under an
+    address-space limit the C walk cannot hold them: it raises
+    ``MemoryError`` and returns nothing, and the next search runs."""
+    assert _search_under_a_limit("[(1 << i, 1 << i + 32) for i in range(24)]", 64) == [
         "MemoryError: the native search walk could not allocate its state", "True"]
+
+
+@needs_native
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+def test_a_deep_search_takes_memory_linear_in_its_depth():
+    """4,000 levels over 64 elements, whose one tangle points every member
+    (i + 1, full) to its first side, searched in 32 MB: the C walk keeps a
+    word per level and a bit per level and element, where a slot per pair
+    of levels would take 64 MB."""
+    assert _search_under_a_limit("[(i + 1, ground.full) for i in range(4000)]", 32) == [
+        "returned 1 True", "True"]
 
 
 # -- the scan ----------------------------------------------------------------
