@@ -12,10 +12,10 @@ from . import _native
 
 
 def __getattr__(name):
-    # KERNEL_BACKEND names the backend of the next search walk and scan:
-    # "native" when the extension of ``_native`` loads (reading this builds
-    # it if missing and loads it), else "pure"; the other bit kernels of
-    # ``_kernels`` are pure Python.
+    # KERNEL_BACKEND names the backend of the next search walk, scan and
+    # count: "native" when the extension of ``_native`` loads (reading this
+    # builds it if missing and loads it), else "pure"; ``order2`` and
+    # ``shift2`` of ``_kernels`` are pure Python.
     if name == "KERNEL_BACKEND":
         return "native" if _native.load() else "pure"
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -6,12 +6,14 @@ evaluation, majority shifts, the separation scan over a small ground set,
 and the count of that scan's members by order.  ``masks`` is always a
 sequence of bitmasks over the same ground as the separation sides ``a`` and
 ``b`` (neighbourhoods for side orders, incident-edge sets for edge orders).
-The scan is also compiled: ``scan_members`` runs the C scan of the
-extension ``_native`` loads whenever it loads and the keys fit in 63 bits,
-and its Python body otherwise; ``sepdual.KERNEL_BACKEND`` names the backend
-of the scan and the search walk alike.  The other three are pure Python.
-They live in this one flat module, the rest of the package looks them up
-here, and only ``tangles`` calls the scan and the count.
+The scan and the count are also compiled: ``scan_members`` runs the C scan
+of the extension ``_native`` loads whenever it loads and the keys fit in 63
+bits, ``order_counts`` the C count whenever it loads and the ground has at
+most 40 elements, and each runs its Python body otherwise;
+``sepdual.KERNEL_BACKEND`` names the backend of the scan, the count and the
+search walk alike.  ``order2`` and ``shift2`` are pure Python.  They live in
+this one flat module, the rest of the package looks them up here, and only
+``tangles`` calls the scan and the count.
 """
 
 from __future__ import annotations
@@ -173,7 +175,16 @@ def order_counts(masks, n: int, partitions_only: bool = False) -> dict[int, int]
     and merging two states is an addition.  A coefficient counts partial
     separations, fewer than 3^n, so no digit carries into the next.  The
     states of a level never outnumber the scan's partial separations there.
+
+    The C count of ``_native`` counts the same members whenever the
+    extension loads and n <= 40, so that no count reaches 3^40 < 2**64: it
+    keeps each state's differences as signed bytes and its partial scores
+    as a row of 64-bit counts over the scores the state reaches.
+    Otherwise the Python body below runs, the fallback and the reference.
     """
+    counts = _native.count(masks, n, partitions_only)
+    if counts is not None:
+        return counts
     masks = [m for m in masks if m]
     width = (3 ** n).bit_length()
     live = []  # indices into masks of the differences a state holds, in order

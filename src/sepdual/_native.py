@@ -1,5 +1,6 @@
-"""The search walk of ``tangles._search`` and the scan of
-``_kernels.scan_members`` in C, built on first need.
+"""The search walk of ``tangles._search``, the scan of
+``_kernels.scan_members`` and the count of ``_kernels.order_counts`` in C,
+built on first need.
 
 ``SOURCE`` holds the C source of one walk for both kinds: the same
 explicit-stack depth-first search as the Python walk in ``tangles``, with
@@ -11,12 +12,18 @@ the same seed replay and the same result order.
   no element is outside its first side or, for some chosen l, the elements
   r outside both its first side and ``ca[l]`` are none or lie in the first
   side of a chosen j < l: iff the AND of ``ch[e]`` over e in r, word by
-  word over the positions below l, is not zero.  A push writes ``ca[i]``
-  and bit i of each ``ch[e]``; the bits above the level are stale, and no
-  test reads one, so undo does nothing.  Both are allocated once per
-  search, a word per level and a bit per level and element, so the memory
-  is linear in the depth.  The Python walk's test differs (it keeps a slot
-  per pair of chosen members); the results and their order are the same.
+  word over the positions below l, is not zero.  Three first sides cover
+  the ground only if their sizes sum to at least its size, so with
+  ``big[i]``, the size of the largest chosen first side up to level i, the
+  test is skipped when the member's first side and twice the largest chosen
+  one fall short, and each l when the member's, l's and the largest below
+  l's do.  A push writes ``ca[i]``, ``big[i]`` and bit i of each ``ch[e]``;
+  the entries above the level are stale, and no test reads one, so undo
+  does nothing.  They are allocated once per search, a word and an int per
+  level and a bit per level and element, so the memory is linear in the
+  depth.  The Python walk's test differs (it keeps a slot per pair of
+  chosen members, and skips only the whole test); the results and their
+  order are the same.
 * Profile steps give every distinct orientation of the system's members an
   id, found through an open-addressing hash of the 2n orientations, and
   keep one counter per id of the chosen pairs whose inverted supremum it
@@ -32,15 +39,26 @@ LSD radix sort on 11-bit digits.  It runs only when every key fits in 63
 bits, ``(sum of |m| + 1) << 2n <= 2**63``; ``scan`` returns None otherwise
 and the Python body lists the keys.
 
-The two functions of the CPython extension ``MODULE`` run them: ``walk``
+And it holds the count: the same levels, chains, states and steps as the
+Python body of ``order_counts``, a state being the clamped differences of
+the live masks, one signed byte each, found through an open-addressing
+hash, with its partial scores a row of 64-bit counts.  A level is made in
+two passes: the first finds each state's successors and the scores each
+successor reaches, the second adds each state's row into theirs, so a row
+holds only the scores its state reaches (on K_{6,6}'s edges, 4 to 8 of the
+level's 40-odd).  It runs only when n <= 40, so that no count reaches
+3^40 < 2**64; ``count`` returns None otherwise and the Python body counts.
+
+The three functions of the CPython extension ``MODULE`` run them: ``walk``
 reads the tuple of ``(a, b)`` int pairs and the seed tuples of bools in
-place and builds the result tuples in C, so a search is one call, and
-``scan`` reads the tuple of masks in place and returns the list of keys.
-``load`` finds, builds and loads the extension at the first scan or search,
-or at the first read of ``sepdual.KERNEL_BACKEND``, and keeps the module
-for the rest of the process; importing this module touches no file, and the
-commands that neither scan nor search (``ingest``, ``order``, ``shift``)
-never call it.  The extension is compiled once per source, Python cache tag and
+place and builds the result tuples in C, so a search is one call; ``scan``
+reads the tuple of masks in place and returns the list of keys; and
+``count`` reads the same masks and returns the dict of counts by order.
+``load`` finds, builds and loads the extension at the first scan, count or
+search, or at the first read of ``sepdual.KERNEL_BACKEND``, and keeps the
+module for the rest of the process; importing this module touches no file,
+and the commands that neither scan nor search (``ingest``, ``order``,
+``shift``) never call it.  The extension is compiled once per source, Python cache tag and
 machine with the platform compiler (``sysconfig``'s ``CC``, else ``cc``;
 one with GCC's ``__builtin_ctzll``, as gcc and clang have),
 ``-O2 -shared -fPIC`` and the Python headers (``sysconfig``'s
@@ -57,8 +75,9 @@ build again; deleting the marker retries it.  The build is loaded through
 ``importlib.machinery.ExtensionFileLoader``.  A build that fails to load is
 deleted, so the next process builds it again; when this process built it,
 the marker is left as for a failed build.  Without the extension,
-``search`` and ``scan`` return None, and ``tangles._search`` runs the
-Python walk and ``scan_members`` its Python body.
+``search``, ``scan`` and ``count`` return None, and ``tangles._search``
+runs the Python walk, and ``scan_members`` and ``order_counts`` their
+Python bodies.
 """
 
 from __future__ import annotations
@@ -83,8 +102,10 @@ typedef struct {
     const u64 *a, *b;
     u64 full;
     /* the chosen first sides by level; tangles: ch[w * width + e], the chosen
-       positions of word w whose first side holds e */
+       positions of word w whose first side holds e, and by level the size of
+       the largest chosen first side up to it */
     u64 *ca, *ch;
+    int *big;
     /* profiles: the chosen second sides by level, the id of each of the 2n
        orientations, the hash of the distinct ones, the counters per id, and
        the stack of ids each level's push counted */
@@ -114,25 +135,40 @@ static int grow(void *p, size_t *cap, size_t need, size_t unit)
     return 0;
 }
 
+static int popcount(u64 x)
+{
+    x -= x >> 1 & 0x5555555555555555ULL;
+    x = (x & 0x3333333333333333ULL) + (x >> 2 & 0x3333333333333333ULL);
+    x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
+    return (int)(x * 0x0101010101010101ULL >> 56);
+}
+
 /* The chosen members passed, so no three of them cover the ground, and s
    fails iff out = full & ~s.a is empty or, for some chosen l, r = out &
    ~ca[l] is empty or lies in the first side of some chosen j < l: iff the
    AND of ch[e] over e in r, masked to the positions below l, is not zero.
-   A push sets or clears only its own bit i of each ch[e]; the bits above
-   the level are stale, and no test reads one, so undo does nothing. */
+   Three first sides cover the width elements only if their sizes sum to at
+   least width, so the test is skipped when s's and twice the largest chosen
+   one's fall short, and each l when s's, l's and the largest below l's do.
+   A push sets or clears only its own bit i of each ch[e] and writes ca[i]
+   and big[i]; the entries above the level are stale, and no test reads
+   one, so undo does nothing. */
 static int tangle_place(walk_t *s, int i, int t, int test)
 {
     const int width = s->width;
     const u64 sa = t ? s->b[i] : s->a[i], bit = (u64)1 << (i & 63);
+    const int size = popcount(sa), top = i ? s->big[i - 1] : 0;
     u64 *col = s->ch + (size_t)(i >> 6) * width;
     int e, l;
     if (test) {
         const u64 out = s->full & ~sa;
         if (!out)
             return 0;
-        for (l = 0; l < i; l++) {
+        for (l = 0; size + 2 * top >= width && l < i; l++) {
             const u64 r = out & ~s->ca[l];
             int q, nw = (l + 63) >> 6;
+            if (size + popcount(s->ca[l]) + (l ? s->big[l - 1] : 0) < width)
+                continue;
             if (!r)
                 return 0;
             for (q = 0; q < nw; q++) {
@@ -146,6 +182,7 @@ static int tangle_place(walk_t *s, int i, int t, int test)
         }
     }
     s->ca[i] = sa;
+    s->big[i] = size > top ? size : top;
     for (e = 0; e < width; e++)
         col[e] = sa >> e & 1 ? col[e] | bit : col[e] & ~bit;
     return 1;
@@ -264,7 +301,8 @@ static int sepdual_walk(int kind, int n, int width, const u64 *a, const u64 *b,
     s.ca = malloc(((size_t)n + 1) * sizeof(u64));
     /* one word more, so a ground of no element asks for some */
     s.ch = kind ? NULL : calloc((((size_t)n >> 6) + 1) * width + 1, sizeof(u64));
-    if (!forward || !tried || !s.ca || (kind ? profile_init(&s) : !s.ch))
+    s.big = kind ? NULL : malloc(((size_t)n + 1) * sizeof(int));
+    if (!forward || !tried || !s.ca || (kind ? profile_init(&s) : !s.ch || !s.big))
         goto done;
     memset(forward, 1, (size_t)n);
     for (q = 0; q < nseeds; q++) {
@@ -313,6 +351,7 @@ done:
     free(forward);
     free(tried);
     free(s.ch);
+    free(s.big);
     free(s.ca);
     free(s.cb);
     free(s.id);
@@ -446,14 +485,6 @@ done:
     return result;
 }
 
-static int popcount(u64 x)
-{
-    x -= x >> 1 & 0x5555555555555555ULL;
-    x = (x & 0x3333333333333333ULL) + (x >> 2 & 0x3333333333333333ULL);
-    x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
-    return (int)(x * 0x0101010101010101ULL >> 56);
-}
-
 /* Sort the count keys at *keys, each below 2^bits: by insertion below 64
    keys, else by an LSD radix sort on 11-bit digits through a second buffer,
    which *keys may come back as, the other one freed.  Returns 0, or -1 with
@@ -573,50 +604,70 @@ fail:
     return -1;
 }
 
+/* The arguments masks, n and partitions_only of scan and count: the tuple
+   of ints masks, read in place into a PyMem buffer of one word more, to be
+   freed with PyMem_Free, with their number at *nmasks and the sum of their
+   sizes at *total; n, not negative, at *n; and the truth of partitions_only
+   at *partitions_only.  NULL with an exception set when one is bad. */
+static u64 *read_masks(PyObject *const *args, Py_ssize_t *nmasks, u64 *total, long *n,
+                       int *partitions_only)
+{
+    PyObject *masks = args[0];
+    Py_ssize_t i;
+    u64 *m;
+    if (!PyTuple_Check(masks)) {
+        PyErr_SetString(PyExc_TypeError, "masks must be a tuple of ints");
+        return NULL;
+    }
+    if ((*n = PyLong_AsLong(args[1])) == -1 && PyErr_Occurred())
+        return NULL;
+    if (*n < 0) {
+        PyErr_SetString(PyExc_ValueError, "n must not be negative");
+        return NULL;
+    }
+    if ((*partitions_only = PyObject_IsTrue(args[2])) < 0)
+        return NULL;
+    *nmasks = PyTuple_GET_SIZE(masks);
+    *total = 0;
+    m = PyMem_New(u64, *nmasks + 1);
+    if (!m)
+        return (u64 *)PyErr_NoMemory();
+    /* tuples and ints are immutable and nothing here runs Python code, so
+       the borrowed items stay valid */
+    for (i = 0; i < *nmasks; i++) {
+        m[i] = PyLong_AsUnsignedLongLong(PyTuple_GET_ITEM(masks, i));
+        if (m[i] == (u64)-1 && PyErr_Occurred()) {
+            PyMem_Free(m);
+            return NULL;
+        }
+        *total += (u64)popcount(m[i]);
+    }
+    return m;
+}
+
 /* scan(masks, n, partitions_only, below): sepdual_scan on the tuple masks
    of ints, read in place, below None for no bound, as a list of int keys;
    None when a key could need more than 63 bits, (sum |m| + 1) << 2n > 2^63,
    for the Python scan to list. */
 static PyObject *py_scan(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    PyObject *masks, *result = NULL;
+    PyObject *result = NULL;
     Py_ssize_t nmasks, i;
     long n;
     long long below = 0;
     int partitions_only, bounded, overflow = 0, rc;
-    u64 *m = NULL, *keys = NULL, total = 0;
+    u64 *m, *keys = NULL, total;
     size_t count = 0;
     if (nargs != 4) {
         PyErr_SetString(PyExc_TypeError, "scan() takes exactly 4 arguments");
         return NULL;
     }
-    masks = args[0];
-    if (!PyTuple_Check(masks)) {
-        PyErr_SetString(PyExc_TypeError, "masks must be a tuple of ints");
-        return NULL;
-    }
-    if ((n = PyLong_AsLong(args[1])) == -1 && PyErr_Occurred())
-        return NULL;
-    if (n < 0) {
-        PyErr_SetString(PyExc_ValueError, "n must not be negative");
-        return NULL;
-    }
-    if ((partitions_only = PyObject_IsTrue(args[2])) < 0)
+    if (!(m = read_masks(args, &nmasks, &total, &n, &partitions_only)))
         return NULL;
     bounded = args[3] != Py_None;
     if (bounded && (below = PyLong_AsLongLongAndOverflow(args[3], &overflow)) == -1
         && PyErr_Occurred())
-        return NULL;
-    nmasks = PyTuple_GET_SIZE(masks);
-    m = PyMem_New(u64, nmasks + 1);
-    if (!m)
-        return PyErr_NoMemory();
-    for (i = 0; i < nmasks; i++) {
-        m[i] = PyLong_AsUnsignedLongLong(PyTuple_GET_ITEM(masks, i));
-        if (m[i] == (u64)-1 && PyErr_Occurred())
-            goto done;
-        total += (u64)popcount(m[i]);
-    }
+        goto done;
     if (n > 31 || total + 1 > (u64)1 << (63 - 2 * n)) {
         result = Py_None;
         Py_INCREF(result);
@@ -651,11 +702,306 @@ done:
     return result;
 }
 
+/* A level of the count: nstates states, each len signed bytes at keys (the
+   clamped differences of the live masks) and the counts of its partial
+   separations by score from lo[q] to hi[q], a row at rows + at[q]; states
+   are found through the open-addressing table of mask + 1 slots, each a
+   state's index + 1 or 0 for none. */
+typedef struct {
+    size_t nstates, cap, mask;
+    size_t *table, *at;
+    int8_t *keys;
+    int *lo, *hi;
+    u64 *rows;
+    int len;
+} level_t;
+
+static void level_free(level_t *lv)
+{
+    free(lv->table);
+    free(lv->at);
+    free(lv->keys);
+    free(lv->lo);
+    free(lv->hi);
+    free(lv->rows);
+    memset(lv, 0, sizeof *lv);
+}
+
+static size_t state_hash(const int8_t *key, int len)
+{
+    u64 h = 0xCBF29CE484222325ULL;
+    int q;
+    for (q = 0; q < len; q++)
+        h = (h ^ (uint8_t)key[q]) * 0x100000001B3ULL;
+    return (size_t)(h ^ h >> 29);
+}
+
+/* The index of the state key in lv, added if it is new, with its scores
+   widened to take lo to hi; (size_t)-1 when an allocation fails. */
+static size_t state_at(level_t *lv, const int8_t *key, int lo, int hi)
+{
+    const int len = lv->len;
+    size_t j, q;
+    if (2 * (lv->nstates + 1) > lv->mask + 1) {
+        size_t size = 2 * (lv->mask + 1), *table = calloc(size, sizeof(size_t));
+        if (!table)
+            return (size_t)-1;
+        for (q = 0; q < lv->nstates; q++) {
+            for (j = state_hash(lv->keys + q * len, len) & (size - 1); table[j];
+                 j = (j + 1) & (size - 1))
+                ;
+            table[j] = q + 1;
+        }
+        free(lv->table);
+        lv->table = table;
+        lv->mask = size - 1;
+    }
+    for (j = state_hash(key, len) & lv->mask; lv->table[j]; j = (j + 1) & lv->mask) {
+        q = lv->table[j] - 1;
+        if (!memcmp(lv->keys + q * len, key, (size_t)len)) {
+            if (lo < lv->lo[q])
+                lv->lo[q] = lo;
+            if (hi > lv->hi[q])
+                lv->hi[q] = hi;
+            return q;
+        }
+    }
+    if (lv->nstates == lv->cap) {
+        size_t cap = lv->cap ? 2 * lv->cap : 64;
+        int8_t *keys = realloc(lv->keys, cap * (len + 1));
+        int *lows, *highs;
+        if (keys)
+            lv->keys = keys;
+        if (!keys || !(lows = realloc(lv->lo, cap * sizeof(int))))
+            return (size_t)-1;
+        lv->lo = lows;
+        if (!(highs = realloc(lv->hi, cap * sizeof(int))))
+            return (size_t)-1;
+        lv->hi = highs;
+        lv->cap = cap;
+    }
+    q = lv->nstates++;
+    lv->table[j] = q + 1;
+    memcpy(lv->keys + q * len, key, (size_t)len);
+    lv->lo[q] = lo;
+    lv->hi[q] = hi;
+    return q;
+}
+
+/* The steps of state's successors at a level: i in both sides adds one per
+   mask through i, in the first side only two per such mask whose
+   difference, read at read[0 .. nread - 1], is negative, and in the second
+   side only two per such mask whose difference is positive. */
+static void count_steps(const int8_t *state, const int *read, int nread, int both,
+                        int step[3])
+{
+    int p;
+    step[0] = both;
+    step[1] = step[2] = 0;
+    for (p = 0; p < nread; p++) {
+        step[1] += 2 * (state[read[p]] < 0);
+        step[2] += 2 * (state[read[p]] > 0);
+    }
+}
+
+/* The members _kernels.scan_members lists for the nmasks masks over an
+   n-set, n <= 40, counted by doubled order as _kernels.order_counts counts
+   them: the same levels, chains, states and steps, with each state's
+   partial scores a row of counts, no count reaching 3^40 < 2^64.  A level
+   is made in two passes: the first finds each state's three successors
+   and the scores each successor reaches, the second adds each state's row
+   into theirs, so a row holds only the scores its state reaches.  The
+   counts by order are added into the zeroed out, one per order up to the
+   sum of |m|.  Returns 0, or -1 when an allocation fails. */
+static int sepdual_count(const u64 *masks, size_t nmasks, int n, int partitions_only,
+                         u64 *out)
+{
+    const u64 full = ((u64)1 << n) - 1;
+    const int first = partitions_only ? 1 : 0; /* partitions skip "both sides" */
+    size_t nm = 0, j, o, q, *next = NULL, total;
+    /* per mask: its place in the state, or -1 for difference 0; per live
+       mask after the level: its old place, whether i is in it, and how many
+       of its elements lie below i; the places the level's steps read; the
+       keys of a state's successors */
+    int *at = NULL, *from = NULL, *inside = NULL, *left = NULL, *read = NULL;
+    int8_t *succ = NULL;
+    u64 *ms = malloc((nmasks + 1) * sizeof(u64));
+    level_t cur, nxt;
+    int i, chain = 0, rc = -1;
+    memset(&cur, 0, sizeof cur);
+    memset(&nxt, 0, sizeof nxt);
+    if (!ms)
+        goto done;
+    for (j = 0; j < nmasks; j++)
+        if (masks[j] & full)
+            ms[nm++] = masks[j] & full;
+    at = malloc((nm + 1) * sizeof(int));
+    from = malloc((nm + 1) * sizeof(int));
+    inside = malloc((nm + 1) * sizeof(int));
+    left = malloc((nm + 1) * sizeof(int));
+    read = malloc((nm + 1) * sizeof(int));
+    succ = malloc(3 * (nm + 1));
+    if (!at || !from || !inside || !left || !read || !succ)
+        goto done;
+    for (j = 0; j < nm; j++)
+        at[j] = -1;
+    for (i = n - 1; i >= 0; i--) {
+        const u64 bit = (u64)1 << i, lower = bit - 1;
+        /* the successors: i in both sides, in the first only, in the second
+           only */
+        int8_t *sab = succ, *sa = succ + nm + 1, *sb = sa + nm + 1;
+        int nread = 0, len = 0, both = 0, p, step[3];
+        for (j = 0; j < nm; j++) {
+            if (ms[j] & bit) {
+                both++;
+                if (at[j] >= 0)
+                    read[nread++] = at[j];
+            }
+            if (ms[j] >> i && ms[j] & lower) {
+                from[len] = at[j];
+                inside[len] = (ms[j] & bit) != 0;
+                left[len++] = popcount(ms[j] & lower);
+            }
+        }
+        nxt.len = len;
+        free(next);
+        if (!(next = malloc((3 * cur.nstates + 1) * sizeof(size_t))))
+            goto done;
+        for (o = 0; o < cur.nstates; o++) {
+            const int8_t *state = cur.keys + o * cur.len;
+            int k;
+            count_steps(state, read, nread, both, step);
+            for (p = 0; p < len; p++) {
+                const int d = from[p] >= 0 ? state[from[p]] : 0, r = left[p];
+                if (inside[p]) {
+                    sab[p] = (int8_t)(d > r ? r : d < -r ? -r : d);
+                    sa[p] = (int8_t)(d < r ? d + 1 : r);
+                    sb[p] = (int8_t)(d > -r ? d - 1 : -r);
+                } else
+                    sab[p] = sa[p] = sb[p] = (int8_t)d;
+            }
+            for (k = first; k < 3; k++)
+                if ((next[3 * o + k] = state_at(&nxt, succ + k * (nm + 1), cur.lo[o] + step[k],
+                                                cur.hi[o] + step[k])) == (size_t)-1)
+                    goto done;
+        }
+        if (!partitions_only || i == n - 1) {
+            /* the chain of top element i: i in the second side only */
+            for (p = 0; p < len; p++)
+                sb[p] = (int8_t)-inside[p];
+            if ((next[3 * cur.nstates] = state_at(&nxt, sb, chain, chain)) == (size_t)-1)
+                goto done;
+        }
+        total = 0;
+        if (!(nxt.at = malloc((nxt.nstates + 1) * sizeof(size_t))))
+            goto done;
+        for (q = 0; q < nxt.nstates; q++) {
+            nxt.at[q] = total;
+            total += (size_t)(nxt.hi[q] - nxt.lo[q] + 1);
+        }
+        if (!(nxt.rows = calloc(total + 1, sizeof(u64))))
+            goto done;
+        for (o = 0; o < cur.nstates; o++) {
+            const u64 *row = cur.rows + cur.at[o];
+            const int8_t *state = cur.keys + o * cur.len;
+            const int width = cur.hi[o] - cur.lo[o] + 1;
+            int k, d;
+            count_steps(state, read, nread, both, step);
+            for (k = first; k < 3; k++) {
+                const size_t s = next[3 * o + k];
+                u64 *to = nxt.rows + nxt.at[s] + (cur.lo[o] + step[k] - nxt.lo[s]);
+                for (d = 0; d < width; d++)
+                    to[d] += row[d];
+            }
+        }
+        if (!partitions_only || i == n - 1) {
+            const size_t s = next[3 * cur.nstates];
+            nxt.rows[nxt.at[s] + (chain - nxt.lo[s])]++;
+        }
+        chain += both;
+        level_free(&cur);
+        cur = nxt;
+        memset(&nxt, 0, sizeof nxt);
+        for (j = 0, q = 0; j < nm; j++)
+            at[j] = ms[j] >> i && ms[j] & lower ? (int)q++ : -1;
+    }
+    for (o = 0; o < cur.nstates; o++)
+        for (i = cur.lo[o]; i <= cur.hi[o]; i++)
+            out[i] += cur.rows[cur.at[o] + (size_t)(i - cur.lo[o])];
+    rc = 0;
+done:
+    level_free(&cur);
+    level_free(&nxt);
+    free(next);
+    free(ms);
+    free(at);
+    free(from);
+    free(inside);
+    free(left);
+    free(read);
+    free(succ);
+    return rc;
+}
+
+/* count(masks, n, partitions_only): sepdual_count on the tuple masks of
+   ints, read in place, as a dict {order2: count} of the orders that occur,
+   in rising order; None when n > 40, where a count could pass 2^64, for
+   the Python count to count. */
+static PyObject *py_count(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    PyObject *result = NULL;
+    Py_ssize_t nmasks, i;
+    long n;
+    int partitions_only, rc;
+    u64 *m, *counts = NULL, total;
+    if (nargs != 3) {
+        PyErr_SetString(PyExc_TypeError, "count() takes exactly 3 arguments");
+        return NULL;
+    }
+    if (!(m = read_masks(args, &nmasks, &total, &n, &partitions_only)))
+        return NULL;
+    if (n > 40) {
+        result = Py_None;
+        Py_INCREF(result);
+        goto done;
+    }
+    /* scores are ints, and a sum of 2^31 would ask for 16 GB of counts */
+    if (total >= INT_MAX || !(counts = calloc(total + 1, sizeof(u64)))) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    Py_BEGIN_ALLOW_THREADS
+    rc = sepdual_count(m, (size_t)nmasks, (int)n, partitions_only, counts);
+    Py_END_ALLOW_THREADS
+    if (rc) {
+        PyErr_SetString(PyExc_MemoryError, "the native count could not allocate its states");
+        goto done;
+    }
+    result = PyDict_New();
+    for (i = 0; result && i <= (Py_ssize_t)total; i++) {
+        PyObject *order, *value;
+        if (!counts[i])
+            continue;
+        order = PyLong_FromSsize_t(i);
+        value = PyLong_FromUnsignedLongLong(counts[i]);
+        if (!order || !value || PyDict_SetItem(result, order, value))
+            Py_CLEAR(result);
+        Py_XDECREF(order);
+        Py_XDECREF(value);
+    }
+done:
+    PyMem_Free(m);
+    free(counts);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"walk", (PyCFunction)(void (*)(void))py_walk, METH_FASTCALL,
      "walk(members, width, kind, m, seeds): the results of the search."},
     {"scan", (PyCFunction)(void (*)(void))py_scan, METH_FASTCALL,
      "scan(masks, n, partitions_only, below): the sorted keys of the scan."},
+    {"count", (PyCFunction)(void (*)(void))py_count, METH_FASTCALL,
+     "count(masks, n, partitions_only): the scan's members by doubled order."},
     {NULL, NULL, 0, NULL}
 };
 
@@ -828,3 +1174,14 @@ def scan(masks, n: int, partitions_only, below) -> list[int] | None:
     if module is None:
         return None
     return module.scan(tuple(masks), n, partitions_only, below)
+
+
+def count(masks, n: int, partitions_only) -> dict[int, int] | None:
+    """What ``_kernels.order_counts`` returns for these arguments, by the C
+    count; None when there is no build to run it or n > 40, where a count
+    could pass 2**64.  An allocation failure in the count raises
+    ``MemoryError``."""
+    module = load()
+    if module is None:
+        return None
+    return module.count(tuple(masks), n, partitions_only)

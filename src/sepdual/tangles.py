@@ -36,10 +36,11 @@ The same walk runs in C (``_native``) whenever the ground set has at most 64
 elements and the extension loads, which is every universe within the
 default ground caps; it returns the same results in the same order.  The
 first scan or search of a process finds the extension, building it if
-missing; the extension also runs the scan of ``_kernels.scan_members``.  A
-search is one call of the extension's ``walk``, which reads
-``system.members`` and the seeds in place and builds the result tuples
-itself, so the fixed cost of a search is about a microsecond (a whole
+missing; the extension also runs the scan of ``_kernels.scan_members`` and
+the count of ``_kernels.order_counts``.  A search is one call of the
+extension's ``walk``, which reads ``system.members`` and the seeds in place
+and builds the result tuples itself, so the fixed cost of a search is
+about a microsecond (a whole
 search of three members takes 1.3 us on a 2-vCPU x86-64 host with CPython
 3.11).  Its tangle test keeps no pair slots: a member fails iff no
 element is outside its first side or, for some chosen l, the elements
@@ -47,9 +48,12 @@ outside both its first side and l's are none or lie in the first side of a
 chosen j < l, which one AND per element over the chosen positions below l
 decides.  So it keeps a word per level and a bit per level and element,
 linear in the depth where the slots are quadratic; the two tests differ,
-and the results and their order are the same.  Its profile steps keep one
-counter per orientation of the system in place of ``picked`` and
-``closes``, so an undo is a decrement.
+and the results and their order are the same.  Both walks skip the test
+when the member's first side and twice the largest chosen one are smaller
+than the ground set, which three first sides cover only if their sizes sum
+to at least its size; the C walk also skips each l by the same bound.  Its
+profile steps keep one counter per orientation of the system in place of
+``picked`` and ``closes``, so an undo is a decrement.
 The Python walk, ``_walk``, runs when there is no build (``KERNEL_BACKEND``,
 whose read loads the extension as a search does, then reads ``"pure"``;
 building needs a compiler and the Python headers) or the ground set is
@@ -85,7 +89,11 @@ listed, below a threshold, only when a read needs members past those
 listed; each such scan at least doubles the keys, and once past half the
 universe lists it all.  On the corpus the large universes are edge
 universes of 8-10 edges whose searches read at most 18 members, while every
-larger threshold is asked only for its member count.
+larger threshold is asked only for its member count.  The count is compiled
+like the scan: the C count of ``_native`` runs for a ground set of at most
+40 elements whenever the extension loads, and the Python body otherwise;
+on K_{6,6}'s 36 edges it takes about 0.5 s against 10 s in Python (2-vCPU
+x86-64 host, CPython 3.11).
 
 A system's length is its count, its orders are read off the keys, and its
 members are decoded on first read by extending the shared prefix, so all
@@ -646,10 +654,19 @@ def _tangle_steps(system: LowOrderSystem):
     exact.  Likewise a push reads ``ch[e]`` only below position i and
     rewrites it up to i.  ``sides`` maps a first side to the elements in it
     and outside it; it is the universe's, shared by its searches.
+
+    Three first sides cover the ground only if their sizes sum to at least
+    its size, so the test is skipped when s's and twice the largest chosen
+    one's fall short: ``big[i]`` is the size of the largest chosen first side
+    up to level i, written by each push, seeds included.  The C walk also
+    skips each l that cannot reach the size with s's and the largest below
+    it; here the slots of one l are bits of every ``has[e]``, and dropping
+    them would cost a big-int operation as large as the AND it saves.
     """
     members, sides, width = system.members, system.space.sides, system.ground.n
     has = [0] * width
     ch = [0] * width
+    big = [0] * (len(members) + 1)
 
     def place(i: int, t: int, test: bool) -> bool:
         sa = members[i][t]
@@ -660,7 +677,8 @@ def _tangle_steps(system: LowOrderSystem):
         inside, outside = parts
         base = i * (i + 1) >> 1
         live = (1 << base) - 1
-        if test:
+        top = big[i - 1] if i else 0
+        if test and len(inside) + 2 * top >= width:
             acc = live
             for e in outside:
                 acc &= has[e]
@@ -668,6 +686,7 @@ def _tangle_steps(system: LowOrderSystem):
                     break
             else:
                 return False
+        big[i] = max(len(inside), top)
         below = (1 << i) - 1
         block = (2 << i) - 1 << base
         for e in inside:

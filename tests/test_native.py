@@ -6,7 +6,8 @@ order as ``tangles._walk``, the Python walk it mirrors, from member 0 and
 resumed from seeds: on every search of the corpus run, with and without the
 member cap, and on the edge shapes a scan never yields (no member, a 63- or
 64-element ground, seeds of every member, a system with no result, covers
-found only across a word boundary of chosen positions).  A 65-element
+found only across a word boundary of chosen positions, covers whose first
+sides' sizes sum to exactly the ground's).  A 65-element
 ground goes to the Python walk, an allocation failure in the C walk raises
 ``MemoryError``, and a deep search takes memory linear in its depth.
 
@@ -17,6 +18,14 @@ seeded random masks over 0 to 12 elements (empty and repeated masks, both
 modes) and every kind of bound.  A ground whose keys need more bits goes to
 the Python scan, and an allocation failure in the C scan raises
 ``MemoryError``.
+
+Count: on every input of at most 40 elements, ``_native.count`` counts the
+same members by order as the Python body of ``_kernels.order_counts``, its
+fallback and reference: every universe of the corpus and of the ladder on
+seeds 1 and 2, in both modes, and seeded random masks over 0 to 12
+elements (empty and repeated masks, an element in no mask).  A ground of 41
+elements goes to the Python count, and an allocation failure in the C count
+raises ``MemoryError``.
 
 Boundary: the extension functions check their arguments and raise on bad
 ones instead of crashing, keep no memory and no reference per call, and
@@ -91,7 +100,7 @@ def test_the_c_walk_is_built_where_there_is_a_compiler():
     assert sepdual.KERNEL_BACKEND == "native"
     module = _native.load()
     assert module is not None and sys.modules[_native.MODULE] is module
-    assert callable(module.walk) and callable(module.scan)
+    assert callable(module.walk) and callable(module.scan) and callable(module.count)
 
 
 def _corpus_run(member_cap):
@@ -226,6 +235,22 @@ def test_covers_found_across_word_boundaries(late):
             assert _both(system, "tangle") == ((True,) * at + (False,),), (early, late, at)
 
 
+@needs_native
+@pytest.mark.parametrize("members", [
+    # s's first side and twice the largest chosen one's make 6 exactly
+    [(0b110000, 0b111111), (0b001100, 0b111111), (0b000011, 0b111100)],
+    # more than 6 in all, but l = 1 reaches 6 only with j = 0 below it
+    [(0b111000, 0b111111), (0b000100, 0b111111), (0b000011, 0b111100)],
+], ids=["whole-test", "per-level"])
+def test_a_cover_whose_sizes_sum_to_the_ground_is_found(members):
+    """Three first sides cover the ground only if their sizes sum to at
+    least its size, and both walks skip tests by that bound: a cover whose
+    sizes sum to exactly 6 of 6 elements still rejects the last member
+    forward, whose inverse, covering nothing, passes."""
+    system = LowOrderSystem.from_members("x", GroundSet(range(6)), members)
+    assert _both(system, "tangle") == ((True, True, False),)
+
+
 UNDER_A_LIMIT = """
 import resource, sys
 from sepdual import GroundSet, LowOrderSystem, _native, tangles
@@ -310,8 +335,8 @@ def _belows(n):
     return (None, 3, 7) if n <= 10 else (2, 5, 8)
 
 
-def _ladder_block_0(seed):
-    """The graphs of the ladder workload's first block for ``seed``."""
+def _ladder_blocks(seed):
+    """The graphs of the ladder workload's blocks for ``seed``, by block."""
     path = ROOT / "certbench" / "workloads.py"
     if not path.is_file():
         pytest.skip("no certbench checkout")
@@ -322,7 +347,8 @@ def _ladder_block_0(seed):
         spec.loader.exec_module(workloads)
     finally:
         sys.path.remove(str(path.parent))
-    return [BipartiteGraph(*spec) for spec in workloads.Ladder().generate(None, seed)[0]]
+    return [[BipartiteGraph(*spec) for spec in block]
+            for block in workloads.Ladder().generate(None, seed)]
 
 
 @needs_native
@@ -332,7 +358,7 @@ def test_every_universe_scans_equal_on_both_scans(graphs):
     seeds 1 and 2, listed in full or below a bound; the keys of every one
     fit in 63 bits, the corpus's 25-edge universes included."""
     found = ([g for _, g in corpus()] if graphs == "corpus"
-             else _ladder_block_0(int(graphs[-1])))
+             else _ladder_blocks(int(graphs[-1]))[0])
     scanned = 0
     for g in found:
         for universe in UNIVERSES:
@@ -432,6 +458,117 @@ def test_an_allocation_failure_in_the_scan_raises_memory_error():
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == [
         "MemoryError: the native scan could not allocate its levels", "True"]
+
+
+# -- the count ---------------------------------------------------------------
+
+
+def _python_count(masks, n, partitions_only=False):
+    """The Python body of ``_kernels.order_counts``, with the loader finding
+    no extension."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_native, "load", lambda: None)
+        return _kernels.order_counts(masks, n, partitions_only)
+
+
+def _both_counts(masks, n, partitions_only=False):
+    """The C count, asserted equal to the Python count and to the closed
+    form of the members counted."""
+    fast = _native.count(masks, n, partitions_only)
+    assert fast is not None, (masks, n)
+    assert fast == _python_count(masks, n, partitions_only), (masks, n, partitions_only)
+    members = (1 << n - 1 if n else 0) if partitions_only else (3**n - 1) // 2
+    assert sum(fast.values()) == members
+    return fast
+
+
+@needs_native
+@pytest.mark.parametrize("graphs", ["corpus", "ladder-1", "ladder-2"])
+def test_every_universe_counts_equal_on_both_counts(graphs):
+    """Every universe of the corpus graphs and of every ladder block on
+    seeds 1 and 2, counted as separations and as partitions."""
+    found = ([g for _, g in corpus()] if graphs == "corpus"
+             else [g for block in _ladder_blocks(int(graphs[-1])) for g in block])
+    counted = 0
+    for g in found:
+        for universe in UNIVERSES:
+            masks, ground, _ = universe_context(g, universe)
+            for partitions_only in (False, True):
+                _both_counts(masks, ground.n, partitions_only)
+                counted += 1
+    assert counted == 2 * len(UNIVERSES) * len(found)
+    assert len(found) == (50 if graphs == "corpus" else 216)
+
+
+@needs_native
+def test_random_masks_count_equal_on_both_counts():
+    """Seeded masks over n = 0..12, each mask of its own density: no mask,
+    empty masks, repeated masks, an element in no mask; both modes."""
+    rng = random.Random(33)
+    for n in range(13):
+        full = (1 << n) - 1
+        for trial in range(30 if n < 9 else 10):
+            masks = [rng.getrandbits(n) & rng.getrandbits(n) if trial % 2
+                     else rng.getrandbits(n) for _ in range(rng.randrange(12))]
+            if trial % 5 == 1:
+                masks.append(0)
+            if trial % 5 == 2 and masks:
+                masks += masks[: rng.randrange(1, len(masks) + 1)]
+            if trial % 5 == 3 and n:
+                unused = 1 << rng.randrange(n)
+                masks = [m & full & ~unused for m in masks]
+            for partitions_only in (False, True):
+                _both_counts(masks, n, partitions_only)
+
+
+@needs_native
+def test_a_ground_over_40_elements_runs_the_python_count():
+    """Counts stay below 3^40 < 2^64 on 40 elements, which the C count takes;
+    on 41 ``count`` returns None and ``order_counts`` gives the Python
+    count."""
+    for n in (40, 41):
+        full = (1 << n) - 1
+        masks = (full, full >> 20, 1 << n - 1 | 1, 0b110)
+        counts = _kernels.order_counts(masks, n)
+        assert counts == _python_count(masks, n)
+        assert sum(counts.values()) == (3**n - 1) // 2
+        assert _native.count(masks, n, False) == (counts if n == 40 else None)
+
+
+COUNT_OUT_OF_MEMORY = """
+import resource
+from sepdual import _kernels, _native
+
+assert _native.load() is not None
+# the edges of K_{6,6}: a row of six per vertex, whose count holds about
+# 290,000 states a level
+masks = tuple([0x3f << 6 * r for r in range(6)] + [0x41041041 << c for c in range(6)])
+soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+with open("/proc/self/statm") as f:
+    size = int(f.read().split()[0]) * resource.getpagesize()
+resource.setrlimit(resource.RLIMIT_AS, (size + (16 << 20), hard))
+try:
+    counts = _kernels.order_counts(masks, 36)
+except MemoryError as exc:
+    print("MemoryError:", exc)
+else:
+    print("returned", len(counts))
+resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+print(sum(_kernels.order_counts(masks[:4], 24).values()) == (3**24 - 1) // 2)
+"""
+
+
+@needs_native
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+def test_an_allocation_failure_in_the_count_raises_memory_error():
+    """Under an address-space limit the C count cannot hold its states: it
+    raises ``MemoryError`` and returns nothing, and the next count runs."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", COUNT_OUT_OF_MEMORY], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "MemoryError: the native count could not allocate its states", "True"]
 
 
 # -- the boundary --------------------------------------------------------------
@@ -564,6 +701,23 @@ def test_bad_scan_arguments_raise(case):
         scan(*list(SCAN_GOOD.values())[:3])
 
 
+@needs_native
+@pytest.mark.parametrize("case", sorted(set(SCAN_BAD_ARGUMENTS) - {"below-not-an-int"}))
+def test_bad_count_arguments_raise(case):
+    """The scan's bad masks, n and modes raise the same errors in the count,
+    and the next call runs as before."""
+    change, error = SCAN_BAD_ARGUMENTS[case]
+    count = _native.load().count
+    good = {k: v for k, v in SCAN_GOOD.items() if k != "below"}
+    with pytest.raises(error):
+        count(*{**good, **change}.values())
+    assert count(*good.values()) == _python_count(*good.values())
+    with pytest.raises(TypeError):
+        count(*list(good.values())[:2])
+    with pytest.raises(TypeError):
+        count(*SCAN_GOOD.values())
+
+
 #: scans of a 6-element side in full (radix-sorted) and below 6 (sorted
 #: by insertion)
 SCANS = [((0b000111, 0b011100, 0b110001, 0b101010, 0b010101), 6, False, below)
@@ -599,6 +753,39 @@ def test_a_scan_leaves_reference_counts_as_they_were():
         keys = _native.load().scan(masks, n, partitions_only, below)
     del keys
     assert (sys.getrefcount(masks), sys.getrefcount(mask), sys.getrefcount(below)) == counts
+
+
+@needs_native
+def test_repeated_counts_keep_no_memory():
+    """20,000 counts, their dicts dropped, leave Python's traced allocations
+    within 64 KB of where they started."""
+    masks, n = SCANS[0][:2]
+    counts = [_both_counts(masks, n, partitions_only) for partitions_only in (False, True)]
+    assert [sum(c.values()) for c in counts] == [364, 32]
+    tracemalloc.start()
+    try:
+        for partitions_only in (False, True):
+            _native.count(masks, n, partitions_only)
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(10_000):
+            for partitions_only in (False, True):
+                _native.count(masks, n, partitions_only)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 64 * 1024
+
+
+@needs_native
+def test_a_count_leaves_reference_counts_as_they_were():
+    # masks past the small ints, each an int object of its own
+    masks = tuple([m << 8 for m in SCANS[0][0]])
+    mask = masks[2]
+    counts = sys.getrefcount(masks), sys.getrefcount(mask)
+    for _ in range(100):
+        found = _native.load().count(masks, 14, False)
+    del found
+    assert (sys.getrefcount(masks), sys.getrefcount(mask)) == counts
 
 
 # -- the loader --------------------------------------------------------------

@@ -1,12 +1,16 @@
-"""The search and scan tests of ``test_tangles`` and the deep CLI search of
-``test_cli`` again, on the Python walk and the Python scan, and the pinned
-corpus report on both.
+"""The search, scan and count tests of ``test_tangles`` and the deep CLI
+search of ``test_cli`` again, on the Python walk, the Python scan and the
+Python count, and the pinned corpus report on all three.
 
-Those modules run them on the walk and scan the package picks, the C ones of
-``sepdual._native`` wherever the extension is built.  Here the
+Those modules run them on the walk, scan and count the package picks, the C
+ones of ``sepdual._native`` wherever the extension is built.  Here the
 ``python_walk`` fixture makes the loader find no library, so every search
-runs ``tangles._walk`` and every scan the Python body of
-``_kernels.scan_members``, the fallbacks and the references of the C code.
+runs ``tangles._walk``, every scan the Python body of
+``_kernels.scan_members`` and every count the Python body of
+``_kernels.order_counts``, the fallbacks and the references of the C code.
+The tests that hold the count equal to its definition are
+``test_scan_matches_definition_on_random_masks`` and
+``test_scan_matches_label_set_oracles``.
 """
 
 import hashlib
@@ -47,7 +51,7 @@ pytestmark = pytest.mark.usefixtures("python_walk")
 
 
 def test_the_python_walk_is_forced(monkeypatch):
-    """No search or scan of this module reaches the C code, and
+    """No search, scan or count of this module reaches the C code, and
     ``KERNEL_BACKEND`` says so."""
     walked = []
     walk = tangles._walk
@@ -59,11 +63,13 @@ def test_the_python_walk_is_forced(monkeypatch):
     assert len(walked) == 1
     assert _native.scan((1, 3), 2, False, None) is None
     assert len(_kernels.scan_members((1, 3), 2)) == (3**2 - 1) // 2
+    assert _native.count((1, 3), 2, False) is None
+    assert _kernels.order_counts((1, 3), 2) == {0: 1, 1: 1, 2: 2}
 
 
 def test_the_corpus_report_is_pinned_on_the_python_code():
     """The whole certification run with no extension, every search on the
-    Python walk and every scan on the Python scan, prints the pinned
-    report."""
+    Python walk, every scan on the Python scan and every count on the Python
+    count, prints the pinned report."""
     report = report_json(run_corpus())
     assert hashlib.sha256(report.encode()).hexdigest() == CORPUS_REPORT_SHA256
